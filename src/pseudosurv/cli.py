@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 
 import numpy as np
@@ -45,8 +44,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise _UsageError("--threads must be a positive integer")
         args.run(args)
     except _UsageError as exc:
         print(f"error:usage: {exc}", file=sys.stderr)
@@ -64,14 +61,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="pseudosurv",
         description="Pseudo-observations for survival targets, fast or by exact jackknife.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count(),
-        metavar="N",
-        help="cap on internal parallelism (default: all cores); results "
-        "do not depend on it, computation is vectorized in-process",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -171,9 +160,8 @@ def _cmd_pseudo(args):
             "their pseudo values are NaN",
             file=sys.stderr,
         )
-    lines = ["id,pseudo"]
-    lines += [f"{i},{v:.12g}" for i, v in enumerate(pv.values, start=1)]
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = enumerate(pv.values.tolist(), start=1)
+    _emit("id,pseudo\n" + "".join([f"{i},{v:.12g}\n" for i, v in rows]), args.out)
 
 
 def _cmd_fit(args):

@@ -1,37 +1,44 @@
-"""Censored survival datasets: records, classification, CSV input and output.
+"""Censored survival datasets: columnar storage, classification, CSV input and output.
 
-Two record kinds are supported. Right-censored records carry an observed
-time and an event indicator. Interval records carry a bracket [left, right]
-that contains the event time, with ``right = inf`` meaning right-censored,
-``left = 0`` (with finite right) meaning left-censored, and ``left == right``
-meaning an exactly observed event. A `Dataset` holds an ordered sequence of
-one record kind plus an optional covariate matrix aligned row by row.
+Two observation kinds are supported. Right-censored observations carry an
+observed time and an event indicator. Interval observations carry a bracket
+[left, right] that contains the event time, with ``right = inf`` meaning
+right-censored, ``left = 0`` (with finite right) meaning left-censored, and
+``left == right`` meaning an exactly observed event. A `Dataset` holds one
+kind as validated arrays plus an optional covariate matrix aligned row by
+row; the record classes check and classify a single observation.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, MalformedInterval, ParseError
+from .errors import EmptyInput, MalformedInterval, ParseError, PseudosurvError
 
 LEFT_CENSORED = "left-censored"
 STRICT_INTERVAL = "strictly-interval"
 RIGHT_CENSORED = "right-censored"
 EXACT = "exact"
 
+# Position in this tuple is the int8 code stored in `Dataset.class_codes`.
 INTERVAL_CLASSES = (LEFT_CENSORED, STRICT_INTERVAL, RIGHT_CENSORED, EXACT)
+_LEFT_CODE, _STRICT_CODE, _RIGHT_CODE, _EXACT_CODE = range(len(INTERVAL_CLASSES))
 
 KIND_RIGHT = "right-censored"
 KIND_INTERVAL = "interval"
+
+_HEADERS = {KIND_RIGHT: ("time", "status"), KIND_INTERVAL: ("left", "right")}
+# Rows formatted per write, which bounds the memory save_dataset holds.
+_WRITE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,19 +104,32 @@ class IntervalRecord:
         return STRICT_INTERVAL
 
 
+def _column(kind, index, doc):
+    def get(self):
+        self._require(kind)
+        return self.columns[index]
+
+    return property(get, doc=doc)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of records of one kind, with optional covariates.
+    """Observations of one kind as validated arrays, with optional covariates.
 
-    Record order is significant: pseudo-observation l must stay aligned with
-    covariate row l, so no operation in this package ever reorders records.
+    Row order is significant: pseudo-observation l must stay aligned with
+    covariate row l, so no operation in this package ever reorders rows.
+    Construction checks every row as `RightCensoredRecord` or
+    `IntervalRecord` would, and raises that record's error for the first
+    bad row.
 
     Parameters
     ----------
     kind : str
         Either ``"right-censored"`` or ``"interval"``.
-    records : tuple
-        Records, all of the kind named by ``kind``.
+    columns : pair of array-like
+        ``(times, status)`` or ``(left, right)``, kept as read-only copies
+        and read through the accessors of those names: float64 ``times``,
+        int ``status`` (0 or 1), float64 ``left`` and ``right`` (inf allowed).
     covariates : numpy.ndarray or None
         Matrix with one row per record (a design matrix when an intercept
         column was requested at load time).
@@ -118,27 +138,42 @@ class Dataset:
     """
 
     kind: str
-    records: tuple
+    columns: tuple
     covariates: np.ndarray | None = None
     covariate_names: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in (KIND_RIGHT, KIND_INTERVAL):
+        if self.kind not in _HEADERS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        want = RightCensoredRecord if self.kind == KIND_RIGHT else IntervalRecord
-        for rec in self.records:
-            if not isinstance(rec, want):
-                raise ValueError(
-                    f"record {rec!r} does not match dataset kind {self.kind!r}"
-                )
+        first = np.array(self.columns[0], dtype=float)
+        raw = np.asarray(self.columns[1])
+        second = raw.astype(float)
+        if first.ndim != 1 or first.shape != second.shape:
+            raise ValueError("the two columns must be 1-D and of equal length")
+        bad = ~np.isfinite(first) | (first < 0)
+        if self.kind == KIND_RIGHT:
+            bad |= (second != 0) & (second != 1)
+            if bad.any():
+                i = bad.argmax()
+                RightCensoredRecord(float(first[i]), raw[i].item())
+            second = second.astype(int)
+        else:
+            bad |= np.isnan(second) | (second < first)
+            if bad.any():
+                i = bad.argmax()
+                IntervalRecord(float(first[i]), float(second[i]))
+            at_zero = np.count_nonzero((first == 0.0) & (second == 0.0))
+            if at_zero:
+                warnings.warn(f"exact observation at time 0 ({at_zero} records)", stacklevel=3)
+        first.flags.writeable = second.flags.writeable = False
+        object.__setattr__(self, "columns", (first, second))
         if self.covariates is not None:
             cov = np.asarray(self.covariates, dtype=float)
             if cov.ndim != 2:
                 raise ValueError("covariates must be a 2-D matrix")
-            if cov.shape[0] != len(self.records):
+            if cov.shape[0] != self.n:
                 raise ValueError(
-                    f"covariate rows ({cov.shape[0]}) must equal record count "
-                    f"({len(self.records)})"
+                    f"covariate rows ({cov.shape[0]}) must equal record count ({self.n})"
                 )
             if np.isnan(cov).any():
                 raise ValueError("covariates contain missing values")
@@ -146,50 +181,42 @@ class Dataset:
             if self.covariate_names is not None and len(self.covariate_names) != cov.shape[1]:
                 raise ValueError("covariate_names length must match covariate columns")
 
+    times = _column(KIND_RIGHT, 0, "Observed times, right-censored datasets only.")
+    status = _column(KIND_RIGHT, 1, "Event indicators, right-censored datasets only.")
+    left = _column(KIND_INTERVAL, 0, "Left endpoints, interval datasets only.")
+    right = _column(KIND_INTERVAL, 1, "Right endpoints (inf allowed), interval datasets only.")
+
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.columns[0].size
 
     @cached_property
-    def times(self) -> np.ndarray:
-        """Observed times, right-censored datasets only."""
-        self._require(KIND_RIGHT)
-        return np.array([r.time for r in self.records], dtype=float)
-
-    @cached_property
-    def status(self) -> np.ndarray:
-        """Event indicators, right-censored datasets only."""
-        self._require(KIND_RIGHT)
-        return np.array([r.status for r in self.records], dtype=int)
-
-    @cached_property
-    def left(self) -> np.ndarray:
-        """Left endpoints, interval datasets only."""
+    def class_codes(self) -> np.ndarray:
+        """Censoring class per record as an int8 index into
+        ``INTERVAL_CLASSES``, interval datasets only. Later assignments
+        take precedence, as earlier returns do in
+        `IntervalRecord.censoring_class`."""
         self._require(KIND_INTERVAL)
-        return np.array([r.left for r in self.records], dtype=float)
+        left, right = self.columns
+        codes = np.full(left.shape, _STRICT_CODE, dtype=np.int8)
+        codes[left == 0.0] = _LEFT_CODE
+        codes[left == right] = _EXACT_CODE
+        codes[np.isinf(right)] = _RIGHT_CODE
+        return codes
 
-    @cached_property
-    def right(self) -> np.ndarray:
-        """Right endpoints (inf allowed), interval datasets only."""
-        self._require(KIND_INTERVAL)
-        return np.array([r.right for r in self.records], dtype=float)
-
-    @cached_property
+    @property
     def classes(self) -> tuple:
         """Censoring class per record, interval datasets only."""
-        self._require(KIND_INTERVAL)
-        return tuple(r.censoring_class for r in self.records)
+        return tuple(INTERVAL_CLASSES[c] for c in self.class_codes.tolist())
 
-    @cached_property
+    @property
     def class_counts(self) -> Counter:
         """Counts per censoring class (interval) or per status (right-censored)."""
         if self.kind == KIND_INTERVAL:
-            counts = Counter({c: 0 for c in INTERVAL_CLASSES})
-            counts.update(self.classes)
-        else:
-            counts = Counter({"event": 0, "censored": 0})
-            counts.update("event" if r.status == 1 else "censored" for r in self.records)
-        return counts
+            counts = np.bincount(self.class_codes, minlength=len(INTERVAL_CLASSES))
+            return Counter(dict(zip(INTERVAL_CLASSES, counts.tolist())))
+        events = int(np.count_nonzero(self.status))
+        return Counter({"event": events, "censored": self.n - events})
 
     def _require(self, kind):
         if self.kind != kind:
@@ -198,18 +225,15 @@ class Dataset:
 
 def right_censored_dataset(times, status, covariates=None, covariate_names=None):
     """Build a right-censored `Dataset` from parallel arrays."""
-    records = tuple(
-        RightCensoredRecord(float(t), int(s)) for t, s in zip(times, status, strict=True)
-    )
-    return Dataset(KIND_RIGHT, records, covariates, _as_names(covariate_names))
+    return Dataset(KIND_RIGHT, (times, status), covariates, _as_names(covariate_names))
 
 
 def interval_dataset(left, right, covariates=None, covariate_names=None):
-    """Build an interval `Dataset` from parallel endpoint arrays."""
-    records = tuple(
-        IntervalRecord(float(a), float(b)) for a, b in zip(left, right, strict=True)
-    )
-    return Dataset(KIND_INTERVAL, records, covariates, _as_names(covariate_names))
+    """Build an interval `Dataset` from parallel endpoint arrays.
+
+    Exact observations at time 0 are accepted with one warning that counts them.
+    """
+    return Dataset(KIND_INTERVAL, (left, right), covariates, _as_names(covariate_names))
 
 
 def recode_right_censored_as_interval(dataset: Dataset) -> Dataset:
@@ -241,25 +265,7 @@ def load_right_censored_dataset(source) -> Dataset:
     -------
     Dataset
     """
-    header, rows = _read_csv(source)
-    _check_header(header, ("time", "status"))
-    records = []
-    cov_rows = []
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ParseError(f"row {i}: expected {len(header)} cells, got {len(row)}", row=i)
-        time = _parse_float(row[0], i, "time")
-        raw_status = _parse_float(row[1], i, "status")
-        if raw_status not in (0.0, 1.0):
-            raise ParseError(f"row {i}: status must be 0 or 1, got {row[1]!r}", row=i)
-        records.append(RightCensoredRecord(time, int(raw_status)))
-        cov_rows.append([_parse_float(c, i, name) for c, name in zip(row[2:], header[2:])])
-    return Dataset(
-        KIND_RIGHT,
-        tuple(records),
-        _covariate_matrix(cov_rows, header),
-        _as_names(header[2:]) if len(header) > 2 else None,
-    )
+    return _load(source, KIND_RIGHT)
 
 
 def load_interval_dataset(source) -> Dataset:
@@ -270,26 +276,7 @@ def load_interval_dataset(source) -> Dataset:
     an infinite endpoint; the emitted form on save is always ``inf``.
     Classification into censoring classes is derived per record.
     """
-    header, rows = _read_csv(source)
-    _check_header(header, ("left", "right"))
-    records = []
-    cov_rows = []
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ParseError(f"row {i}: expected {len(header)} cells, got {len(row)}", row=i)
-        left = _parse_float(row[0], i, "left")
-        right = math.inf if row[1].strip() == "" else _parse_float(row[1], i, "right")
-        try:
-            records.append(IntervalRecord(left, right))
-        except MalformedInterval as exc:
-            raise MalformedInterval(f"row {i}: {exc}") from exc
-        cov_rows.append([_parse_float(c, i, name) for c, name in zip(row[2:], header[2:])])
-    return Dataset(
-        KIND_INTERVAL,
-        tuple(records),
-        _covariate_matrix(cov_rows, header),
-        _as_names(header[2:]) if len(header) > 2 else None,
-    )
+    return _load(source, KIND_INTERVAL)
 
 
 def save_dataset(dataset: Dataset, target) -> None:
@@ -298,27 +285,18 @@ def save_dataset(dataset: Dataset, target) -> None:
     Floats are written with shortest round-trip precision, so a
     load/save/load cycle reproduces records and classes exactly.
     """
-    close = False
-    if isinstance(target, (str, Path)):
-        handle = open(target, "w", newline="", encoding="utf-8")
-        close = True
-    else:
-        handle = target
-    try:
-        writer = csv.writer(handle)
-        names = list(dataset.covariate_names or ())
-        if dataset.kind == KIND_RIGHT:
-            writer.writerow(["time", "status"] + names)
-            for rec, cov in _rows_with_covariates(dataset):
-                writer.writerow([repr(rec.time), rec.status] + cov)
-        else:
-            writer.writerow(["left", "right"] + names)
-            for rec, cov in _rows_with_covariates(dataset):
-                right = "inf" if math.isinf(rec.right) else repr(rec.right)
-                writer.writerow([repr(rec.left), right] + cov)
-    finally:
-        if close:
-            handle.close()
+    first, second = dataset.columns
+    columns = [(repr, first), (str if dataset.kind == KIND_RIGHT else repr, second)]
+    if dataset.covariates is not None:
+        columns += [(repr, column) for column in dataset.covariates.T]
+    is_path = isinstance(target, (str, Path))
+    with open(target, "w", newline="", encoding="utf-8") if is_path else nullcontext(target) as handle:
+        csv.writer(handle).writerow(list(_HEADERS[dataset.kind]) + list(dataset.covariate_names or ()))
+        # No formatted number holds a delimiter, quote or line break, so
+        # csv.writer would write these rows unquoted, as joined here.
+        for start in range(0, dataset.n, _WRITE_ROWS):
+            cells = [map(fmt, col[start:start + _WRITE_ROWS].tolist()) for fmt, col in columns]
+            handle.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
 
 
 def censoring_summary(dataset: Dataset) -> dict:
@@ -352,7 +330,7 @@ def interval_width_summary(dataset: Dataset) -> dict:
         raise EmptyInput("cannot summarize an empty dataset")
     dataset._require(KIND_INTERVAL)
     widths = dataset.right - dataset.left
-    strict = np.array([c == STRICT_INTERVAL for c in dataset.classes])
+    strict = dataset.class_codes == _STRICT_CODE
     finite = np.isfinite(dataset.right)
     return {
         "mean_width_strict": float(widths[strict].mean()) if strict.any() else math.nan,
@@ -360,18 +338,65 @@ def interval_width_summary(dataset: Dataset) -> dict:
     }
 
 
-def _read_csv(source):
+def _load(source, kind):
+    """Parse every data row with one vectorized call. Where that reading
+    could differ from the row-wise one (unparseable cells, ragged or blank
+    lines, which loadtxt skips, quoted line breaks, missing or invalid
+    values), reparse row by row, which raises the error of the first bad row."""
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    elif hasattr(source, "read"):
-        rows = list(csv.reader(source))
+            lines = list(handle)
     else:
-        rows = list(csv.reader(iter(source)))
-    if not rows:
+        lines = list(source)
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
         raise ParseError("missing header row", row=0)
-    header = [c.strip() for c in rows[0]]
-    return header, rows[1:]
+    header = [c.strip() for c in header]
+    _check_header(header, _HEADERS[kind])
+    names = _as_names(header[2:]) if len(header) > 2 else None
+    body = lines[reader.line_num:]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns when no line holds data
+            table = np.loadtxt(body, dtype=float, delimiter=",", comments=None, quotechar='"',
+                               ndmin=2, converters={1: _right_cell} if kind == KIND_INTERVAL else None)
+        if table.shape == (len(body), len(header)) and not np.isnan(table).any():
+            covariates = np.ascontiguousarray(table[:, 2:]) if names else None
+            return Dataset(kind, (table[:, 0], table[:, 1]), covariates, names)
+    except (ValueError, PseudosurvError):
+        pass
+    first, second, cov_rows = _parse_rows(csv.reader(body), header, kind)
+    covariates = np.array(cov_rows, dtype=float) if names else None
+    return Dataset(kind, (first, second), covariates, names)
+
+
+def _right_cell(cell):
+    return math.inf if cell.strip() == "" else float(cell)
+
+
+def _parse_rows(rows, header, kind):
+    first, second, cov_rows = [], [], []
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ParseError(f"row {i}: expected {len(header)} cells, got {len(row)}", row=i)
+        if kind == KIND_RIGHT:
+            a = _parse_float(row[0], i, "time")
+            b = _parse_float(row[1], i, "status")
+            if b not in (0.0, 1.0):
+                raise ParseError(f"row {i}: status must be 0 or 1, got {row[1]!r}", row=i)
+            RightCensoredRecord(a, int(b))
+        else:
+            a = _parse_float(row[0], i, "left")
+            b = math.inf if row[1].strip() == "" else _parse_float(row[1], i, "right")
+            try:
+                IntervalRecord(a, b)
+            except MalformedInterval as exc:
+                raise MalformedInterval(f"row {i}: {exc}") from exc
+        first.append(a)
+        second.append(b)
+        cov_rows.append([_parse_float(c, i, name) for c, name in zip(row[2:], header[2:])])
+    return first, second, cov_rows
 
 
 def _check_header(header, expected):
@@ -393,22 +418,7 @@ def _parse_float(cell, row, name):
     return value
 
 
-def _covariate_matrix(cov_rows, header):
-    if len(header) <= 2:
-        return None
-    return np.array(cov_rows, dtype=float)
-
-
 def _as_names(names):
     if names is None:
         return None
     return tuple(str(x) for x in names)
-
-
-def _rows_with_covariates(dataset):
-    if dataset.covariates is None:
-        for rec in dataset.records:
-            yield rec, []
-    else:
-        for rec, row in zip(dataset.records, dataset.covariates):
-            yield rec, [repr(float(v)) for v in row]

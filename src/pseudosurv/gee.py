@@ -1,12 +1,12 @@
 """Pseudo-observation regression by estimating equations.
 
 With one pseudo value per subject and a working-independence weight, the
-estimating equation is U(beta) = sum_l mu_dot_l (y_l - mu_l) = 0, solved by
-Fisher scoring. Under the identity link this collapses to ordinary least
-squares in a single step, and the sandwich covariance coincides with the
-HC0 heteroskedasticity-robust estimator; those exact equivalences anchor
-the test suite. The complementary-log-log link g(theta) = log(-log theta)
-maps survival-scale means to a linear predictor.
+estimating equation is U(beta) = sum_l mu_dot_l (y_l - mu_l) = 0. Under
+the identity link it is ordinary least squares, solved by one
+normal-equations solve, and the sandwich covariance coincides with the HC0
+heteroskedasticity-robust estimator; those exact equivalences anchor the
+test suite. The complementary-log-log link g(theta) = log(-log theta), solved
+by Fisher scoring, maps survival-scale means to a linear predictor.
 """
 
 from __future__ import annotations
@@ -86,15 +86,18 @@ def fit_gee(
         yourself if wanted.
     link : LinkSpec
     tol : float
-        Threshold on the sup-norm of the estimating function.
+        Cloglog only: Fisher scoring stops once the sup-norm of the
+        estimating function is at most ``tol``. The identity link is solved
+        exactly, in one step, and ignores it.
     max_iter : int
+        Cloglog only: the Fisher-scoring budget.
 
     Raises
     ------
     SingularDesign
         If the design is rank deficient.
     DidNotConverge
-        If Fisher scoring exhausts its budget.
+        If Fisher scoring (cloglog) exhausts its budget.
     """
     y = pseudo.values if isinstance(pseudo, PseudoVector) else np.asarray(pseudo, float)
     Z = np.asarray(covariates, dtype=float)
@@ -104,37 +107,10 @@ def fit_gee(
     if np.linalg.matrix_rank(Z) < p:
         raise SingularDesign("design matrix is rank deficient")
 
-    beta = _initial_beta(y, Z, link)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        eta = Z @ beta
-        w = link.derivative(eta)
-        residual = y - link.inverse(eta)
-        estfun = Z.T @ (w * residual)
-        if float(np.max(np.abs(estfun))) <= tol:
-            converged = True
-            iterations -= 1
-            break
-        bread = (Z * w[:, None] ** 2).T @ Z
-        try:
-            beta = beta + np.linalg.solve(bread, estfun)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesign("model matrix became singular during scoring") from exc
-    if not converged:
-        eta = Z @ beta
-        estfun = Z.T @ (link.derivative(eta) * (y - link.inverse(eta)))
-        norm = float(np.max(np.abs(estfun)))
-        if norm <= tol:
-            converged = True
-        else:
-            raise DidNotConverge(
-                f"estimating equation not solved in {max_iter} iterations "
-                f"(norm {norm:.3e})",
-                last_iterate=beta,
-                grad_norm=norm,
-                iterations=max_iter,
-            )
+    if link.kind == IDENTITY:
+        beta, iterations = _solve(Z.T @ Z, Z.T @ y), 1
+    else:
+        beta, iterations = _fisher_scoring(y, Z, link, tol, max_iter)
 
     cov = sandwich_variance(y, Z, beta, link)
     se = np.sqrt(np.diag(cov))
@@ -143,17 +119,36 @@ def fit_gee(
     pvals = special.erfc(np.abs(z) / math.sqrt(2.0))
     return GeeFit(
         beta=beta, cov=cov, se=se, z=z, p=pvals,
-        converged=converged, iterations=iterations,
+        converged=True, iterations=iterations,
     )
 
 
-def _initial_beta(y, Z, link):
-    if link.kind == IDENTITY:
-        return np.zeros(Z.shape[1])
+def _fisher_scoring(y, Z, link, tol, max_iter):
     # Regress the link-transformed (clipped) responses to get a sane start.
     clipped = np.clip(y, 1e-6, 1.0 - 1e-6)
-    coef, *_ = np.linalg.lstsq(Z, link.link(clipped), rcond=None)
-    return coef
+    beta, *_ = np.linalg.lstsq(Z, link.link(clipped), rcond=None)
+    for iterations in range(max_iter + 1):
+        eta = Z @ beta
+        w = link.derivative(eta)
+        estfun = Z.T @ (w * (y - link.inverse(eta)))
+        norm = float(np.max(np.abs(estfun)))
+        if norm <= tol:
+            return beta, iterations
+        if iterations < max_iter:
+            beta = beta + _solve((Z * w[:, None] ** 2).T @ Z, estfun)
+    raise DidNotConverge(
+        f"estimating equation not solved in {max_iter} iterations (norm {norm:.3e})",
+        last_iterate=beta,
+        grad_norm=norm,
+        iterations=max_iter,
+    )
+
+
+def _solve(bread, rhs):
+    try:
+        return np.linalg.solve(bread, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesign("model matrix became singular during scoring") from exc
 
 
 def sandwich_variance(y, covariates, beta, link: LinkSpec = LinkSpec(IDENTITY)) -> np.ndarray:

@@ -105,9 +105,6 @@ def test_usage_errors_exit_2(rc_csv, ic_csv, capsys, tmp_path):
         # missing input file
         ["pseudo", "--data", str(tmp_path / "nope.csv"), "--kind", "rc",
          "--target", "surv", "--t", "1.0"],
-        # bad thread cap
-        ["--threads", "0", "pseudo", "--data", str(rc_path), "--kind", "rc",
-         "--target", "surv", "--t", "1.0"],
     ]
     for args in cases:
         assert main(args) == 2, args

@@ -1,5 +1,6 @@
 """Record validation, censoring classification, and CSV round-trips."""
 
+import csv
 import io
 import math
 
@@ -8,6 +9,10 @@ import pytest
 
 from pseudosurv import (
     Dataset,
+    ScenarioConfig,
+    generate,
+    km_fit,
+    km_pseudo_rmst,
     EmptyInput,
     IntervalRecord,
     MalformedInterval,
@@ -22,6 +27,8 @@ from pseudosurv import (
     right_censored_dataset,
     save_dataset,
 )
+from pseudosurv import data
+from pseudosurv.cli import main
 from pseudosurv.data import (
     EXACT,
     KIND_INTERVAL,
@@ -81,23 +88,23 @@ def test_exact_record_at_zero_warns_but_is_allowed():
     assert rec.censoring_class == EXACT
 
 
-def test_dataset_rejects_mixed_record_kinds():
+def test_dataset_rejects_unknown_kind_and_unequal_columns():
     with pytest.raises(ValueError):
-        Dataset(KIND_RIGHT, (IntervalRecord(1.0, 2.0),))
+        Dataset("bogus", ([1.0], [1]))
     with pytest.raises(ValueError):
-        Dataset(KIND_INTERVAL, (RightCensoredRecord(1.0, 1),))
+        right_censored_dataset([1.0, 2.0], [1])
+    with pytest.raises(ValueError):
+        interval_dataset([1.0], [[2.0]])
 
 
 def test_dataset_rejects_covariate_row_mismatch():
-    recs = (RightCensoredRecord(1.0, 1), RightCensoredRecord(2.0, 0))
     with pytest.raises(ValueError):
-        Dataset(KIND_RIGHT, recs, covariates=np.ones((3, 2)))
+        right_censored_dataset([1.0, 2.0], [1, 0], covariates=np.ones((3, 2)))
 
 
 def test_dataset_rejects_missing_covariates():
-    recs = (RightCensoredRecord(1.0, 1),)
     with pytest.raises(ValueError):
-        Dataset(KIND_RIGHT, recs, covariates=np.array([[1.0, math.nan]]))
+        right_censored_dataset([1.0], [1], covariates=np.array([[1.0, math.nan]]))
 
 
 def test_dataset_record_order_is_preserved():
@@ -121,8 +128,8 @@ def test_recode_right_censored_as_interval():
     recoded = recode_right_censored_as_interval(ds)
     assert recoded.kind == KIND_INTERVAL
     assert recoded.classes == (EXACT, RIGHT_CENSORED)
-    assert recoded.records[0] == IntervalRecord(1.0, 1.0)
-    assert math.isinf(recoded.records[1].right)
+    np.testing.assert_array_equal(recoded.left, [1.0, 2.0])
+    np.testing.assert_array_equal(recoded.right, [1.0, math.inf])
     np.testing.assert_array_equal(recoded.covariates, ds.covariates)
 
 
@@ -253,3 +260,151 @@ def test_interval_width_summary_nan_when_no_qualifying_records():
     widths = interval_width_summary(ds)
     assert math.isnan(widths["mean_width_strict"])
     assert math.isnan(widths["mean_width_finite"])
+
+
+@pytest.mark.parametrize("status", [[0.5, 1.0], [1.0, 1.7], [1.0, math.nan], [2, 0]])
+def test_right_censored_dataset_rejects_status_other_than_binary(status):
+    with pytest.raises(ParseError, match="status must be 0 or 1"):
+        right_censored_dataset([1.0, 2.0], status)
+
+
+def _deep_file(header, rows, bad_row, bad_line):
+    lines = [header] + [bad_line if i == bad_row else rows(i) for i in range(1, 6001)]
+    return "\n".join(lines) + "\n"
+
+
+_DEEP_RC = _deep_file("time,status", lambda i: f"{i / 7!r},{i % 2}", 5321, "4.5,x")
+_DEEP_IC = _deep_file("left,right", lambda i: f"{i / 7!r},{i / 5!r}", 5999, "9.0,8.0")
+
+# (loader, file text, expected): a valid file gives its columns and covariates
+# (None when absent); an invalid one gives the exception type, message and
+# ParseError row (None for MalformedInterval, which carries none).
+_LOADER_CASES = {
+    "inf_spellings_and_empty_right": (
+        load_interval_dataset, "left,right\n1,inf\n2,+inf\n3,INF\n4,Inf\n5,\n6,7\n",
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [math.inf] * 5 + [7.0], None),
+    ),
+    "empty_right_with_covariate": (
+        load_interval_dataset, "left,right,z\n1,,0.5\n2, ,1.5\n",
+        ([1.0, 2.0], [math.inf, math.inf], [[0.5], [1.5]]),
+    ),
+    "quoted_cells": (
+        load_right_censored_dataset, 'time,status,z\n"1.5","1",2\n2,"0","-3e-2"\n',
+        ([1.5, 2.0], [1, 0], [[2.0], [-0.03]]),
+    ),
+    "crlf": (
+        load_right_censored_dataset, "time,status,z\r\n1.5,1,2\r\n2,0,3\r\n",
+        ([1.5, 2.0], [1, 0], [[2.0], [3.0]]),
+    ),
+    "nan_is_missing": (
+        load_right_censored_dataset, "time,status\n1,1\nnan,0\n",
+        (ParseError, "row 2: missing value in column time", 2),
+    ),
+    "nan_covariate": (
+        load_interval_dataset, "left,right,z\n1,2,NaN\n",
+        (ParseError, "row 1: missing value in column z", 1),
+    ),
+    "hash_is_not_a_comment": (
+        load_right_censored_dataset, "time,status\n#1,1\n",
+        (ParseError, "row 1: cannot parse time='#1' as a number", 1),
+    ),
+    "blank_line_is_ragged": (
+        load_right_censored_dataset, "time,status\n1,1\n\n2,0\n",
+        (ParseError, "row 2: expected 2 cells, got 0", 2),
+    ),
+    "trailing_blank_line_is_ragged": (
+        load_interval_dataset, "left,right\n1,2\n\n",
+        (ParseError, "row 2: expected 2 cells, got 0", 2),
+    ),
+    "status_not_binary": (
+        load_right_censored_dataset, "time,status\n1,1\n2,0.5\n",
+        (ParseError, "row 2: status must be 0 or 1, got '0.5'", 2),
+    ),
+    "negative_time": (
+        load_right_censored_dataset, "time,status\n1,1\n-1,0\n",
+        (MalformedInterval, "time must be nonnegative, got -1.0", None),
+    ),
+    "inverted_bracket": (
+        load_interval_dataset, "left,right\n1,2\n5,3\n",
+        (MalformedInterval, "row 2: right endpoint 3.0 is smaller than left endpoint 5.0", None),
+    ),
+    "deep_bad_cell": (
+        load_right_censored_dataset, _DEEP_RC,
+        (ParseError, "row 5321: cannot parse status='x' as a number", 5321),
+    ),
+    "deep_inverted_bracket": (
+        load_interval_dataset, _DEEP_IC,
+        (MalformedInterval, "row 5999: right endpoint 8.0 is smaller than left endpoint 9.0", None),
+    ),
+}
+
+
+@pytest.mark.parametrize("source", ["buffer", "path"])
+@pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+def test_loader_rules_and_errors(case, source, tmp_path, monkeypatch):
+    """Valid files load in one vectorized parse, without the row-wise
+    reading; invalid ones raise that reading's first-row error."""
+    loader, text, expected = _LOADER_CASES[case]
+    if source == "path":
+        src = tmp_path / "data.csv"
+        src.write_text(text, newline="")
+    else:
+        src = io.StringIO(text)
+    if isinstance(expected[0], type):
+        kind, message, row = expected
+        with pytest.raises(kind) as err:
+            loader(src)
+        assert str(err.value) == message
+        assert getattr(err.value, "row", None) == row
+        return
+    monkeypatch.setattr(data, "_parse_rows", None)
+    ds = loader(src)
+    first, second, covariates = expected
+    np.testing.assert_array_equal(ds.columns[0], first)
+    np.testing.assert_array_equal(ds.columns[1], second)
+    if covariates is None:
+        assert ds.covariates is None
+    else:
+        np.testing.assert_array_equal(ds.covariates, covariates)
+
+
+def _reference_csv(dataset):
+    """Row-by-row formatting: repr for floats, csv.writer line ends."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    names = list(dataset.covariate_names or ())
+    covariates = dataset.covariates if dataset.covariates is not None else [[]] * dataset.n
+    if dataset.kind == KIND_RIGHT:
+        writer.writerow(["time", "status"] + names)
+        for t, s, row in zip(dataset.times, dataset.status, covariates):
+            writer.writerow([repr(float(t)), int(s)] + [repr(float(v)) for v in row])
+    else:
+        writer.writerow(["left", "right"] + names)
+        for a, b, row in zip(dataset.left, dataset.right, covariates):
+            right = "inf" if math.isinf(b) else repr(float(b))
+            writer.writerow([repr(float(a)), right] + [repr(float(v)) for v in row])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("scenario", ["rc", "ic1"])
+def test_save_is_byte_identical_to_row_by_row_formatting(scenario):
+    # more rows than one formatting chunk, and awkward floats in a covariate
+    ds = generate(ScenarioConfig(scenario, n=70_000, seed=3))
+    cov = ds.covariates.copy()
+    cov[:6, 1] = [-0.0, 5e-324, 1e16, 1e-5, 123456789.123456789, 1 / 3]
+    columns = (ds.times, ds.status) if scenario == "rc" else (ds.left, ds.right)
+    ds = Dataset(ds.kind, columns, cov, ds.covariate_names)
+    buffer = io.StringIO()
+    save_dataset(ds, buffer)
+    assert buffer.getvalue() == _reference_csv(ds)
+
+
+def test_pseudo_csv_is_byte_identical_to_row_by_row_formatting(tmp_path):
+    ds = generate(ScenarioConfig("rc", n=3000, seed=4))
+    data_path, out = tmp_path / "rc.csv", tmp_path / "pv.csv"
+    save_dataset(ds, data_path)
+    assert main(["pseudo", "--data", str(data_path), "--kind", "rc", "--target",
+                 "rmst", "--tau", "6", "--out", str(out)]) == 0
+    values = km_pseudo_rmst(km_fit(ds), 6.0).values
+    expected = "id,pseudo\n" + "".join(f"{i},{v:.12g}\n" for i, v in enumerate(values, start=1))
+    assert out.read_bytes() == expected.encode()

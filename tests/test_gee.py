@@ -38,6 +38,19 @@ def test_identity_link_is_exact_least_squares():
     assert fit.iterations <= 2
 
 
+def test_identity_link_is_one_solve_whatever_the_response_scale():
+    """Round-off in the estimating function grows with n and |y|; here it
+    is far above the default tol, which the identity link must not use."""
+    rng = np.random.default_rng(28)
+    n = 5000
+    Z = np.column_stack([np.ones(n), rng.integers(0, 2, n)])
+    y = 1e6 * (1.0 + rng.uniform(size=n))
+    fit = fit_gee(y, Z)
+    ols, *_ = np.linalg.lstsq(Z, y, rcond=None)
+    np.testing.assert_allclose(fit.beta, ols, rtol=1e-12)
+    assert fit.iterations == 1
+
+
 def test_identity_sandwich_equals_hc0():
     rng = np.random.default_rng(22)
     Z = _design(rng, 60, 2)
