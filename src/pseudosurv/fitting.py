@@ -60,7 +60,6 @@ class PchFit:
         Sup-norm of the total score at the fitted rates.
     iterations : int
         Newton iterations taken.
-    converged : bool
     condition_report : ConditionReport
         Per-piece identifiability diagnostics of the training data.
     n : int
@@ -75,7 +74,6 @@ class PchFit:
     loglik: float
     grad_norm: float
     iterations: int
-    converged: bool
     condition_report: ConditionReport
     n: int
     loglik_trace: tuple
@@ -109,8 +107,6 @@ def observed_information(fit: PchFit) -> np.ndarray:
         If the matrix is numerically singular (relative condition number
         above 1e12).
     """
-    if not fit.converged:
-        raise ValueError("observed information requires a converged fit")
     info = fit.info
     if not np.all(np.isfinite(info)) or np.linalg.cond(info) > INFO_CONDITION_LIMIT:
         raise SingularInformation(
@@ -174,12 +170,12 @@ def fit_pch(
         )
     prep = prepare_likelihood(dataset, grid)
     init_alpha = _initial_rates(dataset, grid.K) if init is None else np.asarray(init, float)
-    if init_alpha.shape != (grid.K,) or np.any(init_alpha <= 0):
+    if init_alpha.shape != (grid.K,) or not np.all(np.isfinite(init_alpha) & (init_alpha > 0)):
         raise ValueError("init must hold one positive rate per piece")
     alpha, loglik, grad_norm, iterations, trace, hess = newton_prepared(
         prep, init_alpha, tol, max_iter, report
     )
-    info = -hess / prep.n
+    info = -hess / dataset.n
     info = (info + info.T) / 2.0
     return PchFit(
         model=PchModel(grid, alpha),
@@ -187,9 +183,8 @@ def fit_pch(
         loglik=loglik,
         grad_norm=grad_norm,
         iterations=iterations,
-        converged=True,
         condition_report=report,
-        n=prep.n,
+        n=dataset.n,
         loglik_trace=tuple(trace),
     )
 

@@ -62,7 +62,6 @@ class GeeFit:
     se: np.ndarray
     z: np.ndarray
     p: np.ndarray
-    converged: bool
     iterations: int
 
 
@@ -117,10 +116,7 @@ def fit_gee(
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.inf * np.sign(beta))
     pvals = special.erfc(np.abs(z) / math.sqrt(2.0))
-    return GeeFit(
-        beta=beta, cov=cov, se=se, z=z, p=pvals,
-        converged=True, iterations=iterations,
-    )
+    return GeeFit(beta=beta, cov=cov, se=se, z=z, p=pvals, iterations=iterations)
 
 
 def _fisher_scoring(y, Z, link, tol, max_iter):

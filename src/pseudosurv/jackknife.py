@@ -4,9 +4,12 @@ For an estimate theta computed on the full sample and theta_(-l) computed
 with subject l removed, the jackknife pseudo-observation is
 n * theta - (n - 1) * theta_(-l). This module recomputes theta_(-l)
 honestly for every subject: by rebuilding the product-limit curve for the
-Kaplan-Meier targets, and by a full (warm-started) refit for the
-piecewise-hazard targets. The fast formulas elsewhere in the package are
-validated against, and benchmarked against, these oracles.
+Kaplan-Meier targets, and for the piecewise-hazard targets by a full
+(warm-started) refit of the fit's own likelihood kernel with subject l's
+weight set to zero. The fast formulas elsewhere in the package
+differentiate that kernel in the weight instead of refitting (the
+infinitesimal jackknife); they are validated against, and benchmarked
+against, these oracles.
 """
 
 from __future__ import annotations
@@ -102,13 +105,16 @@ def jackknife_pch(
     Parameters
     ----------
     fit : PchFit, optional
-        A converged full-sample fit to reuse; must be on ``grid``.
+        A converged full-sample fit to reuse; must be on ``grid`` and of
+        as many records as ``dataset``.
     """
     _check_target(target, horizon, finite=False)
     if fit is None:
         fit = fit_pch(dataset, grid, tol=tol, max_iter=max_iter)
     elif fit.model.grid != grid:
         raise ValueError("provided fit uses a different cut grid")
+    elif fit.n != dataset.n:
+        raise ValueError(f"provided fit is of {fit.n} records, the dataset has {dataset.n}")
     full = _pch_statistic(fit.model, target, horizon)
 
     n = dataset.n
@@ -118,7 +124,7 @@ def jackknife_pch(
     flagged = np.zeros(n, dtype=bool)
     for l in range(n):
         try:
-            alpha_l, *_ = newton_prepared(prep.drop(l), alpha_full, tol, max_iter)
+            alpha_l, *_ = newton_prepared(prep.leave_out(l), alpha_full, tol, max_iter)
             loo[l] = _pch_statistic(PchModel(grid, alpha_l), target, horizon)
         except (DidNotConverge, NonIdentifiable):
             loo[l] = np.nan

@@ -33,14 +33,12 @@ def pseudo_alpha(fit: PchFit, dataset: Dataset) -> np.ndarray:
     score. The rows average to the fitted rates up to solver tolerance,
     because the total score vanishes at the maximum.
     """
-    _require_converged(fit)
     scores = _score_rows(fit, dataset)
     return fit.model.rates + fit.solve_information(scores.T).T
 
 
 def pseudo_survival(fit: PchFit, dataset: Dataset, t) -> PseudoVector:
     """Fast pseudo-observations for S(t) under the fitted model."""
-    _require_converged(fit)
     t = float(t)
     if not np.isfinite(t) or t < 0:
         raise InvalidTime(f"time must be finite and nonnegative, got {t}")
@@ -58,7 +56,6 @@ def pseudo_rmst(fit: PchFit, dataset: Dataset, tau) -> PseudoVector:
     the plug-in value and its gradient in the rates come from closed forms,
     so no quadrature is involved.
     """
-    _require_converged(fit)
     total = rmst_closed_form(fit.model, tau)
     direction = fit.solve_information(rmst_gradient(fit.model, tau))
     scores = _score_rows(fit, dataset)
@@ -69,8 +66,3 @@ def pseudo_rmst(fit: PchFit, dataset: Dataset, tau) -> PseudoVector:
 def _score_rows(fit: PchFit, dataset: Dataset) -> np.ndarray:
     prep = prepare_likelihood(dataset, fit.model.grid)
     return score_matrix(fit.model.rates, prep)
-
-
-def _require_converged(fit: PchFit):
-    if not fit.converged:
-        raise ValueError("pseudo-observations require a converged fit")

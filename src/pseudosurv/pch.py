@@ -13,7 +13,7 @@ exponentials would cancel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -374,35 +374,38 @@ def _check_tau(tau):
 
 @dataclass(frozen=True, eq=False)
 class PreparedLikelihood:
-    """Exposure matrices and class partitions precomputed for one dataset.
+    """Exposures and rate-free sums of one weighted dataset, computed once.
 
-    Rates change across solver iterations but exposures depend only on the
-    endpoints and the grid, so they are computed once. ``diff`` rows are
-    zero except for bracket records, where they hold the exposure
-    difference between the endpoints.
+    ``diff`` holds one row per bracket record, aligned with ``interval_rows``:
+    the exposure difference between its endpoints. Each record weighs one,
+    or zero when left out. The terms that do not depend on the rates are
+    hoisted: ``expo_sum`` is the weighted column sum of ``expo_left`` and
+    ``exact_counts`` the weighted number of exact records per piece;
+    ``bracket_weights`` holds the bracket records' weights.
     """
 
-    n: int
     K: int
     expo_left: np.ndarray
     diff: np.ndarray
     interval_rows: np.ndarray
     exact_rows: np.ndarray
     exact_piece: np.ndarray
+    expo_sum: np.ndarray
+    exact_counts: np.ndarray
+    bracket_weights: np.ndarray
 
-    def drop(self, l: int) -> "PreparedLikelihood":
-        """The same structure with subject l removed (for leave-one-out)."""
-        keep = np.ones(self.n, dtype=bool)
-        keep[l] = False
-        renum = np.cumsum(keep) - 1
-        return PreparedLikelihood(
-            n=self.n - 1,
-            K=self.K,
-            expo_left=self.expo_left[keep],
-            diff=self.diff[keep],
-            interval_rows=renum[self.interval_rows[self.interval_rows != l]],
-            exact_rows=renum[self.exact_rows[self.exact_rows != l]],
-            exact_piece=self.exact_piece[self.exact_rows != l],
+    def leave_out(self, l: int) -> "PreparedLikelihood":
+        """The same likelihood with subject l's weight set to zero.
+
+        The view shares ``expo_left`` and ``diff``; only the K-vectors and
+        the bracket weights are new, so no n x K array is copied.
+        """
+        exact_piece = self.exact_piece[self.exact_rows == l]
+        return replace(
+            self,
+            expo_sum=self.expo_sum - self.expo_left[l],
+            exact_counts=self.exact_counts - np.bincount(exact_piece, minlength=self.K),
+            bracket_weights=np.where(self.interval_rows == l, 0.0, self.bracket_weights),
         )
 
 
@@ -413,78 +416,81 @@ def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
     left = dataset.left
     right = dataset.right
     is_exact = left == right
-    is_interval = np.isfinite(right) & ~is_exact
+    rows = np.flatnonzero(np.isfinite(right) & ~is_exact)
     expo_left = grid.exposure(left)
-    diff = np.zeros_like(expo_left)
-    rows = np.flatnonzero(is_interval)
-    if rows.size:
-        diff[rows] = grid.exposure(right[rows]) - expo_left[rows]
     exact_rows = np.flatnonzero(is_exact)
+    exact_piece = np.asarray(grid.piece_index(left[exact_rows]), dtype=int)
     return PreparedLikelihood(
-        n=dataset.n,
         K=grid.K,
         expo_left=expo_left,
-        diff=diff,
+        diff=grid.exposure(right[rows]) - expo_left[rows],
         interval_rows=rows,
         exact_rows=exact_rows,
-        exact_piece=np.asarray(grid.piece_index(left[exact_rows]), dtype=int),
+        exact_piece=exact_piece,
+        expo_sum=expo_left.sum(axis=0),
+        exact_counts=np.bincount(exact_piece, minlength=grid.K).astype(float),
+        bracket_weights=np.ones(rows.size),
     )
 
 
-def loglik_parts(alpha, prep: PreparedLikelihood, want_hessian=True):
-    """Total log-likelihood, score, and (optionally) Hessian at the rates alpha.
+def loglik_parts(alpha, prep: PreparedLikelihood):
+    """Weighted total log-likelihood, score, and Hessian at the rates alpha.
 
-    Returns (loglik, gradient, hessian or None). Raises DegenerateInterval
-    if any bracket's mass underflows to zero.
+    The log-likelihood is
+    -expo_sum @ alpha + w @ log(1 - exp(-dlam)) + exact_counts @ log(alpha)
+    for the bracket weights w and the bracket increments dlam = diff @ alpha,
+    so a call reads the bracket rows and never the n x K exposures.
+
+    Returns (loglik, gradient, hessian). Raises DegenerateInterval if any
+    bracket's mass underflows to zero, a zero-weight bracket included; that
+    happens only at rates far outside the fitter's bounds.
     """
     alpha = np.asarray(alpha, dtype=float)
-    lam_left = prep.expo_left @ alpha
-    dlam = prep.diff[prep.interval_rows] @ alpha
-    if np.any(dlam <= 0.0):
-        bad = prep.interval_rows[int(np.argmin(dlam))]
-        raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")
+    dlam = _bracket_increments(alpha, prep)
+    w = prep.bracket_weights
+    counts = prep.exact_counts
+    # numpy's pairwise sum, not a BLAS dot: near the maximum the line search
+    # compares log-likelihoods that differ by less than their rounding, and
+    # a dot over n terms rounds several units in the last place worse.
+    log_mass = (w * np.log(-np.expm1(-dlam))).sum()
+    loglik = -prep.expo_sum @ alpha + log_mass + counts @ np.log(alpha)
+    # expm1 may overflow to inf for extreme trial rates during line
+    # search; the reciprocal is then exactly the limiting value 0.
+    with np.errstate(over="ignore"):
+        inv = 1.0 / np.expm1(dlam)
+    grad = -prep.expo_sum + (w * inv) @ prep.diff + counts / alpha
 
-    loglik = -lam_left.sum()
-    grad = -prep.expo_left.sum(axis=0)
-    if prep.interval_rows.size:
-        d_rows = prep.diff[prep.interval_rows]
-        loglik += np.log(-np.expm1(-dlam)).sum()
-        # expm1 may overflow to inf for extreme trial rates during line
-        # search; the reciprocal is then exactly the limiting value 0.
-        with np.errstate(over="ignore"):
-            inv = 1.0 / np.expm1(dlam)
-        grad += inv @ d_rows
-    if prep.exact_rows.size:
-        counts = np.bincount(prep.exact_piece, minlength=prep.K)
-        loglik += float(np.log(alpha[prep.exact_piece]).sum())
-        grad += counts / alpha
-
-    hess = None
-    if want_hessian:
-        hess = np.zeros((prep.K, prep.K))
-        if prep.interval_rows.size:
-            # For trial rates where a bracket's mass nearly underflows the
-            # curvature overflows; such steps are never accepted (their
-            # log-likelihood is far worse), so the noise is suppressed.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                curve = np.exp(-dlam) / np.expm1(-dlam) ** 2
-                hess -= (d_rows * curve[:, None]).T @ d_rows
-        if prep.exact_rows.size:
-            hess[np.diag_indices(prep.K)] -= counts / alpha**2
+    hess = np.zeros((prep.K, prep.K))
+    # For trial rates where a bracket's mass nearly underflows, or where a
+    # rate's square over- or underflows, the curvature is not finite; such
+    # steps are rejected (their log-likelihood is far worse) or end the fit
+    # at the rate bounds, so the noise is suppressed.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        curve = np.exp(-dlam) / np.expm1(-dlam) ** 2 * w
+        hess -= (prep.diff * curve[:, None]).T @ prep.diff
+        hess[np.diag_indices(prep.K)] -= counts / alpha**2
     return float(loglik), grad, hess
 
 
 def score_matrix(alpha, prep: PreparedLikelihood) -> np.ndarray:
-    """Per-record score vectors as an n x K matrix at the rates alpha."""
+    """Per-record score vectors as an n x K matrix at the rates alpha.
+
+    Rows are unweighted: row l is the derivative of the weighted score in
+    subject l's weight, which is what the fast pseudo-observations solve
+    against the information.
+    """
     alpha = np.asarray(alpha, dtype=float)
+    dlam = _bracket_increments(alpha, prep)
     out = -prep.expo_left.copy()
-    if prep.interval_rows.size:
-        d_rows = prep.diff[prep.interval_rows]
-        dlam = d_rows @ alpha
-        if np.any(dlam <= 0.0):
-            bad = prep.interval_rows[int(np.argmin(dlam))]
-            raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")
-        out[prep.interval_rows] += d_rows / np.expm1(dlam)[:, None]
-    if prep.exact_rows.size:
-        out[prep.exact_rows, prep.exact_piece] += 1.0 / alpha[prep.exact_piece]
+    out[prep.interval_rows] += prep.diff / np.expm1(dlam)[:, None]
+    out[prep.exact_rows, prep.exact_piece] += 1.0 / alpha[prep.exact_piece]
     return out
+
+
+def _bracket_increments(alpha, prep: PreparedLikelihood) -> np.ndarray:
+    """Cumulative hazard across each bracket; raises if one has no mass."""
+    dlam = prep.diff @ alpha
+    if np.any(dlam <= 0.0):
+        bad = prep.interval_rows[int(np.argmin(dlam))]
+        raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")
+    return dlam

@@ -142,6 +142,13 @@ def test_supplied_fit_must_match_the_grid():
         jackknife_pch(ds, CutGrid((4.0, 6.0)), "survival", 5.0, fit=fit)
 
 
+def test_supplied_fit_must_be_of_the_same_sample_size():
+    ds = interval_dataset([0.0, 1.0, 0.5, 2.0, 1.5], [1.0, math.inf, 2.0, 3.0, math.inf])
+    fit = fit_pch(interval_dataset([0.0, 1.0, 0.5], [1.0, math.inf, 2.0]), CutGrid(()))
+    with pytest.raises(ValueError):
+        jackknife_pch(ds, CutGrid(()), "survival", 1.0, fit=fit)
+
+
 def test_failed_subfit_is_flagged_not_fatal():
     # index 6 holds the only finite bracket touching the second piece, so
     # its removal makes that rate collapse; the vector survives with one NaN

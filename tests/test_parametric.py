@@ -94,27 +94,6 @@ def test_pseudo_survival_rejects_bad_times(fitted):
             pseudo_survival(fit, ds, bad)
 
 
-def test_requires_a_converged_fit(fitted):
-    ds, fit = fitted
-    broken = type(fit)(
-        model=fit.model,
-        info=fit.info,
-        loglik=fit.loglik,
-        grad_norm=fit.grad_norm,
-        iterations=fit.iterations,
-        converged=False,
-        condition_report=fit.condition_report,
-        n=fit.n,
-        loglik_trace=fit.loglik_trace,
-    )
-    with pytest.raises(ValueError):
-        pseudo_survival(broken, ds, 1.0)
-    with pytest.raises(ValueError):
-        pseudo_rmst(broken, ds, 1.0)
-    with pytest.raises(ValueError):
-        pseudo_alpha(broken, ds)
-
-
 def test_pseudo_values_per_censoring_class(fitted):
     """Subjects censored late should sit above the plug-in survival, early
     failures below it: the leave-one-out logic pushes in opposite ways."""

@@ -29,7 +29,8 @@ from pseudosurv import (
     rmst_gradient,
     score,
 )
-from pseudosurv.pch import PreparedLikelihood, loglik_parts, prepare_likelihood, score_matrix
+from pseudosurv.data import EXACT, LEFT_CENSORED, RIGHT_CENSORED, STRICT_INTERVAL
+from pseudosurv.pch import loglik_parts, prepare_likelihood, score_matrix
 from pseudosurv.simulate import ScenarioConfig, generate
 
 
@@ -349,35 +350,45 @@ def test_loglik_parts_matches_per_record_sums():
     rng = np.random.default_rng(6)
     model = _random_model(rng, max_pieces=4)
     records = [_random_record(rng, model) for _ in range(40)]
-    ds = interval_dataset([r.left for r in records], [r.right for r in records])
-    prep = prepare_likelihood(ds, model.grid)
-    ll, grad, hess = loglik_parts(model.rates, prep)
-    assert ll == pytest.approx(sum(log_density(model, r) for r in records), abs=1e-10)
-    np.testing.assert_allclose(
-        grad, np.sum([score(model, r) for r in records], axis=0), atol=1e-10
-    )
-    np.testing.assert_allclose(
-        hess, np.sum([hessian(model, r) for r in records], axis=0), atol=1e-10
-    )
-    np.testing.assert_allclose(
-        score_matrix(model.rates, prep),
-        [score(model, r) for r in records],
-        atol=1e-12,
-    )
+    # the mixed sample, then samples missing whole censoring classes
+    samples = [
+        records,
+        [r for r in records if r.censoring_class == RIGHT_CENSORED],
+        [r for r in records if r.censoring_class == EXACT],
+        [r for r in records if r.censoring_class != EXACT],
+    ]
+    for sample in samples:
+        ds = interval_dataset([r.left for r in sample], [r.right for r in sample])
+        prep = prepare_likelihood(ds, model.grid)
+        ll, grad, hess = loglik_parts(model.rates, prep)
+        assert ll == pytest.approx(sum(log_density(model, r) for r in sample), abs=1e-10)
+        np.testing.assert_allclose(
+            grad, np.sum([score(model, r) for r in sample], axis=0), atol=1e-10
+        )
+        np.testing.assert_allclose(
+            hess, np.sum([hessian(model, r) for r in sample], axis=0), atol=1e-10
+        )
+        np.testing.assert_allclose(
+            score_matrix(model.rates, prep),
+            [score(model, r) for r in sample],
+            atol=1e-12,
+        )
 
 
-def test_prepared_drop_matches_subset_dataset():
+def test_leave_out_by_weight_matches_subset_dataset():
     rng = np.random.default_rng(7)
     model = _random_model(rng, max_pieces=3)
     records = [_random_record(rng, model) for _ in range(15)]
     ds = interval_dataset([r.left for r in records], [r.right for r in records])
     prep = prepare_likelihood(ds, model.grid)
-    for drop in (0, 7, 14):
-        kept = [r for i, r in enumerate(records) if i != drop]
+    classes = [r.censoring_class for r in records]
+    for cls in (STRICT_INTERVAL, RIGHT_CENSORED, EXACT, LEFT_CENSORED):
+        l = classes.index(cls)
+        kept = [r for i, r in enumerate(records) if i != l]
         sub = interval_dataset([r.left for r in kept], [r.right for r in kept])
         direct = prepare_likelihood(sub, model.grid)
-        dropped = prep.drop(drop)
-        for a, b in zip(
-            loglik_parts(model.rates, direct), loglik_parts(model.rates, dropped)
-        ):
+        view = prep.leave_out(l)
+        assert np.shares_memory(view.expo_left, prep.expo_left)
+        assert np.shares_memory(view.diff, prep.diff)
+        for a, b in zip(loglik_parts(model.rates, direct), loglik_parts(model.rates, view)):
             np.testing.assert_allclose(a, b, atol=1e-12)
