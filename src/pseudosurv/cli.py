@@ -2,9 +2,9 @@
 
 Outputs are plot-ready CSV tables or small human-readable reports; every
 error path exits nonzero with a single-line ``error:<Kind>: message`` on
-stderr (exit 2 for flag validation, 3 for numerical failures). Warnings,
-such as identifiability diagnostics, go to stderr without changing the
-exit code.
+stderr (exit 2 for flags and ``regress`` inputs, 3 for a bad ``--data``
+file and for numerical failures). Warnings, such as identifiability
+diagnostics, go to stderr without changing the exit code.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -170,7 +171,7 @@ def _cmd_fit(args):
     pfit = fit_pch(dataset, grid, tol=args.tol, max_iter=args.max_iter,
                    strict=args.strict)
     lines = [
-        f"pieces: {grid.K} (cuts: {','.join(f'{c:g}' for c in grid.cuts) or 'none'})",
+        f"pieces: {grid.K} (cuts: {','.join(f'{c:g}' for c in grid.cuts)})",
         "rates: " + " ".join(f"{a:.10g}" for a in pfit.model.rates),
         "observed information:",
     ]
@@ -183,18 +184,20 @@ def _cmd_fit(args):
     ]
     _emit("\n".join(lines) + "\n", args.out)
     if args.curve_out:
-        horizon = grid.cuts[-1] * 1.5 if grid.cuts else 1.0
-        _emit(_pch_curve_csv(pfit.model, horizon), args.curve_out)
+        _emit(_pch_curve_csv(pfit.model, math.inf), args.curve_out)
 
 
 def _cmd_regress(args):
-    y = _read_pseudo_csv(args.pseudo)
-    names, design = _read_matrix_csv(args.covariates)
+    _, y = _read_csv(args.pseudo, usecols=1)
+    names, design = _read_csv(args.covariates)
+    if len(names) != design.shape[1]:
+        raise _UsageError(f"{args.covariates}: the header names {len(names)} columns,"
+                          f" the rows hold {design.shape[1]}")
     if args.intercept:
         design = np.column_stack([np.ones(design.shape[0]), design])
         names = ["intercept"] + names
     try:
-        fit = fit_gee(y, design, LinkSpec(args.link))
+        fit = fit_gee(y[:, 0], design, LinkSpec(args.link))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     _emit(wald_table(fit, names), args.out)
@@ -283,9 +286,7 @@ def _curve_csv(t, s) -> str:
 
 
 def _pch_curve_csv(model, horizon, points: int = 201) -> str:
-    upto = horizon if math.isfinite(horizon) else (
-        model.grid.cuts[-1] * 1.5 if model.grid.cuts else 1.0
-    )
+    upto = horizon if math.isfinite(horizon) else model.grid.cuts[-1] * 1.5
     grid = np.linspace(0.0, upto, points)
     hazard, _, survival = evaluate(model, grid)
     lines = ["t,survival,hazard"]
@@ -295,33 +296,28 @@ def _pch_curve_csv(model, horizon, points: int = 201) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_pseudo_csv(path) -> np.ndarray:
-    rows = _read_rows(path)
-    if not rows or len(rows[0]) < 2:
-        raise _UsageError(f"{path}: expected columns id,pseudo")
-    try:
-        return np.array([float(r[1]) for r in rows[1:]])
-    except ValueError as exc:
-        raise _UsageError(f"{path}: {exc}") from None
+def _read_csv(path, usecols=None):
+    """Header row and float body of one of ``regress``'s input CSVs.
 
-
-def _read_matrix_csv(path):
-    rows = _read_rows(path)
-    if not rows:
-        raise _UsageError(f"{path}: empty file")
-    header = rows[0]
-    try:
-        matrix = np.array([[float(c) for c in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise _UsageError(f"{path}: {exc}") from None
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise _UsageError(f"{path}: no data rows")
-    return list(header), matrix
-
-
-def _read_rows(path):
+    The header is the first non-empty CSV row. numpy only splits the body
+    lines and each cell goes through Python's ``float``, so quoted cells,
+    spaces around numbers and ``1_000`` are accepted. Blank lines are
+    skipped. ``usecols=1`` reads the pseudo column of an ``id,pseudo`` file.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
-        return [row for row in csv.reader(handle) if row]
+        header = next((row for row in csv.reader(handle) if row), [])
+        if usecols is not None and len(header) <= usecols:
+            raise _UsageError(f"{path}: expected columns id,pseudo")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data"
+                body = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
+                                  ndmin=2, converters=float, usecols=usecols)
+        except ValueError as exc:
+            raise _UsageError(f"{path}: {exc}") from None
+    if body.shape[0] == 0:
+        raise _UsageError(f"{path}: no data rows")
+    return header, body
 
 
 def _emit(text: str, out_path):

@@ -14,6 +14,8 @@ against, these oracles.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .data import Dataset
@@ -31,7 +33,7 @@ from .km import (
     _step_value,
     km_fit,
 )
-from .pch import CutGrid, PchModel, prepare_likelihood, rmst_closed_form
+from .pch import CutGrid, PchModel, loglik_parts, prepare_likelihood, rmst_closed_form
 
 
 def jackknife_km(dataset: Dataset, target: str, horizon: float) -> PseudoVector:
@@ -106,7 +108,8 @@ def jackknife_pch(
     ----------
     fit : PchFit, optional
         A converged full-sample fit to reuse; must be on ``grid`` and of
-        as many records as ``dataset``.
+        ``dataset`` itself: its log-likelihood is evaluated again on
+        ``dataset`` and must agree with ``fit.loglik`` to 1e-12 relative.
     """
     _check_target(target, horizon, finite=False)
     if fit is None:
@@ -115,11 +118,17 @@ def jackknife_pch(
         raise ValueError("provided fit uses a different cut grid")
     elif fit.n != dataset.n:
         raise ValueError(f"provided fit is of {fit.n} records, the dataset has {dataset.n}")
+    alpha_full = fit.model.rates
+    prep = prepare_likelihood(dataset, grid)
+    loglik = loglik_parts(alpha_full, prep)[0]
+    if not math.isclose(loglik, fit.loglik, rel_tol=1e-12):
+        raise ValueError(
+            f"provided fit is not of this dataset: its log-likelihood {fit.loglik!r}"
+            f" is {loglik!r} on the dataset"
+        )
     full = _pch_statistic(fit.model, target, horizon)
 
     n = dataset.n
-    alpha_full = fit.model.rates
-    prep = prepare_likelihood(dataset, grid)
     loo = np.empty(n)
     flagged = np.zeros(n, dtype=bool)
     for l in range(n):

@@ -319,35 +319,41 @@ def monte_carlo(config: ScenarioConfig, method: str, reps: int) -> MonteCarloRep
 def _estimate_once(config: ScenarioConfig, dataset: Dataset, method: str):
     """Pseudo-observations plus regression for one dataset; returns
     (coefficients, seconds). Timing excludes the initial estimator fit."""
-    link = LinkSpec(IDENTITY)
-    design = dataset.covariates
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if config.scenario == "rc":
-            km = km_fit(dataset)
-            start = time.perf_counter()
-            if method == FAST:
-                pv = km_pseudo_rmst(km, config.tau)
-            else:
-                pv = jackknife_km(dataset, RMST, config.tau)
-            result = fit_gee(pv, design, link)
-            seconds = time.perf_counter() - start
-        else:
-            grid = CutGrid(config.cuts)
-            pfit = fit_pch(dataset, grid)
-            start = time.perf_counter()
-            if method == FAST:
-                pv = pseudo_rmst(pfit, dataset, config.tau)
-            else:
-                pv = jackknife_pch(dataset, grid, RMST, config.tau, fit=pfit)
-                if pv.flagged is not None:
-                    raise DidNotConverge(
-                        "leave-one-out refits failed for "
-                        f"{int(pv.flagged.sum())} subjects"
-                    )
-            result = fit_gee(pv, design, link)
-            seconds = time.perf_counter() - start
+        fit = _fit_step(config, dataset)
+        result, seconds = _timed(_pseudo_gee_step, config, dataset, fit, method)
     return result.beta, seconds
+
+
+def _fit_step(config: ScenarioConfig, dataset: Dataset):
+    """The untimed estimator fit: the product-limit pass for rc; for ic the
+    hazard fit and its information factor."""
+    if config.scenario == "rc":
+        return km_fit(dataset)
+    pfit = fit_pch(dataset, CutGrid(config.cuts))
+    pfit.info_factor
+    return pfit
+
+
+def _pseudo_gee_step(config: ScenarioConfig, dataset: Dataset, fit, method: str):
+    """RMST pseudo-observations by ``method`` regressed on the covariates.
+
+    A jackknife vector with failed leave-one-out refits raises
+    DidNotConverge instead of reaching the regression as NaN.
+    """
+    if config.scenario == "rc":
+        pv = (km_pseudo_rmst(fit, config.tau) if method == FAST
+              else jackknife_km(dataset, RMST, config.tau))
+    elif method == FAST:
+        pv = pseudo_rmst(fit, dataset, config.tau)
+    else:
+        pv = jackknife_pch(dataset, fit.model.grid, RMST, config.tau, fit=fit)
+        if pv.flagged is not None:
+            raise DidNotConverge(
+                f"leave-one-out refits failed for {int(pv.flagged.sum())} subjects"
+            )
+    return fit_gee(pv, dataset.covariates, LinkSpec(IDENTITY))
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,42 +365,29 @@ class BenchmarkReport:
     target: str
     tau: float
     fast_seconds: float
-    jackknife_seconds: float | None
+    jackknife_seconds: float
 
     @property
-    def ratio(self) -> float | None:
-        if self.jackknife_seconds is None:
-            return None
+    def ratio(self) -> float:
         return self.jackknife_seconds / self.fast_seconds
 
     def summary(self) -> str:
-        lines = [
+        return "\n".join([
             f"scenario {self.scenario}, n={self.n}, target {self.target} at {self.tau:g}",
             f"fast pseudo + regression:      {self.fast_seconds:.6f} s",
-        ]
-        if self.jackknife_seconds is not None:
-            lines.append(
-                f"jackknife pseudo + regression: {self.jackknife_seconds:.6f} s"
-            )
-            lines.append(f"ratio (jackknife / fast):      {self.ratio:.1f}x")
-        return "\n".join(lines)
+            f"jackknife pseudo + regression: {self.jackknife_seconds:.6f} s",
+            f"ratio (jackknife / fast):      {self.ratio:.1f}x",
+        ])
 
     def to_csv(self) -> str:
-        jk = "" if self.jackknife_seconds is None else f"{self.jackknife_seconds:.6f}"
-        ratio = "" if self.ratio is None else f"{self.ratio:.3f}"
         return (
             "scenario,n,target,tau,fast_seconds,jackknife_seconds,ratio\n"
             f"{self.scenario},{self.n},{self.target},{self.tau:g},"
-            f"{self.fast_seconds:.6f},{jk},{ratio}\n"
+            f"{self.fast_seconds:.6f},{self.jackknife_seconds:.6f},{self.ratio:.3f}\n"
         )
 
 
-def benchmark(
-    config: ScenarioConfig,
-    *,
-    repeat: int = 3,
-    include_jackknife: bool = True,
-) -> BenchmarkReport:
+def benchmark(config: ScenarioConfig, *, repeat: int = 3) -> BenchmarkReport:
     """Time the pseudo-observation computation plus regression on one dataset.
 
     The initial survival estimator (product-limit pass or hazard fit) is
@@ -402,35 +395,14 @@ def benchmark(
     runs; the jackknife arm runs once, since it dominates the budget.
     """
     dataset = generate(config)
-    link = LinkSpec(IDENTITY)
-    design = dataset.covariates
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if config.scenario == "rc":
-            km = km_fit(dataset)
-
-            def fast_run():
-                fit_gee(km_pseudo_rmst(km, config.tau), design, link)
-
-            def jack_run():
-                fit_gee(jackknife_km(dataset, RMST, config.tau), design, link)
-        else:
-            grid = CutGrid(config.cuts)
-            pfit = fit_pch(dataset, grid)
-            pfit.info_factor  # factorization belongs to the untimed fit stage
-
-            def fast_run():
-                fit_gee(pseudo_rmst(pfit, dataset, config.tau), design, link)
-
-            def jack_run():
-                fit_gee(
-                    jackknife_pch(dataset, grid, RMST, config.tau, fit=pfit),
-                    design,
-                    link,
-                )
-
-        fast_seconds = min(_timed(fast_run) for _ in range(max(1, repeat)))
-        jackknife_seconds = _timed(jack_run) if include_jackknife else None
+        fit = _fit_step(config, dataset)
+        fast_seconds = min(
+            _timed(_pseudo_gee_step, config, dataset, fit, FAST)[1]
+            for _ in range(max(1, repeat))
+        )
+        _, jackknife_seconds = _timed(_pseudo_gee_step, config, dataset, fit, JACKKNIFE)
     return BenchmarkReport(
         scenario=config.scenario,
         n=config.n,
@@ -441,7 +413,8 @@ def benchmark(
     )
 
 
-def _timed(thunk) -> float:
+def _timed(step, *args):
+    """Run ``step(*args)``; returns (its result, wall seconds)."""
     start = time.perf_counter()
-    thunk()
-    return time.perf_counter() - start
+    result = step(*args)
+    return result, time.perf_counter() - start

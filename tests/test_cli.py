@@ -7,12 +7,14 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from pseudosurv import km_fit, km_pseudo_survival, save_dataset
 from pseudosurv.cli import main
+from pseudosurv.gee import fit_gee, wald_table
 from pseudosurv.jackknife import jackknife_pch
 from pseudosurv.pch import CutGrid
 from pseudosurv.simulate import ScenarioConfig, generate
@@ -186,6 +188,63 @@ def test_regress_shape_mismatch_exits_2(rc_csv, tmp_path, capsys):
     assert main(["regress", "--pseudo", str(pseudo_path),
                  "--covariates", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error:usage:")
+
+
+_PV = "id,pseudo\n1,0.5\n2,1.25\n3,2\n4,3.5\n5,1000\n6,-0.75\n"
+_COV = "z1,z2\n0,1\n1,0\n1,1\n0,0\n1,0.5\n0,2\n"
+
+
+def _regress(tmp_path, pseudo_text, cov_text):
+    pseudo, cov = tmp_path / "pv.csv", tmp_path / "cov.csv"
+    pseudo.write_bytes(pseudo_text.encode())
+    cov.write_bytes(cov_text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["regress", "--pseudo", str(pseudo), "--covariates", str(cov),
+                     "--intercept"])
+
+
+@pytest.mark.parametrize("pseudo_text, cov_text", [
+    (_PV, _COV),
+    ('"id","pseudo"\n"1","0.5"\n2,"1.25"\n3,2\n4,3.5\n5,"1000"\n6,-0.75\n',
+     '"z1","z2"\n"0","1"\n1,0\n1,1\n0,0\n"1","0.5"\n0,2\n'),
+    ("id,pseudo\n1, 0.5\n2 ,1.25 \n3,  2\n4,3.5\n5,1000\n6,\t-0.75\n",
+     "z1,z2\n 0 ,1\n1,0 \n1,1\n0,0\n1,0.5\n0,2\n"),
+    (_PV.replace("\n", "\r\n"), _COV.replace("\n", "\r\n")),
+    (_PV.replace("\n", "\r"), _COV.replace("\n", "\r")),
+    ("\n" + _PV.replace("\n", "\n\n"), "\n\n" + _COV.replace("\n", "\r\n\r\n")),
+    ("id,pseudo\na,0.5\nb,1.25\n\"c, d\",2\nd,3.5\ne,1000\nf,-0.75\n", _COV),
+    (_PV.replace("1000", "1_000"), _COV.replace("0.5", "0.5_0")),
+], ids=["plain", "quoted", "spaces", "crlf", "cr", "blank-lines", "text-id", "underscore"])
+def test_regress_reads_each_cell_as_float(pseudo_text, cov_text, tmp_path, capsys):
+    assert _regress(tmp_path, pseudo_text, cov_text) == 0
+    y = np.array([0.5, 1.25, 2.0, 3.5, 1000.0, -0.75])
+    z = np.array([[0, 1], [1, 0], [1, 1], [0, 0], [1, 0.5], [0, 2]], dtype=float)
+    fit = fit_gee(y, np.column_stack([np.ones(6), z]))
+    assert capsys.readouterr().out == wald_table(fit, ["intercept", "z1", "z2"])
+
+
+@pytest.mark.parametrize("pseudo_text, cov_text, message", [
+    ("", _COV, "expected columns id,pseudo"),
+    (_PV, "", "cov.csv: "),
+    ("id,pseudo\n", _COV, "error:usage: "),
+    (_PV, "z1,z2\n\n", "no data rows"),
+    (_PV.replace("3.5", "x"), _COV, "x"),
+    (_PV, _COV.replace("0.5", "half"), "half"),
+    (_PV, _COV.replace("0,0\n", "0\n"), "cov.csv"),
+    (_PV, _COV.replace("0,0\n", "0,0,0\n"), "cov.csv"),
+    (_PV.replace("4,3.5\n", "4,3.5\n7,1\n"), _COV, "matching the responses"),
+    (_PV.replace("4,3.5\n", "4\n"), _COV, "pv.csv"),
+    (_PV, _COV.replace("z1,z2", "z1"), "the header names 1 columns, the rows hold 2"),
+    (_PV, _COV.replace("z1,z2", "z1,z2,z3"), "the header names 3 columns, the rows hold 2"),
+], ids=["empty-pseudo", "empty-covariates", "header-only-pseudo", "header-only-covariates",
+        "bad-pseudo-cell", "bad-covariate-cell", "short-row", "long-row", "row-counts",
+        "no-pseudo-cell", "header-names-fewer", "header-names-more"])
+def test_regress_input_errors_exit_2(pseudo_text, cov_text, message, tmp_path, capsys):
+    assert _regress(tmp_path, pseudo_text, cov_text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:") and err.count("\n") == 1
+    assert message in err
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):

@@ -149,6 +149,17 @@ def test_supplied_fit_must_be_of_the_same_sample_size():
         jackknife_pch(ds, CutGrid(()), "survival", 1.0, fit=fit)
 
 
+def test_supplied_fit_must_be_of_the_same_sample():
+    ds = interval_dataset([0.0, 1.0, 0.5, 2.0, 1.5], [1.0, math.inf, 2.0, 3.0, math.inf])
+    other = interval_dataset([0.2, 1.5, 0.1, 2.5, 0.5], [1.2, math.inf, 0.9, 3.5, 2.0])
+    with pytest.raises(ValueError, match="not of this dataset"):
+        jackknife_pch(ds, CutGrid(()), "survival", 1.0, fit=fit_pch(other, CutGrid(())))
+    own = jackknife_pch(ds, CutGrid(()), "survival", 1.0, fit=fit_pch(ds, CutGrid(())))
+    np.testing.assert_array_equal(
+        own.values, jackknife_pch(ds, CutGrid(()), "survival", 1.0).values
+    )
+
+
 def test_failed_subfit_is_flagged_not_fatal():
     # index 6 holds the only finite bracket touching the second piece, so
     # its removal makes that rate collapse; the vector survives with one NaN

@@ -172,12 +172,3 @@ def test_benchmark_reports_both_arms():
     assert csv[1].startswith("rc,400,rmst,6,")
     assert "ratio (jackknife / fast)" in report.summary()
 
-
-def test_benchmark_can_skip_the_jackknife():
-    report = benchmark(
-        ScenarioConfig("rc", n=200, seed=1), repeat=1, include_jackknife=False
-    )
-    assert report.jackknife_seconds is None
-    assert report.ratio is None
-    assert "jackknife" not in report.summary()
-    assert report.to_csv().strip().endswith(",,")
