@@ -62,11 +62,8 @@ from .pch import (
     check_conditions,
     evaluate,
     grad_cum_hazard,
-    hessian,
-    log_density,
     rmst_closed_form,
     rmst_gradient,
-    score,
 )
 from .simulate import (
     BenchmarkReport,

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the two
+domain checks on time arguments that raise from it."""
+
+import numpy as np
 
 
 class PseudosurvError(Exception):
@@ -84,3 +87,19 @@ class SingularInformation(PseudosurvError):
 
 class SingularDesign(PseudosurvError):
     """The regression design matrix is rank deficient."""
+
+
+def check_time(t) -> None:
+    """Raise InvalidTime unless every entry of t is finite and nonnegative."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise InvalidTime(f"time must be finite and nonnegative, got {t}")
+
+
+def check_tau(tau, finite: bool = False) -> None:
+    """Raise InvalidTau unless every entry of tau is positive; +inf passes
+    unless ``finite`` is set."""
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((tau > 0) & ~(finite & np.isinf(tau))):
+        kind = "finite and positive" if finite else "positive (inf allowed)"
+        raise InvalidTau(f"tau must be {kind}, got {tau}")

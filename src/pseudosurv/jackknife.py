@@ -19,15 +19,13 @@ import math
 import numpy as np
 
 from .data import Dataset
-from .errors import DidNotConverge, NoEvents, NonIdentifiable
+from .errors import DidNotConverge, NoEvents, NonIdentifiable, check_tau, check_time
 from .fitting import PchFit, fit_pch, newton_prepared
 from .km import (
     JACKKNIFE,
     RMST,
     SURVIVAL,
     PseudoVector,
-    _check_tau,
-    _check_time,
     _event_grid,
     _step_integral,
     _step_value,
@@ -155,6 +153,6 @@ def _check_target(target, horizon, finite=True):
     if target not in (SURVIVAL, RMST):
         raise ValueError(f"unknown target {target!r}")
     if target == SURVIVAL:
-        _check_time(horizon)
+        check_time(horizon)
     else:
-        _check_tau(horizon, finite=finite)
+        check_tau(horizon, finite=finite)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyInput, InvalidTau, InvalidTime, NoEvents
+from .errors import EmptyInput, NoEvents, check_tau, check_time
 
 FAST = "fast"
 JACKKNIFE = "jackknife"
@@ -97,7 +97,7 @@ class KmFit:
         Beyond the last observed time the curve is extended flat, with a
         warning, because nobody remains at risk there.
         """
-        _check_time(t)
+        check_time(t)
         if t > self.max_time:
             warnings.warn(
                 f"evaluating survival at t={t} beyond the last observed time "
@@ -108,7 +108,7 @@ class KmFit:
 
     def rmst(self, tau: float) -> float:
         """Integral of the product-limit curve over [0, tau], exact on the step grid."""
-        _check_tau(tau, finite=True)
+        check_tau(tau, finite=True)
         if tau > self.max_time:
             warnings.warn(
                 f"tau={tau} exceeds the last observed time {self.max_time}; "
@@ -165,7 +165,7 @@ def km_pseudo_survival(km: KmFit, t: float) -> PseudoVector:
     Exact mean preservation holds: the subject values average to the
     plug-in estimate S_hat(t), since the martingale residuals cancel.
     """
-    _check_time(t)
+    check_time(t)
     s_t = km.survival_at(t)
     event_part, risk_part = _martingale_sums(km, t, np.ones_like(km.event_times))
     return PseudoVector(s_t * (1.0 - event_part + risk_part), SURVIVAL, float(t), FAST)
@@ -178,7 +178,7 @@ def km_pseudo_rmst(km: KmFit, tau: float) -> PseudoVector:
     under the survival curve between u and tau, computed exactly on the
     step grid.
     """
-    _check_tau(tau, finite=True)
+    check_tau(tau, finite=True)
     total = km.rmst(tau)
     m = int(np.searchsorted(km.event_times, tau, side="right"))
     weights = np.zeros_like(km.event_times)
@@ -245,16 +245,3 @@ def _step_integral(knots, values, tau):
     pts = np.concatenate([[0.0], knots[:m], [tau]])
     vals = np.concatenate([[1.0], values[:m]])
     return float(np.dot(vals, np.diff(pts)))
-
-
-def _check_time(t):
-    t = float(t)
-    if np.isnan(t) or np.isinf(t) or t < 0:
-        raise InvalidTime(f"time must be finite and nonnegative, got {t}")
-
-
-def _check_tau(tau, finite=False):
-    tau = float(tau)
-    if np.isnan(tau) or tau <= 0 or (finite and np.isinf(tau)):
-        kind = "finite and positive" if finite else "positive"
-        raise InvalidTau(f"tau must be {kind}, got {tau}")

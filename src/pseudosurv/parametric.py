@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidTime
 from .fitting import PchFit
 from .km import FAST, RMST, SURVIVAL, PseudoVector
 from .pch import (
@@ -22,7 +21,7 @@ from .pch import (
     prepare_likelihood,
     rmst_closed_form,
     rmst_gradient,
-    score_matrix,
+    score_products,
 )
 
 
@@ -33,20 +32,15 @@ def pseudo_alpha(fit: PchFit, dataset: Dataset) -> np.ndarray:
     score. The rows average to the fitted rates up to solver tolerance,
     because the total score vanishes at the maximum.
     """
-    scores = _score_rows(fit, dataset)
-    return fit.model.rates + fit.solve_information(scores.T).T
+    return fit.model.rates + _score_solves(fit, dataset, np.eye(fit.model.grid.K))
 
 
 def pseudo_survival(fit: PchFit, dataset: Dataset, t) -> PseudoVector:
     """Fast pseudo-observations for S(t) under the fitted model."""
-    t = float(t)
-    if not np.isfinite(t) or t < 0:
-        raise InvalidTime(f"time must be finite and nonnegative, got {t}")
+    grad = grad_cum_hazard(fit.model, t)  # rejects an invalid t before any work
     s_t = float(fit.model.survival(t))
-    direction = fit.solve_information(np.asarray(grad_cum_hazard(fit.model, t)))
-    scores = _score_rows(fit, dataset)
-    values = s_t * (1.0 - scores @ direction)
-    return PseudoVector(values, SURVIVAL, t, FAST)
+    values = s_t * (1.0 - _score_solves(fit, dataset, grad))
+    return PseudoVector(values, SURVIVAL, float(t), FAST)
 
 
 def pseudo_rmst(fit: PchFit, dataset: Dataset, tau) -> PseudoVector:
@@ -57,12 +51,16 @@ def pseudo_rmst(fit: PchFit, dataset: Dataset, tau) -> PseudoVector:
     so no quadrature is involved.
     """
     total = rmst_closed_form(fit.model, tau)
-    direction = fit.solve_information(rmst_gradient(fit.model, tau))
-    scores = _score_rows(fit, dataset)
-    values = total - scores @ direction
+    values = total - _score_solves(fit, dataset, rmst_gradient(fit.model, tau))
     return PseudoVector(values, RMST, float(tau), FAST)
 
 
-def _score_rows(fit: PchFit, dataset: Dataset) -> np.ndarray:
+def _score_solves(fit: PchFit, dataset: Dataset, g) -> np.ndarray:
+    """s_l . (info^-1 g) for every subject l, in one pass over the records.
+
+    The information is symmetric, so this is g . (info^-1 s_l), the
+    first-order jackknife correction along g; g may be a K-vector or a
+    K x M matrix of stacked directions.
+    """
     prep = prepare_likelihood(dataset, fit.model.grid)
-    return score_matrix(fit.model.rates, prep)
+    return score_products(fit.model.rates, prep, fit.solve_information(g))

@@ -1,13 +1,16 @@
-"""Piecewise-constant-hazard model: evaluation, likelihood derivatives,
-closed-form restricted-mean integrals, and identifiability diagnostics.
+"""Piecewise-constant-hazard model: evaluation, the vectorized likelihood
+kernel, closed-form restricted-mean integrals, and identifiability
+diagnostics.
 
 The hazard is a step function over pieces (c_{k-1}, c_k] with c_0 = 0 and
 c_K = +inf, so the cumulative hazard is a piecewise-linear ramp and survival
 is piecewise exponential. Interval-censored records contribute the bracket
 mass S(L) - S(R) to the likelihood; right-censored records contribute S(L);
-exact records contribute the density lambda(T) S(T). All derivatives are
-analytic, with expm1-based evaluations wherever a naive difference of
-exponentials would cancel.
+exact records contribute the density lambda(T) S(T). One weighted kernel
+(``loglik_parts``, with ``score_products`` for the per-record scores)
+evaluates every record at once; its derivatives are analytic, with
+expm1-based evaluations wherever a naive difference of exponentials would
+cancel.
 """
 
 from __future__ import annotations
@@ -19,13 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import EXACT, RIGHT_CENSORED, Dataset, IntervalRecord
-from .errors import (
-    DegenerateInterval,
-    EmptyInput,
-    InvalidTau,
-    InvalidTime,
-)
+from .data import Dataset
+from .errors import DegenerateInterval, EmptyInput, check_tau, check_time
 
 # Below this, the cancellation-prone factor in the restricted-mean gradient
 # switches to its power series.
@@ -130,9 +128,8 @@ def evaluate(model: PchModel, t) -> Evaluation:
     InvalidTime
         If t is negative, infinite, or NaN.
     """
+    check_time(t)
     t = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(t)) or np.any(t < 0):
-        raise InvalidTime(f"time must be finite and nonnegative, got {t}")
     lam = model.cum_hazard(t)
     if t.ndim == 0:
         return Evaluation(float(model.hazard(t)), float(lam), float(np.exp(-lam)))
@@ -145,9 +142,7 @@ def grad_cum_hazard(model: PchModel, t) -> np.ndarray:
     Component k is the time spent in piece k before t, so the components
     sum to t.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(t)) or np.any(t < 0):
-        raise InvalidTime(f"time must be finite and nonnegative, got {t}")
+    check_time(t)
     return model.grid.exposure(t)
 
 
@@ -159,8 +154,8 @@ def rmst_closed_form(model: PchModel, tau) -> float:
     S(c_{l-1}) (1 - exp(-alpha_l w_l)) / alpha_l for the within-piece width
     w_l, evaluated through expm1 so that small rates lose no precision.
     """
-    _check_tau(tau)
-    return float(_piece_areas(model, float(tau)).sum())
+    check_tau(tau)
+    return float(_piece_areas(model, float(tau))[0].sum())
 
 
 def rmst_gradient(model: PchModel, tau) -> np.ndarray:
@@ -172,20 +167,14 @@ def rmst_gradient(model: PchModel, tau) -> np.ndarray:
     times the area under S beyond c_k, plus the within-piece moment
     integral of (t - c_{k-1}) S(t). All components are nonnegative.
     """
-    _check_tau(tau)
-    tau = float(tau)
+    check_tau(tau)
     grid = model.grid
-    alpha = model.rates
-    areas = _piece_areas(model, tau)
+    areas, active, w, a, s_left = _piece_areas(model, float(tau))
     # Area under S strictly beyond each piece's right edge.
     tail = np.concatenate([np.cumsum(areas[::-1])[::-1][1:], [0.0]])
     out = np.zeros(grid.K)
     np.multiply(grid.widths, tail, where=tail > 0, out=out)
 
-    active = tau > grid.lower
-    w = np.minimum(grid.upper, tau)[active] - grid.lower[active]
-    a = alpha[active]
-    s_left = np.exp(-model._cum_at_lower[active])
     own = np.empty_like(w)
     unbounded = np.isinf(w)
     own[unbounded] = (s_left / a**2)[unbounded]
@@ -193,85 +182,6 @@ def rmst_gradient(model: PchModel, tau) -> np.ndarray:
     own[~unbounded] = s_left[~unbounded] * wf**2 * _own_factor(a[~unbounded] * wf)
     out[active] += own
     return out
-
-
-def log_density(model: PchModel, record: IntervalRecord) -> float:
-    """Log of the mixed interval-censoring density of one record.
-
-    For a bracket with distinct finite endpoints this is
-    log(S(L) - S(R)) = -Lambda(L) + log(1 - exp(-(Lambda(R) - Lambda(L)))),
-    computed in log space so that deep-tail intervals keep their mass.
-    Right-censored records contribute -Lambda(L); exact records contribute
-    log lambda(T) - Lambda(T).
-
-    Raises
-    ------
-    DegenerateInterval
-        If the bracket has zero probability mass to machine precision.
-    """
-    lam_l = float(model.cum_hazard(record.left))
-    cls = record.censoring_class
-    if cls == RIGHT_CENSORED:
-        return -lam_l
-    if cls == EXACT:
-        return float(np.log(model.hazard(record.left))) - lam_l
-    dlam = float(model.cum_hazard(record.right)) - lam_l
-    if dlam <= 0.0:
-        raise DegenerateInterval(
-            f"interval ({record.left}, {record.right}) has zero probability mass "
-            "under the current rates"
-        )
-    return -lam_l + math.log(-math.expm1(-dlam))
-
-
-def score(model: PchModel, record: IntervalRecord) -> np.ndarray:
-    """Analytic gradient of the record's log-density in the rates."""
-    grid = model.grid
-    expo_l = grid.exposure(record.left)
-    out = -expo_l
-    cls = record.censoring_class
-    if cls == RIGHT_CENSORED:
-        return out
-    if cls == EXACT:
-        k = int(grid.piece_index(record.left))
-        out[k] += 1.0 / model.rates[k]
-        return out
-    diff = grid.exposure(record.right) - expo_l
-    dlam = float(diff @ model.rates)
-    if dlam <= 0.0:
-        raise DegenerateInterval(
-            f"interval ({record.left}, {record.right}) has zero probability mass"
-        )
-    return out + diff / math.expm1(dlam)
-
-
-def hessian(model: PchModel, record: IntervalRecord) -> np.ndarray:
-    """Analytic Hessian of the record's log-density in the rates.
-
-    Right-censored records contribute a zero matrix; exact records a
-    diagonal -1/alpha_k^2 in their piece; bracket records the negative
-    rank-one matrix built from the exposure difference.
-    """
-    grid = model.grid
-    K = grid.K
-    cls = record.censoring_class
-    if cls == RIGHT_CENSORED:
-        return np.zeros((K, K))
-    if cls == EXACT:
-        out = np.zeros((K, K))
-        k = int(grid.piece_index(record.left))
-        out[k, k] = -1.0 / model.rates[k] ** 2
-        return out
-    diff = grid.exposure(record.right) - grid.exposure(record.left)
-    dlam = float(diff @ model.rates)
-    if dlam <= 0.0:
-        raise DegenerateInterval(
-            f"interval ({record.left}, {record.right}) has zero probability mass"
-        )
-    # exp(dlam)/expm1(dlam)^2, written with decaying exponentials
-    w = math.exp(-dlam)
-    factor = w / math.expm1(-dlam) ** 2
-    return -factor * np.outer(diff, diff)
 
 
 @dataclass(frozen=True)
@@ -336,17 +246,21 @@ def check_conditions(dataset: Dataset, grid: CutGrid) -> ConditionReport:
     return ConditionReport(tuple(finite_counts), tuple(exceed_counts), tuple(violations))
 
 
-def _piece_areas(model: PchModel, tau: float) -> np.ndarray:
-    """Area under survival within each piece, truncated at tau."""
+def _piece_areas(model: PchModel, tau: float):
+    """Area under survival within each piece, truncated at tau.
+
+    Returns (areas, active, w, a, s_left): the K areas, then the mask of the
+    pieces that start before tau and, for those, their widths truncated at
+    tau, their rates and the survival at their left edges.
+    """
     grid = model.grid
-    alpha = model.rates
     areas = np.zeros(grid.K)
     active = tau > grid.lower
     w = np.minimum(grid.upper, tau)[active] - grid.lower[active]
-    a = alpha[active]
+    a = model.rates[active]
     s_left = np.exp(-model._cum_at_lower[active])
     areas[active] = s_left * (-np.expm1(-a * w)) / a
-    return areas
+    return areas, active, w, a, s_left
 
 
 def _own_factor(x: np.ndarray) -> np.ndarray:
@@ -359,12 +273,6 @@ def _own_factor(x: np.ndarray) -> np.ndarray:
     xl = x[~small]
     out[~small] = (1.0 - (1.0 + xl) * np.exp(-xl)) / xl**2
     return out
-
-
-def _check_tau(tau):
-    tau = float(tau)
-    if math.isnan(tau) or tau <= 0:
-        raise InvalidTau(f"tau must be positive (inf allowed), got {tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +349,12 @@ def loglik_parts(alpha, prep: PreparedLikelihood):
     for the bracket weights w and the bracket increments dlam = diff @ alpha,
     so a call reads the bracket rows and never the n x K exposures.
 
-    Returns (loglik, gradient, hessian). Raises DegenerateInterval if any
-    bracket's mass underflows to zero, a zero-weight bracket included; that
-    happens only at rates far outside the fitter's bounds.
+    Returns (loglik, gradient, Hessian). The Hessian is symmetric only to
+    rounding, because it is formed as (curve * diff).T @ diff from two
+    different factors; ``fit_pch`` symmetrizes the information it keeps.
+    Raises DegenerateInterval if any bracket's mass underflows to zero, a
+    zero-weight bracket included; that happens only at rates far outside
+    the fitter's bounds.
     """
     alpha = np.asarray(alpha, dtype=float)
     dlam = _bracket_increments(alpha, prep)
@@ -472,19 +383,30 @@ def loglik_parts(alpha, prep: PreparedLikelihood):
     return float(loglik), grad, hess
 
 
-def score_matrix(alpha, prep: PreparedLikelihood) -> np.ndarray:
-    """Per-record score vectors as an n x K matrix at the rates alpha.
+def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
+    """Per-record score vectors times the directions D, at the rates alpha.
 
-    Rows are unweighted: row l is the derivative of the weighted score in
-    subject l's weight, which is what the fast pseudo-observations solve
-    against the information.
+    Row l of the result is subject l's unweighted score (the derivative of
+    the weighted score in subject l's weight) times D, for D a K-vector or
+    a K x M matrix. It is summed term by term: minus the exposures times D,
+    the bracket rows' exposure differences times D over expm1 of their
+    increments, and D's exact piece row over that piece's rate; no n x K
+    score matrix is formed.
     """
     alpha = np.asarray(alpha, dtype=float)
+    D = np.asarray(D, dtype=float)
     dlam = _bracket_increments(alpha, prep)
-    out = -prep.expo_left.copy()
-    out[prep.interval_rows] += prep.diff / np.expm1(dlam)[:, None]
-    out[prep.exact_rows, prep.exact_piece] += 1.0 / alpha[prep.exact_piece]
+    out = -(prep.expo_left @ D)
+    # Transposes put the rows last, so the per-row divisors broadcast
+    # for a vector D and a matrix D alike.
+    out[prep.interval_rows] += ((prep.diff @ D).T / np.expm1(dlam)).T
+    out[prep.exact_rows] += (D[prep.exact_piece].T / alpha[prep.exact_piece]).T
     return out
+
+
+def score_matrix(alpha, prep: PreparedLikelihood) -> np.ndarray:
+    """Per-record score vectors as an n x K matrix: ``score_products`` at D = I."""
+    return score_products(alpha, prep, np.eye(prep.K))
 
 
 def _bracket_increments(alpha, prep: PreparedLikelihood) -> np.ndarray:

@@ -79,8 +79,10 @@ def test_matches_per_subject_solves(fitted):
     g_tau = rmst_gradient(fit.model, tau)
     surv = pseudo_survival(fit, ds, t).values
     rmst = pseudo_rmst(fit, ds, tau).values
+    rates = pseudo_alpha(fit, ds)
     for l in range(0, ds.n, 37):
         shift = linalg.solve(fit.info, scores[l])
+        np.testing.assert_allclose(rates[l], fit.model.rates + shift, rtol=0, atol=1e-12)
         assert surv[l] == pytest.approx(s_t * (1.0 - grad_t @ shift), abs=1e-12)
         assert rmst[l] == pytest.approx(
             rmst_closed_form(fit.model, tau) - g_tau @ shift, abs=1e-12

@@ -3,7 +3,8 @@
 The closed-form restricted-mean routines are checked against adaptive
 quadrature, and every analytic derivative against central finite
 differences, so the algebra and the numerics validate each other through
-independent routes.
+independent routes. A single record's log-density, score and Hessian are
+the likelihood kernel evaluated on a one-record dataset.
 """
 
 import math
@@ -22,12 +23,9 @@ from pseudosurv import (
     check_conditions,
     evaluate,
     grad_cum_hazard,
-    hessian,
     interval_dataset,
-    log_density,
     rmst_closed_form,
     rmst_gradient,
-    score,
 )
 from pseudosurv.data import EXACT, LEFT_CENSORED, RIGHT_CENSORED, STRICT_INTERVAL
 from pseudosurv.pch import loglik_parts, prepare_likelihood, score_matrix
@@ -52,6 +50,30 @@ def _random_record(rng, model):
     if kind == 2:
         return IntervalRecord(0.0, a + 0.05)
     return IntervalRecord(a, a)
+
+
+def _one_record(model, record):
+    """The kernel's (log-density, score, Hessian) of one record at the model's rates.
+
+    The log-density and Hessian come from ``loglik_parts``, the score from
+    ``score_matrix``.
+    """
+    ds = interval_dataset([record.left], [record.right])
+    prep = prepare_likelihood(ds, model.grid)
+    ll, _, hess = loglik_parts(model.rates, prep)
+    return ll, score_matrix(model.rates, prep)[0], hess
+
+
+def _log_density(model, record):
+    return _one_record(model, record)[0]
+
+
+def _score(model, record):
+    return _one_record(model, record)[1]
+
+
+def _hessian(model, record):
+    return _one_record(model, record)[2]
 
 
 def _quad_rmst(model, tau):
@@ -229,17 +251,17 @@ def test_rmst_gradient_unrestricted_last_piece():
 
 
 # ---------------------------------------------------------------------------
-# Per-record log-density, score, Hessian
+# Per-record log-density, score, Hessian from one-record kernels
 
 
 def test_log_density_hand_values():
     m = PchModel(CutGrid(()), [1.0])
-    assert log_density(m, IntervalRecord(1.0, 2.0)) == pytest.approx(
+    assert _log_density(m, IntervalRecord(1.0, 2.0)) == pytest.approx(
         math.log(math.exp(-1) - math.exp(-2)), abs=1e-12
     )
-    assert log_density(m, IntervalRecord(3.0, math.inf)) == pytest.approx(-3.0)
+    assert _log_density(m, IntervalRecord(3.0, math.inf)) == pytest.approx(-3.0)
     half = PchModel(CutGrid(()), [0.5])
-    assert log_density(half, IntervalRecord(2.0, 2.0)) == pytest.approx(
+    assert _log_density(half, IntervalRecord(2.0, 2.0)) == pytest.approx(
         math.log(0.5) - 1.0, abs=1e-12
     )
 
@@ -247,20 +269,20 @@ def test_log_density_hand_values():
 def test_score_hand_values():
     m = PchModel(CutGrid((1.5,)), [1.0, 1.0])
     np.testing.assert_allclose(
-        score(m, IntervalRecord(1.0, 2.0)),
+        _score(m, IntervalRecord(1.0, 2.0)),
         [-1 + 0.5 / (math.e - 1), 0.5 / (math.e - 1)],
         atol=1e-12,
     )
     one = PchModel(CutGrid(()), [2.0])
-    np.testing.assert_allclose(score(one, IntervalRecord(3.0, math.inf)), [-3.0])
+    np.testing.assert_allclose(_score(one, IntervalRecord(3.0, math.inf)), [-3.0])
 
 
 def test_hessian_hand_values():
     one = PchModel(CutGrid(()), [0.5])
-    np.testing.assert_allclose(hessian(one, IntervalRecord(2.0, 2.0)), [[-4.0]])
+    np.testing.assert_allclose(_hessian(one, IntervalRecord(2.0, 2.0)), [[-4.0]])
     m = PchModel(CutGrid((1.0,)), [1.0, 2.0])
     np.testing.assert_array_equal(
-        hessian(m, IntervalRecord(3.0, math.inf)), np.zeros((2, 2))
+        _hessian(m, IntervalRecord(3.0, math.inf)), np.zeros((2, 2))
     )
 
 
@@ -270,7 +292,7 @@ def test_score_matches_finite_differences_randomized():
     while checked < 60:
         model = _random_model(rng)
         record = _random_record(rng, model)
-        s = score(model, record)
+        s = _score(model, record)
         for k in range(model.grid.K):
             h = 1e-6 * (1.0 + model.rates[k])
             up = model.rates.copy()
@@ -278,20 +300,19 @@ def test_score_matches_finite_differences_randomized():
             down = model.rates.copy()
             down[k] -= h
             fd = (
-                log_density(PchModel(model.grid, up), record)
-                - log_density(PchModel(model.grid, down), record)
+                _log_density(PchModel(model.grid, up), record)
+                - _log_density(PchModel(model.grid, down), record)
             ) / (2 * h)
             assert fd == pytest.approx(s[k], abs=1e-6 * (1.0 + abs(s[k])))
         checked += 1
 
 
-def test_hessian_matches_finite_differences_and_is_symmetric():
+def test_hessian_matches_finite_differences():
     rng = np.random.default_rng(4)
     for _ in range(60):
         model = _random_model(rng)
         record = _random_record(rng, model)
-        H = hessian(model, record)
-        np.testing.assert_array_equal(H, H.T)
+        H = _hessian(model, record)
         for k in range(model.grid.K):
             h = 1e-5 * (1.0 + model.rates[k])
             up = model.rates.copy()
@@ -299,8 +320,8 @@ def test_hessian_matches_finite_differences_and_is_symmetric():
             down = model.rates.copy()
             down[k] -= h
             fd = (
-                score(PchModel(model.grid, up), record)
-                - score(PchModel(model.grid, down), record)
+                _score(PchModel(model.grid, up), record)
+                - _score(PchModel(model.grid, down), record)
             ) / (2 * h)
             np.testing.assert_allclose(H[k], fd, atol=1e-4)
 
@@ -309,12 +330,11 @@ def test_degenerate_interval_raises():
     # the bracket is so deep in the tail that its mass underflows to zero
     m = PchModel(CutGrid(()), [1e-308])
     record = IntervalRecord(1.0, float(np.nextafter(1.0, 2.0)))
+    prep = prepare_likelihood(interval_dataset([record.left], [record.right]), m.grid)
     with pytest.raises(DegenerateInterval):
-        log_density(m, record)
+        loglik_parts(m.rates, prep)
     with pytest.raises(DegenerateInterval):
-        score(m, record)
-    with pytest.raises(DegenerateInterval):
-        hessian(m, record)
+        score_matrix(m.rates, prep)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +363,7 @@ def test_conditions_pass_on_generated_visit_data():
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernel agrees with the per-record routines
+# The kernel on a sample is the sum of its one-record kernels
 
 
 def test_loglik_parts_matches_per_record_sums():
@@ -361,16 +381,17 @@ def test_loglik_parts_matches_per_record_sums():
         ds = interval_dataset([r.left for r in sample], [r.right for r in sample])
         prep = prepare_likelihood(ds, model.grid)
         ll, grad, hess = loglik_parts(model.rates, prep)
-        assert ll == pytest.approx(sum(log_density(model, r) for r in sample), abs=1e-10)
+        singles = [_one_record(model, r) for r in sample]
+        assert ll == pytest.approx(sum(one[0] for one in singles), abs=1e-10)
         np.testing.assert_allclose(
-            grad, np.sum([score(model, r) for r in sample], axis=0), atol=1e-10
+            grad, np.sum([one[1] for one in singles], axis=0), atol=1e-10
         )
         np.testing.assert_allclose(
-            hess, np.sum([hessian(model, r) for r in sample], axis=0), atol=1e-10
+            hess, np.sum([one[2] for one in singles], axis=0), atol=1e-10
         )
         np.testing.assert_allclose(
             score_matrix(model.rates, prep),
-            [score(model, r) for r in sample],
+            [one[1] for one in singles],
             atol=1e-12,
         )
 
