@@ -30,6 +30,8 @@ from .parametric import pseudo_rmst, pseudo_survival
 from .pch import CutGrid, evaluate
 from .simulate import ScenarioConfig, benchmark, monte_carlo
 
+_TOL_HELP = "Newton stops after a full step that moves no log-rate by more than this"
+
 
 class _UsageError(Exception):
     pass
@@ -74,7 +76,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tau", default=None, help="restriction time for --target rmst ('inf' allowed)")
     p.add_argument("--method", choices=["fast", "jackknife"], default="fast")
     p.add_argument("--cuts", default=None, help="comma-separated interior cut points (ic only)")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--curve-out", default=None,
@@ -84,7 +86,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit a piecewise-constant hazard and report it")
     p.add_argument("--data", required=True)
     p.add_argument("--cuts", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--strict", action="store_true",
                    help="fail instead of warning on identifiability violations")
@@ -314,10 +316,40 @@ def _read_csv(path, usecols=None):
                 body = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
                                   ndmin=2, converters=float, usecols=usecols)
         except ValueError as exc:
-            raise _UsageError(f"{path}: {exc}") from None
+            raise _UsageError(f"{path}: {_first_fault(path, usecols) or exc}") from None
     if body.shape[0] == 0:
         raise _UsageError(f"{path}: no data rows")
     return header, body
+
+
+def _first_fault(path, usecols):
+    """Where and why the first body row of a CSV fails to read as numbers.
+
+    Lines are counted from 1 in the file, header and blank lines included.
+    The body rows must all be as long as the first one, or, when one column
+    is used, merely hold it.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        past_header = False
+        width = None
+        line = 1
+        for row in reader:
+            if row and not past_header:
+                past_header = True
+            elif row:
+                width = width or len(row)
+                if usecols is not None and len(row) <= usecols:
+                    return f"line {line}: expected at least {usecols + 1} cells, got {len(row)}"
+                if usecols is None and len(row) != width:
+                    return f"line {line}: expected {width} cells, got {len(row)}"
+                for j in range(len(row)) if usecols is None else [usecols]:
+                    try:
+                        float(row[j])
+                    except ValueError:
+                        return f"line {line}, column {j + 1}: cannot parse {row[j]!r} as a number"
+            line = reader.line_num + 1
+    return None
 
 
 def _emit(text: str, out_path):

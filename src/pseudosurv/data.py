@@ -286,17 +286,36 @@ def save_dataset(dataset: Dataset, target) -> None:
     load/save/load cycle reproduces records and classes exactly.
     """
     first, second = dataset.columns
-    columns = [(repr, first), (str if dataset.kind == KIND_RIGHT else repr, second)]
+    second_format = _str_each if dataset.kind == KIND_RIGHT else _repr_each
+    columns = [(_repr_each, first), (second_format, second)]
     if dataset.covariates is not None:
-        columns += [(repr, column) for column in dataset.covariates.T]
+        columns += [(_repr_distinct, column) for column in dataset.covariates.T]
     is_path = isinstance(target, (str, Path))
     with open(target, "w", newline="", encoding="utf-8") if is_path else nullcontext(target) as handle:
         csv.writer(handle).writerow(list(_HEADERS[dataset.kind]) + list(dataset.covariate_names or ()))
         # No formatted number holds a delimiter, quote or line break, so
         # csv.writer would write these rows unquoted, as joined here.
         for start in range(0, dataset.n, _WRITE_ROWS):
-            cells = [map(fmt, col[start:start + _WRITE_ROWS].tolist()) for fmt, col in columns]
+            cells = [fmt(col[start:start + _WRITE_ROWS]) for fmt, col in columns]
             handle.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+
+
+def _repr_distinct(chunk):
+    """repr of each cell, formatting each distinct value once.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    bits, inverse = np.unique(np.ascontiguousarray(chunk).view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _repr_each(chunk):
+    return map(repr, chunk.tolist())
+
+
+def _str_each(chunk):
+    return map(str, chunk.tolist())
 
 
 def censoring_summary(dataset: Dataset) -> dict:

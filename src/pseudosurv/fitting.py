@@ -1,10 +1,13 @@
 """Maximum likelihood for piecewise-constant hazards.
 
 Newton-Raphson runs in log-rate space, which keeps every iterate strictly
-positive without projections, with monotone step-halving as the safeguard.
-Convergence is declared on the sup-norm of the total score in rate space,
-and the observed information reported afterwards is the rate-space one, as
-the downstream pseudo-observation formulas require.
+positive without projections, with step-halving as the safeguard. It starts
+from per-piece occurrence/exposure rates and stops on the Newton step, by a
+rule that does not grow with n (see ``fit_pch``'s ``tol``). The step at the
+fitted rates is also the gap between the mean of the fast
+pseudo-observations of the rates and the rates themselves. The observed
+information reported afterwards is the rate-space one, as the downstream
+pseudo-observation formulas require.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ from .pch import (
 RATE_UPPER_BOUND = 1e6
 RATE_LOWER_BOUND = 1e-10
 MAX_HALVINGS = 30
+# A trial point may fall this many units in the last place of the
+# log-likelihood below the current one and still be accepted.
+SLACK_ULPS = 4
+# Predicted gains below this many units in the last place of
+# max(|loglik|, n) are rounding noise.
+FLOOR_ULPS = 8
 # Relative condition number beyond which the information matrix counts as
 # singular.
 INFO_CONDITION_LIMIT = 1e12
@@ -57,7 +66,9 @@ class PchFit:
     loglik : float
         Total log-likelihood at the fitted rates.
     grad_norm : float
-        Sup-norm of the total score at the fitted rates.
+        Sup-norm of the total score at the fitted rates, for diagnostics;
+        it is not the stopping criterion, and at large n it stays at the
+        rounding level of a sum of n scores.
     iterations : int
         Newton iterations taken.
     condition_report : ConditionReport
@@ -65,8 +76,10 @@ class PchFit:
     n : int
         Sample size.
     loglik_trace : tuple
-        Accepted log-likelihood values, starting at the initial point;
-        non-decreasing up to terminal rounding.
+        Log-likelihood values, starting at the initial point; one per
+        iteration after it. Each is at least the one before, less a few
+        units in the last place, except the last: the step that ends the
+        fit is taken without comparison.
     """
 
     model: PchModel
@@ -134,10 +147,15 @@ def fit_pch(
     init : array-like or None
         Starting rates. The default treats every record as an exact
         observation at its bracket midpoint (at the left endpoint when
-        right-censored) and starts all pieces at the resulting global
-        occurrence/exposure rate.
+        right-censored) and starts each piece at its own
+        (events + 0.5) / exposure under that imputation.
     tol : float
-        Convergence threshold on the sup-norm of the total score.
+        Convergence threshold on the Newton step: the fit ends with a step
+        whose sup-norm in log-rates (the largest relative rate change) is
+        at most ``tol``, or with a step whose predicted log-likelihood gain
+        is below the rounding of the log-likelihood, which no comparison
+        can check. That last step is taken whole. Neither test grows with
+        n, unlike a bound on the total score.
     max_iter : int
     strict : bool
         Raise instead of warning when the identifiability diagnostics fail.
@@ -145,8 +163,8 @@ def fit_pch(
     Raises
     ------
     DidNotConverge
-        If the iteration budget runs out or no step-halving improves the
-        log-likelihood; carries the last iterate.
+        If the iteration budget runs out or no step-halving keeps the
+        log-likelihood within its rounding slack; carries the last iterate.
     NonIdentifiable
         If some rate escapes its bounds, naming the empirically violated
         per-piece condition.
@@ -169,19 +187,19 @@ def fit_pch(
             stacklevel=2,
         )
     prep = prepare_likelihood(dataset, grid)
-    init_alpha = _initial_rates(dataset, grid.K) if init is None else np.asarray(init, float)
+    init_alpha = _initial_rates(dataset, grid) if init is None else np.asarray(init, float)
     if init_alpha.shape != (grid.K,) or not np.all(np.isfinite(init_alpha) & (init_alpha > 0)):
         raise ValueError("init must hold one positive rate per piece")
-    alpha, loglik, grad_norm, iterations, trace, hess = newton_prepared(
-        prep, init_alpha, tol, max_iter, report
-    )
+    alpha, iterations, trace = newton_prepared(prep, init_alpha, tol, max_iter, report)
+    loglik, grad, hess = loglik_parts(alpha, prep)
+    trace.append(loglik)
     info = -hess / dataset.n
     info = (info + info.T) / 2.0
     return PchFit(
         model=PchModel(grid, alpha),
         info=info,
         loglik=loglik,
-        grad_norm=grad_norm,
+        grad_norm=float(np.max(np.abs(grad))),
         iterations=iterations,
         condition_report=report,
         n=dataset.n,
@@ -198,28 +216,20 @@ def newton_prepared(
 ):
     """Core Newton loop on a prepared likelihood.
 
-    Returns (alpha, loglik, grad_norm, iterations, trace, hessian). The
-    leave-one-out oracle calls this directly with warm starts, skipping
-    dataset re-validation.
+    Returns (alpha, iterations, trace): the fitted rates, the steps taken
+    and the log-likelihood at the start and after every step but the last,
+    which ends the fit by the rule ``fit_pch`` documents for ``tol`` and is
+    taken without a kernel call. A caller that needs the log-likelihood or
+    the information at the fitted rates evaluates the kernel there once;
+    the leave-one-out oracle, which needs only the rates, calls this
+    directly with warm starts, skipping dataset re-validation.
     """
     beta = np.log(init_alpha)
     alpha = init_alpha.copy()
     loglik, grad, hess = loglik_parts(alpha, prep)
     trace = [loglik]
-    iterations = 0
-    while True:
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= tol:
-            return alpha, loglik, grad_norm, iterations, trace, hess
-        if iterations >= max_iter:
-            raise DidNotConverge(
-                f"no convergence in {max_iter} iterations (score norm {grad_norm:.3e})",
-                last_iterate=alpha,
-                grad_norm=grad_norm,
-                iterations=iterations,
-            )
-        iterations += 1
-
+    n = prep.expo_left.shape[0]
+    for iterations in range(1, max_iter + 1):
         # Chain rule to log-rate space; the extra diagonal term comes from
         # differentiating the reparameterization itself.
         grad_b = alpha * grad
@@ -236,32 +246,31 @@ def newton_prepared(
             # Hessian unusable; plain ascent, unit-capped
             scale = max(1.0, float(np.max(np.abs(grad_b))))
             step = grad_b / scale
+        # A step within tol ends the fit; so does one whose predicted gain
+        # is below the rounding of a sum of n log-densities, which no
+        # comparison of log-likelihoods can judge. Either is taken whole.
+        floor = FLOOR_ULPS * np.spacing(max(abs(loglik), n))
+        if float(np.max(np.abs(step))) <= tol or float(grad_b @ step) <= floor:
+            with np.errstate(over="ignore"):
+                alpha = np.exp(beta + step)
+            _check_bounds(alpha, report)
+            return alpha, iterations, trace
 
-        accepted = False
+        worst = loglik - SLACK_ULPS * np.spacing(abs(loglik))
         factor = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            beta_new = beta + factor * step
             with np.errstate(over="ignore"):
-                alpha_new = np.exp(beta_new)
+                alpha_new = np.exp(beta + factor * step)
             if np.all(np.isfinite(alpha_new)) and np.all(alpha_new > 0):
                 try:
                     cand = loglik_parts(alpha_new, prep)
                 except DegenerateInterval:
                     cand = None
-                if cand is not None and np.isfinite(cand[0]):
-                    # Near the maximum the true improvement of a full Newton
-                    # step falls below float resolution of the log-likelihood,
-                    # so a step whose score already meets the tolerance is
-                    # accepted regardless of the monotonicity comparison.
-                    converged_step = float(np.max(np.abs(cand[1]))) <= tol
-                    if cand[0] >= loglik or converged_step:
-                        beta, alpha = beta_new, alpha_new
-                        loglik, grad, hess = cand
-                        trace.append(loglik)
-                        accepted = True
-                        break
+                if cand is not None and np.isfinite(cand[0]) and cand[0] >= worst:
+                    break
             factor /= 2.0
-        if not accepted:
+        else:
+            grad_norm = float(np.max(np.abs(grad)))
             raise DidNotConverge(
                 "step-halving found no improving step "
                 f"(score norm {grad_norm:.3e})",
@@ -269,7 +278,17 @@ def newton_prepared(
                 grad_norm=grad_norm,
                 iterations=iterations,
             )
+        beta, alpha = beta + factor * step, alpha_new
+        loglik, grad, hess = cand
+        trace.append(loglik)
         _check_bounds(alpha, report)
+    grad_norm = float(np.max(np.abs(grad)))
+    raise DidNotConverge(
+        f"no convergence in {max_iter} iterations (score norm {grad_norm:.3e})",
+        last_iterate=alpha,
+        grad_norm=grad_norm,
+        iterations=max_iter,
+    )
 
 
 def _check_bounds(alpha, report):
@@ -293,13 +312,27 @@ def _check_bounds(alpha, report):
     )
 
 
-def _initial_rates(dataset: Dataset, K: int) -> np.ndarray:
-    """Global occurrence/exposure rate from a midpoint-imputation proxy."""
+def _initial_rates(dataset: Dataset, grid: CutGrid) -> np.ndarray:
+    """Per-piece occurrence/exposure rates from a midpoint-imputation proxy.
+
+    Every record is treated as an exact observation at its bracket midpoint
+    (censored at its left endpoint when right-censored). Piece k starts at
+    (events in k + 0.5) / (exposure in k), so no rate starts at zero; a
+    piece no imputed time reaches starts at the pooled rate. The exposure is
+    summed from each record's piece index: full widths of the pieces below
+    it plus the part inside its own piece, with no n x K array.
+    """
     left = dataset.left
     right = dataset.right
     finite = np.isfinite(right)
-    events = int(finite.sum())
-    exposure = float(((left[finite] + right[finite]) / 2.0).sum() + left[~finite].sum())
-    if events == 0 or exposure <= 0:
-        return np.ones(K)
-    return np.full(K, events / exposure)
+    imputed = np.where(finite, (left + right) / 2.0, left)
+    piece = np.asarray(grid.piece_index(imputed))
+    K = grid.K
+    events = np.bincount(piece[finite], minlength=K)
+    beyond = dataset.n - np.cumsum(np.bincount(piece, minlength=K))
+    exposure = np.bincount(piece, weights=imputed - grid.lower[piece], minlength=K)
+    exposure[:-1] += grid.widths[:-1] * beyond[:-1]
+    total = exposure.sum()
+    fallback = (events.sum() + 0.5) / total if total > 0 else 1.0
+    with np.errstate(divide="ignore"):
+        return np.where(exposure > 0, (events + 0.5) / exposure, fallback)

@@ -85,9 +85,10 @@ def fit_gee(
         yourself if wanted.
     link : LinkSpec
     tol : float
-        Cloglog only: Fisher scoring stops once the sup-norm of the
-        estimating function is at most ``tol``. The identity link is solved
-        exactly, in one step, and ignores it.
+        Cloglog only: Fisher scoring stops after a step whose sup-norm in
+        the coefficients is at most ``tol``, which does not grow with n as
+        the estimating function's rounding does. The identity link is
+        solved exactly, in one step, and ignores it.
     max_iter : int
         Cloglog only: the Fisher-scoring budget.
 
@@ -96,7 +97,9 @@ def fit_gee(
     SingularDesign
         If the design is rank deficient.
     DidNotConverge
-        If Fisher scoring (cloglog) exhausts its budget.
+        If Fisher scoring (cloglog) exhausts its budget, or a fitted mean
+        reaches 0 or 1 to working precision, where the weights vanish and
+        no finite solution was reached.
     """
     y = pseudo.values if isinstance(pseudo, PseudoVector) else np.asarray(pseudo, float)
     Z = np.asarray(covariates, dtype=float)
@@ -120,18 +123,32 @@ def fit_gee(
 
 
 def _fisher_scoring(y, Z, link, tol, max_iter):
-    # Regress the link-transformed (clipped) responses to get a sane start.
-    clipped = np.clip(y, 1e-6, 1.0 - 1e-6)
+    # Start from the link-transformed least-squares fit, clipped into (0, 1):
+    # pseudo values themselves often lie outside it.
+    clipped = np.clip(Z @ np.linalg.lstsq(Z, y, rcond=None)[0], 1e-6, 1.0 - 1e-6)
     beta, *_ = np.linalg.lstsq(Z, link.link(clipped), rcond=None)
-    for iterations in range(max_iter + 1):
+    norm = math.inf
+    for iterations in range(1, max_iter + 1):
         eta = Z @ beta
-        w = link.derivative(eta)
-        estfun = Z.T @ (w * (y - link.inverse(eta)))
+        with np.errstate(over="ignore"):
+            mean = link.inverse(eta)
+            w = link.derivative(eta)
+        if not np.all((mean > 0.0) & (mean < 1.0)):
+            # At a mean of 0 or 1 the weights underflow and the estimating
+            # function vanishes without being solved; that is no convergence.
+            raise DidNotConverge(
+                f"fitted mean left (0, 1) after {iterations - 1} scoring steps: "
+                "the estimating equation has no finite solution within reach",
+                last_iterate=beta,
+                grad_norm=norm,
+                iterations=iterations - 1,
+            )
+        estfun = Z.T @ (w * (y - mean))
         norm = float(np.max(np.abs(estfun)))
-        if norm <= tol:
+        step = _solve((Z * w[:, None] ** 2).T @ Z, estfun)
+        beta = beta + step
+        if float(np.max(np.abs(step))) <= tol:
             return beta, iterations
-        if iterations < max_iter:
-            beta = beta + _solve((Z * w[:, None] ** 2).T @ Z, estfun)
     raise DidNotConverge(
         f"estimating equation not solved in {max_iter} iterations (norm {norm:.3e})",
         last_iterate=beta,

@@ -247,6 +247,25 @@ def test_regress_input_errors_exit_2(pseudo_text, cov_text, message, tmp_path, c
     assert message in err
 
 
+@pytest.mark.parametrize("pseudo_text, cov_text, message", [
+    (_PV.replace("3.5", "x"), _COV, "pv.csv: line 5, column 2: cannot parse 'x' as a number"),
+    ("\n" + _PV.replace("3.5", "x").replace("\n", "\n\n"), _COV,
+     "pv.csv: line 10, column 2: cannot parse 'x' as a number"),
+    (_PV, _COV.replace("0.5", "half"), "cov.csv: line 6, column 2: cannot parse 'half'"),
+    (_PV, _COV.replace("0,0\n", "0\n"), "cov.csv: line 5: expected 2 cells, got 1"),
+    (_PV, "\n" + _COV.replace("0,0\n", "0,0,0\n").replace("\n", "\r\n\r\n"),
+     "cov.csv: line 10: expected 2 cells, got 3"),
+    (_PV.replace("4,3.5\n", "4\n"), _COV, "pv.csv: line 5: expected at least 2 cells, got 1"),
+], ids=["bad-cell", "bad-cell-after-blank-lines", "bad-covariate-cell", "short-row",
+        "long-row-after-blank-lines", "no-pseudo-cell"])
+def test_regress_errors_name_the_file_line(pseudo_text, cov_text, message, tmp_path, capsys):
+    """Lines count from 1 in the file, header and blank lines included."""
+    assert _regress(tmp_path, pseudo_text, cov_text) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "usecols" not in err
+
+
 def test_simulate_is_deterministic(tmp_path, capsys):
     outs = []
     for name in ("s1.csv", "s2.csv"):

@@ -399,6 +399,24 @@ def test_save_is_byte_identical_to_row_by_row_formatting(scenario):
     assert buffer.getvalue() == _reference_csv(ds)
 
 
+def test_save_keeps_negative_zero_apart_from_zero(tmp_path):
+    """Covariate cells are formatted once per distinct value; -0.0 equals 0.0
+    but must keep its own text, in every formatting chunk."""
+    ds = generate(ScenarioConfig("rc", n=140_000, seed=5))
+    cov = ds.covariates.copy()
+    cov[::2, 1] = -0.0
+    cov[1::2, 1] = 0.0
+    cov[::3, 2] = -cov[::3, 2]
+    ds = Dataset(ds.kind, (ds.times, ds.status), cov, ds.covariate_names)
+    buffer = io.StringIO()
+    save_dataset(ds, buffer)
+    assert buffer.getvalue() == _reference_csv(ds)
+    path = tmp_path / "signed.csv"
+    path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
+    back = load_right_censored_dataset(path)
+    np.testing.assert_array_equal(np.signbit(back.covariates), np.signbit(cov))
+
+
 def test_pseudo_csv_is_byte_identical_to_row_by_row_formatting(tmp_path):
     ds = generate(ScenarioConfig("rc", n=3000, seed=4))
     data_path, out = tmp_path / "rc.csv", tmp_path / "pv.csv"

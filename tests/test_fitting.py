@@ -70,6 +70,42 @@ def test_warm_and_cold_starts_reach_the_same_optimum():
     np.testing.assert_allclose(warm.model.rates, cold.model.rates, atol=1e-8)
 
 
+def test_start_at_the_optimum_takes_one_step():
+    """From the optimum the first step is within tol, so it is taken without
+    a log-likelihood comparison and ends the fit."""
+    ds = generate(ScenarioConfig("ic1", n=200, seed=8))
+    cold = fit_pch(ds, IC_CUTS)
+    again = fit_pch(ds, IC_CUTS, init=cold.model.rates)
+    assert again.iterations == 1
+    np.testing.assert_allclose(again.model.rates, cold.model.rates, rtol=1e-14)
+
+
+@pytest.mark.parametrize("scenario", ["ic1", "ic2"])
+def test_record_order_changes_neither_iterations_nor_rates(scenario):
+    """Summation order moves the log-likelihood by a few ulps; the stopping
+    rule must not turn that into a different path."""
+    for seed in range(1, 6):
+        config = ScenarioConfig(scenario, n=100_000, seed=seed)
+        ds = generate(config)
+        grid = CutGrid(config.cuts)
+        fit = fit_pch(ds, grid)
+        rng = np.random.default_rng(seed)
+        for order in (np.arange(ds.n)[::-1], rng.permutation(ds.n)):
+            other = fit_pch(interval_dataset(ds.left[order], ds.right[order]), grid)
+            assert other.iterations == fit.iterations
+            np.testing.assert_allclose(other.model.rates, fit.model.rates, rtol=1e-13, atol=0)
+
+
+def test_ic2_replication_that_walked_to_the_cap_converges():
+    """From one global rate, Newton spent all 200 iterations walking the
+    nearly empty first piece's rate down on this replication."""
+    config = ScenarioConfig("ic2", n=1000, seed=1)
+    stream = np.random.SeedSequence(1).spawn(2)[1]
+    fit = fit_pch(generate(config, seed=stream), CutGrid(config.cuts))
+    assert fit.iterations <= 10
+    fit.info_factor
+
+
 def test_trace_is_monotone_and_counts_iterations():
     ds = generate(ScenarioConfig("ic1", n=200, seed=2))
     fit = fit_pch(ds, IC_CUTS)

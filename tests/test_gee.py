@@ -12,8 +12,12 @@ import pytest
 
 from pseudosurv import (
     DidNotConverge,
+    ScenarioConfig,
     SingularDesign,
     fit_gee,
+    generate,
+    km_fit,
+    km_pseudo_survival,
     sandwich_variance,
     wald_table,
 )
@@ -160,6 +164,36 @@ def test_scoring_budget_exhaustion():
     y = theta + rng.normal(scale=0.1, size=200)
     with pytest.raises(DidNotConverge):
         fit_gee(y, Z, LinkSpec(CLOGLOG), max_iter=1, tol=1e-14)
+
+
+def _km_survival_pseudo_design():
+    ds = generate(ScenarioConfig("rc", n=10_000, seed=1))
+    return km_pseudo_survival(km_fit(ds), 3.0), ds.covariates
+
+
+def test_cloglog_stops_when_the_fitted_mean_leaves_the_unit_interval():
+    """The z1_and_z2 cell's pseudo values average above 1, so the saturated
+    cloglog model has no finite solution: its coefficient runs off until the
+    weights underflow, which must not read as convergence."""
+    pv, Z = _km_survival_pseudo_design()
+    assert pv.values[Z[:, 3] == 1.0].mean() > 1.0
+    with pytest.raises(DidNotConverge, match=r"fitted mean left \(0, 1\)") as excinfo:
+        fit_gee(pv, Z, LinkSpec(CLOGLOG))
+    assert np.all(np.isfinite(excinfo.value.last_iterate))
+
+
+def test_cloglog_on_km_pseudo_values_fits_the_group_means():
+    """With z1_and_z2 merged into the baseline the three groups all average
+    inside (0, 1), and a design with one parameter per group fits each
+    group's mean exactly."""
+    pv, Z = _km_survival_pseudo_design()
+    Z = Z[:, :3]
+    fit = fit_gee(pv, Z, LinkSpec(CLOGLOG))
+    fitted = LinkSpec(CLOGLOG).inverse(Z @ fit.beta)
+    for group in np.unique(Z, axis=0):
+        rows = np.all(Z == group, axis=1)
+        assert fitted[rows][0] == pytest.approx(pv.values[rows].mean(), abs=1e-12)
+    assert np.all(np.isfinite(fit.se))
 
 
 def test_link_spec_validation():
