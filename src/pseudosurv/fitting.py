@@ -15,13 +15,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
 
 from .data import KIND_INTERVAL, Dataset
 from .errors import (
-    DegenerateInterval,
     DidNotConverge,
     EmptyInput,
     NonIdentifiable,
@@ -32,6 +32,8 @@ from .pch import (
     CutGrid,
     PchModel,
     PreparedLikelihood,
+    _kernel,
+    _rowdot,
     check_conditions,
     loglik_parts,
     prepare_likelihood,
@@ -190,7 +192,12 @@ def fit_pch(
     init_alpha = _initial_rates(dataset, grid) if init is None else np.asarray(init, float)
     if init_alpha.shape != (grid.K,) or not np.all(np.isfinite(init_alpha) & (init_alpha > 0)):
         raise ValueError("init must hold one positive rate per piece")
-    alpha, iterations, trace = newton_prepared(prep, init_alpha, tol, max_iter, report)
+    out = newton_prepared(prep, init_alpha[None], tol, max_iter, report)
+    if out.errors[0] is not None:
+        raise out.errors[0]
+    alpha = out.rates[0]
+    iterations = int(out.iterations[0])
+    trace = out.history[:iterations, 0].tolist()
     loglik, grad, hess = loglik_parts(alpha, prep)
     trace.append(loglik)
     info = -hess / dataset.n
@@ -207,93 +214,181 @@ def fit_pch(
     )
 
 
+class NewtonRows(NamedTuple):
+    """Per-row outcomes of ``newton_prepared`` on a stack of B likelihoods.
+
+    Parameters
+    ----------
+    rates : numpy.ndarray
+        (B, K) fitted rates; NaN in a row whose fit failed.
+    iterations : numpy.ndarray
+        (B,) Newton iterations each row took.
+    history : numpy.ndarray
+        (T, B) log-likelihoods: row 0 at the start, row t after the t-th
+        accepted step, NaN once a row has left the active set.
+    errors : tuple
+        Per row, None or the DidNotConverge or NonIdentifiable its fit
+        ended with.
+    """
+
+    rates: np.ndarray
+    iterations: np.ndarray
+    history: np.ndarray
+    errors: tuple
+
+
 def newton_prepared(
     prep: PreparedLikelihood,
     init_alpha: np.ndarray,
     tol: float,
     max_iter: int,
     report: ConditionReport | None = None,
-):
-    """Core Newton loop on a prepared likelihood.
+) -> NewtonRows:
+    """Core Newton loop on a stack of prepared likelihoods.
 
-    Returns (alpha, iterations, trace): the fitted rates, the steps taken
-    and the log-likelihood at the start and after every step but the last,
-    which ends the fit by the rule ``fit_pch`` documents for ``tol`` and is
-    taken without a kernel call. A caller that needs the log-likelihood or
-    the information at the fitted rates evaluates the kernel there once;
+    ``init_alpha`` holds B rows of starting rates, one per likelihood of
+    ``prep``: a stack from ``PreparedLikelihood.leave_out``, or B = 1 with
+    one unstacked likelihood. The rows iterate in lockstep, each by the
+    rule ``fit_pch`` documents for ``tol`` and with its own step, floor,
+    slack, step-halvings and rate bounds; one kernel call evaluates all the
+    rows still searching. A row that stops or fails leaves the active set;
+    a failure is recorded in the result, not raised. A row's last step is
+    taken without a kernel call, so a caller that needs the log-likelihood
+    or the information at the fitted rates evaluates the kernel there once;
     the leave-one-out oracle, which needs only the rates, calls this
     directly with warm starts, skipping dataset re-validation.
     """
+    init_alpha = np.asarray(init_alpha, dtype=float)
+    B, K = init_alpha.shape
+    n = prep.expo_left.shape[0]
+    rates = np.full((B, K), np.nan)
+    iterations = np.zeros(B, dtype=int)
+    errors = [None] * B
+
+    def settle(rows, it, alpha_rows):
+        """Record rows that stopped at alpha_rows, unless out of bounds."""
+        iterations[rows] = it
+        bad = _out_of_bounds(alpha_rows)
+        rates[rows[~bad]] = alpha_rows[~bad]
+        for row, alpha_row in zip(rows[bad], alpha_rows[bad]):
+            errors[row] = _bounds_error(alpha_row, report)
+
+    def fail(rows, it, alpha_rows, grad_rows, why):
+        iterations[rows] = it
+        for row, alpha_row, grad_row in zip(rows, alpha_rows, grad_rows):
+            grad_norm = float(np.max(np.abs(grad_row)))
+            errors[row] = DidNotConverge(
+                f"{why} (score norm {grad_norm:.3e})",
+                last_iterate=alpha_row,
+                grad_norm=grad_norm,
+                iterations=it,
+            )
+
+    act = np.arange(B)
     beta = np.log(init_alpha)
     alpha = init_alpha.copy()
     loglik, grad, hess = loglik_parts(alpha, prep)
-    trace = [loglik]
-    n = prep.expo_left.shape[0]
-    for iterations in range(1, max_iter + 1):
+    history = [loglik.copy()]
+    diag = np.arange(K)
+    for it in range(1, max_iter + 1):
         # Chain rule to log-rate space; the extra diagonal term comes from
         # differentiating the reparameterization itself.
         grad_b = alpha * grad
-        hess_b = alpha[:, None] * hess * alpha[None, :]
-        hess_b[np.diag_indices(prep.K)] += grad_b
-        step = None
-        try:
-            candidate = np.linalg.solve(hess_b, -grad_b)
-            if float(grad_b @ candidate) > 0:
-                step = candidate
-        except np.linalg.LinAlgError:
-            pass
-        if step is None:
-            # Hessian unusable; plain ascent, unit-capped
-            scale = max(1.0, float(np.max(np.abs(grad_b))))
-            step = grad_b / scale
+        hess_b = alpha[:, :, None] * hess * alpha[:, None, :]
+        hess_b[:, diag, diag] += grad_b
+        step = _ascent_steps(hess_b, grad_b)
         # A step within tol ends the fit; so does one whose predicted gain
         # is below the rounding of a sum of n log-densities, which no
         # comparison of log-likelihoods can judge. Either is taken whole.
-        floor = FLOOR_ULPS * np.spacing(max(abs(loglik), n))
-        if float(np.max(np.abs(step))) <= tol or float(grad_b @ step) <= floor:
+        floor = FLOOR_ULPS * np.spacing(np.maximum(np.abs(loglik), n))
+        done = (np.abs(step).max(axis=1) <= tol) | (_rowdot(grad_b, step) <= floor)
+        if done.any():
             with np.errstate(over="ignore"):
-                alpha = np.exp(beta + step)
-            _check_bounds(alpha, report)
-            return alpha, iterations, trace
-
-        worst = loglik - SLACK_ULPS * np.spacing(abs(loglik))
-        factor = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            with np.errstate(over="ignore"):
-                alpha_new = np.exp(beta + factor * step)
-            if np.all(np.isfinite(alpha_new)) and np.all(alpha_new > 0):
-                try:
-                    cand = loglik_parts(alpha_new, prep)
-                except DegenerateInterval:
-                    cand = None
-                if cand is not None and np.isfinite(cand[0]) and cand[0] >= worst:
-                    break
-            factor /= 2.0
-        else:
-            grad_norm = float(np.max(np.abs(grad)))
-            raise DidNotConverge(
-                "step-halving found no improving step "
-                f"(score norm {grad_norm:.3e})",
-                last_iterate=alpha,
-                grad_norm=grad_norm,
-                iterations=iterations,
+                settle(act[done], it, np.exp(beta[done] + step[done]))
+            act, beta, alpha, loglik, grad, hess, step = (
+                x[~done] for x in (act, beta, alpha, loglik, grad, hess, step)
             )
-        beta, alpha = beta + factor * step, alpha_new
-        loglik, grad, hess = cand
-        trace.append(loglik)
-        _check_bounds(alpha, report)
-    grad_norm = float(np.max(np.abs(grad)))
-    raise DidNotConverge(
-        f"no convergence in {max_iter} iterations (score norm {grad_norm:.3e})",
-        last_iterate=alpha,
-        grad_norm=grad_norm,
-        iterations=max_iter,
-    )
+            if not act.size:
+                break
+
+        # Each row halves its own step until its log-likelihood is within
+        # rounding slack of its current one; the rows halve in lockstep, and
+        # a row's accepted point replaces its current one in place.
+        worst = loglik - SLACK_ULPS * np.spacing(np.abs(loglik))
+        factor = np.ones(act.size)
+        searching = np.ones(act.size, dtype=bool)
+        for _ in range(MAX_HALVINGS + 1):
+            pending = np.flatnonzero(searching)
+            with np.errstate(over="ignore"):
+                trial = np.exp(beta[pending] + factor[pending, None] * step[pending])
+            # Rates that overflow or underflow, and brackets whose mass
+            # underflows, are rejected without a kernel call.
+            ok = np.flatnonzero((np.isfinite(trial) & (trial > 0)).all(axis=1))
+            dlam = trial[ok] @ prep.diff.T
+            has_mass = (dlam > 0.0).all(axis=1)
+            ok, dlam = ok[has_mass], dlam[has_mass]
+            if ok.size:
+                rows = pending[ok]
+                cand = (trial[ok],) + _kernel(trial[ok], dlam, prep.take(act[rows]))
+                won = np.isfinite(cand[1]) & (cand[1] >= worst[rows])
+                for current, value in zip((alpha, loglik, grad, hess), cand):
+                    current[rows[won]] = value[won]
+                searching[rows[won]] = False
+                if not searching.any():
+                    break
+            factor[searching] /= 2.0
+        if searching.any():
+            fail(act[searching], it, alpha[searching], grad[searching],
+                 "step-halving found no improving step")
+            kept = ~searching
+            act, beta, alpha, loglik, grad, hess, step, factor = (
+                x[kept] for x in (act, beta, alpha, loglik, grad, hess, step, factor)
+            )
+        beta = beta + factor[:, None] * step
+        recorded = np.full(B, np.nan)
+        recorded[act] = loglik
+        history.append(recorded)
+        bad = _out_of_bounds(alpha)
+        if bad.any():
+            settle(act[bad], it, alpha[bad])
+            act, beta, alpha, loglik, grad, hess = (
+                x[~bad] for x in (act, beta, alpha, loglik, grad, hess)
+            )
+        if not act.size:
+            break
+    else:
+        fail(act, max_iter, alpha, grad, f"no convergence in {max_iter} iterations")
+    return NewtonRows(rates, iterations, np.array(history), tuple(errors))
 
 
-def _check_bounds(alpha, report):
-    if np.all(alpha <= RATE_UPPER_BOUND) and np.all(alpha >= RATE_LOWER_BOUND):
-        return
+def _ascent_steps(hess_b, grad_b):
+    """Newton steps of a stack of log-rate problems, one row each.
+
+    A row whose Hessian is singular, or whose Newton step does not ascend,
+    takes plain gradient ascent instead, capped at unit size.
+    """
+    try:
+        step = np.linalg.solve(hess_b, -grad_b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # Some row is singular; solve row by row, leaving its step NaN.
+        step = np.full_like(grad_b, np.nan)
+        for row, (h, g) in enumerate(zip(hess_b, grad_b)):
+            try:
+                step[row] = np.linalg.solve(h, -g)
+            except np.linalg.LinAlgError:
+                pass
+    ascends = _rowdot(grad_b, step) > 0
+    scale = np.fmax(1.0, np.max(np.abs(grad_b), axis=1))
+    return np.where(ascends[:, None], step, grad_b / scale[:, None])
+
+
+def _out_of_bounds(alpha):
+    """Rows with a rate beyond the bounds, an overflow to inf included."""
+    return ~((alpha <= RATE_UPPER_BOUND) & (alpha >= RATE_LOWER_BOUND)).all(axis=1)
+
+
+def _bounds_error(alpha, report):
+    """The NonIdentifiable for one row of rates beyond the bounds."""
     k = int(np.argmax(alpha)) if np.any(alpha > RATE_UPPER_BOUND) else int(np.argmin(alpha))
     direction = "diverged" if alpha[k] > RATE_UPPER_BOUND else "collapsed toward zero"
     condition = None
@@ -305,7 +400,7 @@ def _check_bounds(alpha, report):
         elif report.exceed_counts[k] == 0:
             condition = 2
             detail = "; no left endpoint exceeds the piece's lower edge"
-    raise NonIdentifiable(
+    return NonIdentifiable(
         f"rate of piece {k + 1} {direction} during fitting{detail}",
         piece=k + 1,
         condition=condition,

@@ -6,10 +6,14 @@ n * theta - (n - 1) * theta_(-l). This module recomputes theta_(-l)
 honestly for every subject: by rebuilding the product-limit curve for the
 Kaplan-Meier targets, and for the piecewise-hazard targets by a full
 (warm-started) refit of the fit's own likelihood kernel with subject l's
-weight set to zero. The fast formulas elsewhere in the package
-differentiate that kernel in the weight instead of refitting (the
-infinitesimal jackknife); they are validated against, and benchmarked
-against, these oracles.
+weight set to zero. The subjects are taken in blocks, and a block's
+curves, or its refits, are computed together in numpy calls: one
+cumulative product for the block's curves, one Newton loop whose rows
+iterate in lockstep for its refits. Every refit still runs to its own
+convergence. The fast formulas elsewhere in the package differentiate
+the kernel in the weight instead of refitting (the infinitesimal
+jackknife); they are validated against, and benchmarked against, these
+oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 import numpy as np
 
 from .data import Dataset
-from .errors import DidNotConverge, NoEvents, NonIdentifiable, check_tau, check_time
+from .errors import NoEvents, check_tau, check_time
 from .fitting import PchFit, fit_pch, newton_prepared
 from .km import (
     JACKKNIFE,
@@ -31,7 +35,12 @@ from .km import (
     _step_value,
     km_fit,
 )
-from .pch import CutGrid, PchModel, loglik_parts, prepare_likelihood, rmst_closed_form
+from .pch import CutGrid, loglik_parts, prepare_likelihood, rmst_rows, survival_rows
+
+# A block of left-out subjects holds at most this many elements per
+# block-by-column array: subjects times event times for the product-limit
+# curves, subjects times bracket records for the refits.
+BLOCK_ELEMENTS = 1 << 15
 
 
 def jackknife_km(dataset: Dataset, target: str, horizon: float) -> PseudoVector:
@@ -61,26 +70,23 @@ def jackknife_km(dataset: Dataset, target: str, horizon: float) -> PseudoVector:
     status = km.status
     n = km.n
     u, d, r = _event_grid(times, status)
+    events = np.flatnonzero(status == 1)
+    if events.size == 1:
+        raise NoEvents(
+            f"removing subject {events[0]} leaves a sample with no events",
+            subject=int(events[0]),
+        )
+    where = np.searchsorted(u, times)
+    evaluate = _step_value if target == SURVIVAL else _step_integral
     loo = np.empty(n)
-    for l in range(n):
-        at_risk = u <= times[l]
-        r_l = r - at_risk
-        if status[l] == 1:
-            d_l = d.copy()
-            d_l[np.searchsorted(u, times[l])] -= 1
-            if d_l.sum() == 0:
-                raise NoEvents(
-                    f"removing subject {l} leaves a sample with no events",
-                    subject=l,
-                )
-        else:
-            d_l = d
-        # Event times whose last at-risk subject was l keep a factor of 1.
-        survival = np.cumprod(1.0 - d_l / np.maximum(r_l, 1))
-        if target == SURVIVAL:
-            loo[l] = _step_value(u, survival, horizon)
-        else:
-            loo[l] = _step_integral(u, survival, horizon)
+    for rows in _blocks(n, u.size):
+        at_risk = r - (u <= times[rows, None])
+        deaths = np.tile(d, (rows.size, 1))
+        died = np.flatnonzero(status[rows] == 1)
+        deaths[died, where[rows[died]]] -= 1
+        # Event times whose last at-risk subject was left out keep a factor of 1.
+        survival = np.cumprod(1.0 - deaths / np.maximum(at_risk, 1), axis=1)
+        loo[rows] = evaluate(u, survival, horizon)
     values = n * full - (n - 1) * loo
     return PseudoVector(values, target, float(horizon), JACKKNIFE)
 
@@ -124,18 +130,18 @@ def jackknife_pch(
             f"provided fit is not of this dataset: its log-likelihood {fit.loglik!r}"
             f" is {loglik!r} on the dataset"
         )
-    full = _pch_statistic(fit.model, target, horizon)
+    full = float(_pch_statistic(grid, alpha_full, target, horizon))
 
     n = dataset.n
-    loo = np.empty(n)
+    rates = np.empty((n, grid.K))
     flagged = np.zeros(n, dtype=bool)
-    for l in range(n):
-        try:
-            alpha_l, *_ = newton_prepared(prep.leave_out(l), alpha_full, tol, max_iter)
-            loo[l] = _pch_statistic(PchModel(grid, alpha_l), target, horizon)
-        except (DidNotConverge, NonIdentifiable):
-            loo[l] = np.nan
-            flagged[l] = True
+    for rows in _blocks(n, prep.diff.shape[0]):
+        out = newton_prepared(
+            prep.leave_out(rows), np.tile(alpha_full, (rows.size, 1)), tol, max_iter
+        )
+        rates[rows] = out.rates
+        flagged[rows] = [error is not None for error in out.errors]
+    loo = _pch_statistic(grid, rates, target, horizon)
     values = n * full - (n - 1) * loo
     return PseudoVector(
         values, target, float(horizon), JACKKNIFE,
@@ -143,10 +149,19 @@ def jackknife_pch(
     )
 
 
-def _pch_statistic(model: PchModel, target: str, horizon: float) -> float:
+def _pch_statistic(grid: CutGrid, rates: np.ndarray, target: str, horizon: float):
+    """The target at each row of rates; a failed refit's NaN row stays NaN."""
     if target == SURVIVAL:
-        return float(model.survival(horizon))
-    return rmst_closed_form(model, horizon)
+        return survival_rows(grid, rates, horizon)
+    return rmst_rows(grid, rates, horizon)
+
+
+def _blocks(n: int, columns: int):
+    """Consecutive blocks of subject indices, each holding at most
+    ``BLOCK_ELEMENTS`` subject-by-column elements, at least one subject."""
+    size = max(1, BLOCK_ELEMENTS // max(columns, 1))
+    for start in range(0, n, size):
+        yield np.arange(start, min(start + size, n))
 
 
 def _check_target(target, horizon, finite=True):

@@ -104,7 +104,7 @@ class KmFit:
                 f"{self.max_time}; flat extension used",
                 stacklevel=2,
             )
-        return _step_value(self.event_times, self.survival, t)
+        return float(_step_value(self.event_times, self.survival, t))
 
     def rmst(self, tau: float) -> float:
         """Integral of the product-limit curve over [0, tau], exact on the step grid."""
@@ -115,7 +115,7 @@ class KmFit:
                 "nobody is at risk near tau and the curve is extended flat",
                 stacklevel=2,
             )
-        return _step_integral(self.event_times, self.survival, tau)
+        return float(_step_integral(self.event_times, self.survival, tau))
 
     def survival_curve(self) -> tuple[np.ndarray, np.ndarray]:
         """Plot-ready step curve (times, survival) starting at (0, 1)."""
@@ -233,15 +233,19 @@ def _event_grid(times, status):
 
 
 def _step_value(knots, values, t):
-    """Right-continuous step evaluation; 1 before the first knot."""
+    """Right-continuous step evaluation at t of each row of values (the last
+    axis runs along the knots); 1 before the first knot."""
     j = int(np.searchsorted(knots, t, side="right")) - 1
-    return 1.0 if j < 0 else float(values[j])
+    return np.ones(values.shape[:-1]) if j < 0 else values[..., j]
 
 
 def _step_integral(knots, values, tau):
-    """Exact integral over [0, tau] of the right-continuous step curve
-    that equals 1 before the first knot and values[j] on [knots[j], knots[j+1])."""
+    """Exact integral over [0, tau] of each row of values read as the
+    right-continuous step curve that equals 1 before the first knot and
+    values[..., j] on [knots[j], knots[j+1])."""
     m = int(np.searchsorted(knots, tau, side="left"))
     pts = np.concatenate([[0.0], knots[:m], [tau]])
-    vals = np.concatenate([[1.0], values[:m]])
-    return float(np.dot(vals, np.diff(pts)))
+    vals = np.concatenate([np.ones(values.shape[:-1] + (1,)), values[..., :m]], axis=-1)
+    # One BLAS dot per row, as for a single curve, so that a row's integral
+    # does not depend on the rows evaluated with it.
+    return (vals[..., None, :] @ np.diff(pts)[:, None])[..., 0, 0]

@@ -98,12 +98,6 @@ class PchModel:
         if not np.all(np.isfinite(rates)) or np.any(rates <= 0):
             raise ValueError("all hazard rates must be finite and positive")
 
-    @cached_property
-    def _cum_at_lower(self) -> np.ndarray:
-        """Cumulative hazard at each piece's left edge."""
-        inner = self.rates[:-1] * self.grid.widths[:-1]
-        return np.concatenate([[0.0], np.cumsum(inner)])
-
     def cum_hazard(self, t):
         return self.grid.exposure(t) @ self.rates
 
@@ -155,7 +149,22 @@ def rmst_closed_form(model: PchModel, tau) -> float:
     w_l, evaluated through expm1 so that small rates lose no precision.
     """
     check_tau(tau)
-    return float(_piece_areas(model, float(tau))[0].sum())
+    return float(rmst_rows(model.grid, model.rates, float(tau)))
+
+
+def rmst_rows(grid: CutGrid, rates: np.ndarray, tau: float) -> np.ndarray:
+    """Restricted means at tau of a stack of rate rows, shape (K,) or (B, K).
+
+    Row by row the same closed form as ``rmst_closed_form``, without its
+    domain check; a row of NaN rates gives NaN.
+    """
+    return _piece_areas(grid, rates, tau)[0].sum(axis=-1)
+
+
+def survival_rows(grid: CutGrid, rates: np.ndarray, t: float) -> np.ndarray:
+    """Survival at the time t of a stack of rate rows, shape (K,) or (B, K);
+    each row rounds exactly as ``PchModel.survival`` does."""
+    return np.exp(-_rowdot(rates, grid.exposure(t)))
 
 
 def rmst_gradient(model: PchModel, tau) -> np.ndarray:
@@ -169,7 +178,7 @@ def rmst_gradient(model: PchModel, tau) -> np.ndarray:
     """
     check_tau(tau)
     grid = model.grid
-    areas, active, w, a, s_left = _piece_areas(model, float(tau))
+    areas, active, w, a, s_left = _piece_areas(grid, model.rates, float(tau))
     # Area under S strictly beyond each piece's right edge.
     tail = np.concatenate([np.cumsum(areas[::-1])[::-1][1:], [0.0]])
     out = np.zeros(grid.K)
@@ -246,20 +255,23 @@ def check_conditions(dataset: Dataset, grid: CutGrid) -> ConditionReport:
     return ConditionReport(tuple(finite_counts), tuple(exceed_counts), tuple(violations))
 
 
-def _piece_areas(model: PchModel, tau: float):
+def _piece_areas(grid: CutGrid, rates: np.ndarray, tau: float):
     """Area under survival within each piece, truncated at tau.
 
-    Returns (areas, active, w, a, s_left): the K areas, then the mask of the
-    pieces that start before tau and, for those, their widths truncated at
-    tau, their rates and the survival at their left edges.
+    ``rates`` is one row of K rates or a (B, K) stack; the last axis runs
+    over pieces throughout. Returns (areas, active, w, a, s_left): the
+    areas, then the mask of the pieces that start before tau and, for
+    those, their widths truncated at tau, their rates and the survival at
+    their left edges.
     """
-    grid = model.grid
-    areas = np.zeros(grid.K)
     active = tau > grid.lower
     w = np.minimum(grid.upper, tau)[active] - grid.lower[active]
-    a = model.rates[active]
-    s_left = np.exp(-model._cum_at_lower[active])
-    areas[active] = s_left * (-np.expm1(-a * w)) / a
+    a = rates[..., active]
+    inner = np.cumsum(rates[..., :-1] * grid.widths[:-1], axis=-1)
+    cum_at_lower = np.concatenate([np.zeros(rates.shape[:-1] + (1,)), inner], axis=-1)
+    s_left = np.exp(-cum_at_lower[..., active])
+    areas = np.zeros(rates.shape)
+    areas[..., active] = s_left * (-np.expm1(-a * w)) / a
     return areas, active, w, a, s_left
 
 
@@ -289,7 +301,9 @@ class PreparedLikelihood:
     or zero when left out. The terms that do not depend on the rates are
     hoisted: ``expo_sum`` is the weighted column sum of ``expo_left`` and
     ``exact_counts`` the weighted number of exact records per piece;
-    ``bracket_weights`` holds the bracket records' weights.
+    ``bracket_weights`` holds the bracket records' weights. In a stack made
+    by ``leave_out`` these three gain a leading axis with one row per
+    likelihood, and ``loglik_parts`` evaluates one rate row against each.
     """
 
     K: int
@@ -302,18 +316,36 @@ class PreparedLikelihood:
     exact_counts: np.ndarray
     bracket_weights: np.ndarray
 
-    def leave_out(self, l: int) -> "PreparedLikelihood":
-        """The same likelihood with subject l's weight set to zero.
+    def leave_out(self, rows) -> "PreparedLikelihood":
+        """A stack of B likelihoods, the b-th with subject rows[b]'s weight set to zero.
 
-        The view shares ``expo_left`` and ``diff``; only the K-vectors and
-        the bracket weights are new, so no n x K array is copied.
+        The stack shares ``expo_left`` and ``diff``; only the B x K sums and
+        the B x (bracket rows) weights are new, so no n x K array is copied.
         """
-        exact_piece = self.exact_piece[self.exact_rows == l]
+        rows = np.asarray(rows, dtype=int)
+        expo_sum = self.expo_sum - self.expo_left[rows]
+        exact_counts = np.tile(self.exact_counts, (rows.size, 1))
+        b, j = _matches(self.exact_rows, rows)
+        exact_counts[b, self.exact_piece[j]] -= 1.0
+        bracket_weights = np.tile(self.bracket_weights, (rows.size, 1))
+        b, j = _matches(self.interval_rows, rows)
+        bracket_weights[b, j] = 0.0
         return replace(
             self,
-            expo_sum=self.expo_sum - self.expo_left[l],
-            exact_counts=self.exact_counts - np.bincount(exact_piece, minlength=self.K),
-            bracket_weights=np.where(self.interval_rows == l, 0.0, self.bracket_weights),
+            expo_sum=expo_sum,
+            exact_counts=exact_counts,
+            bracket_weights=bracket_weights,
+        )
+
+    def take(self, idx) -> "PreparedLikelihood":
+        """Rows idx of a stack; an unstacked likelihood is returned as is."""
+        if self.bracket_weights.ndim == 1:
+            return self
+        return replace(
+            self,
+            expo_sum=self.expo_sum[idx],
+            exact_counts=self.exact_counts[idx],
+            bracket_weights=self.bracket_weights[idx],
         )
 
 
@@ -349,38 +381,64 @@ def loglik_parts(alpha, prep: PreparedLikelihood):
     for the bracket weights w and the bracket increments dlam = diff @ alpha,
     so a call reads the bracket rows and never the n x K exposures.
 
-    Returns (loglik, gradient, Hessian). The Hessian is symmetric only to
-    rounding, because it is formed as (curve * diff).T @ diff from two
-    different factors; ``fit_pch`` symmetrizes the information it keeps.
+    alpha is one row of K rates, or a (B, K) stack evaluated row by row
+    against a stack from ``leave_out`` or against one unstacked likelihood.
+    Returns (loglik, gradient, Hessian), of shapes (), (K,), (K, K) for one
+    row and (B,), (B, K), (B, K, K) for a stack. The Hessian is symmetric
+    only to rounding, because it is formed as (curve * diff).T @ diff from
+    two different factors; ``fit_pch`` symmetrizes the information it keeps.
     Raises DegenerateInterval if any bracket's mass underflows to zero, a
     zero-weight bracket included; that happens only at rates far outside
     the fitter's bounds.
     """
     alpha = np.asarray(alpha, dtype=float)
-    dlam = _bracket_increments(alpha, prep)
+    loglik, grad, hess = _kernel(alpha, _bracket_increments(alpha, prep), prep)
+    return (float(loglik) if alpha.ndim == 1 else loglik), grad, hess
+
+
+def _kernel(alpha, dlam, prep: PreparedLikelihood):
+    """``loglik_parts`` at known bracket increments dlam, all of them positive."""
     w = prep.bracket_weights
     counts = prep.exact_counts
     # numpy's pairwise sum, not a BLAS dot: near the maximum the line search
     # compares log-likelihoods that differ by less than their rounding, and
     # a dot over n terms rounds several units in the last place worse.
-    log_mass = (w * np.log(-np.expm1(-dlam))).sum()
-    loglik = -prep.expo_sum @ alpha + log_mass + counts @ np.log(alpha)
+    log_mass = (w * np.log(-np.expm1(-dlam))).sum(axis=-1)
+    loglik = -_rowdot(prep.expo_sum, alpha) + log_mass + _rowdot(counts, np.log(alpha))
     # expm1 may overflow to inf for extreme trial rates during line
     # search; the reciprocal is then exactly the limiting value 0.
     with np.errstate(over="ignore"):
         inv = 1.0 / np.expm1(dlam)
     grad = -prep.expo_sum + (w * inv) @ prep.diff + counts / alpha
 
-    hess = np.zeros((prep.K, prep.K))
+    hess = np.zeros(alpha.shape + (prep.K,))
+    diag = np.arange(prep.K)
     # For trial rates where a bracket's mass nearly underflows, or where a
     # rate's square over- or underflows, the curvature is not finite; such
     # steps are rejected (their log-likelihood is far worse) or end the fit
     # at the rate bounds, so the noise is suppressed.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         curve = np.exp(-dlam) / np.expm1(-dlam) ** 2 * w
-        hess -= (prep.diff * curve[:, None]).T @ prep.diff
-        hess[np.diag_indices(prep.K)] -= counts / alpha**2
-    return float(loglik), grad, hess
+        hess -= (curve[..., None] * prep.diff).swapaxes(-1, -2) @ prep.diff
+        hess[..., diag, diag] -= counts / alpha**2
+    return loglik, grad, hess
+
+
+def _rowdot(x, y):
+    """Row-wise dot products over the last axis, broadcasting the rows.
+
+    Each row goes through the same BLAS dot as a single vector's ``x @ y``,
+    so a one-row stack rounds exactly as the vector does.
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _matches(sorted_rows, rows):
+    """Index pairs (i, j) with sorted_rows[j] == rows[i]; sorted_rows ascends."""
+    j = np.searchsorted(sorted_rows, rows)
+    i = np.flatnonzero(j < sorted_rows.size)
+    i = i[sorted_rows[j[i]] == rows[i]]
+    return i, j[i]
 
 
 def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
@@ -410,9 +468,10 @@ def score_matrix(alpha, prep: PreparedLikelihood) -> np.ndarray:
 
 
 def _bracket_increments(alpha, prep: PreparedLikelihood) -> np.ndarray:
-    """Cumulative hazard across each bracket; raises if one has no mass."""
-    dlam = prep.diff @ alpha
+    """Cumulative hazard across each bracket, for each rate row; raises if
+    one has no mass."""
+    dlam = alpha @ prep.diff.T
     if np.any(dlam <= 0.0):
-        bad = prep.interval_rows[int(np.argmin(dlam))]
+        bad = prep.interval_rows[int(np.argmin(dlam)) % dlam.shape[-1]]
         raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")
     return dlam

@@ -19,7 +19,7 @@ from pseudosurv import (
     interval_dataset,
     right_censored_dataset,
 )
-from pseudosurv.fitting import PchFit, observed_information
+from pseudosurv.fitting import PchFit, _ascent_steps, observed_information
 from pseudosurv.pch import loglik_parts, prepare_likelihood
 from pseudosurv.simulate import ScenarioConfig, generate
 
@@ -177,6 +177,18 @@ def test_iteration_budget_exhaustion_carries_state():
     assert exc.last_iterate.shape == (IC_CUTS.K,)
     assert np.all(exc.last_iterate > 0)
     assert exc.grad_norm > 1e-8
+
+
+def test_a_singular_row_takes_ascent_and_the_others_keep_their_newton_step():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3))
+    concave = -(a @ a.T + 3.0 * np.eye(3))
+    hess_b = np.stack([concave, np.zeros((3, 3)), concave])
+    grad_b = rng.normal(size=(3, 3))
+    step = _ascent_steps(hess_b, grad_b)
+    for row in (0, 2):
+        np.testing.assert_array_equal(step[row], np.linalg.solve(concave, -grad_b[row]))
+    np.testing.assert_array_equal(step[1], grad_b[1] / max(1.0, np.max(np.abs(grad_b[1]))))
 
 
 def _manual_fit(info):

@@ -21,6 +21,7 @@ from pseudosurv import (
     km_fit,
     right_censored_dataset,
 )
+from pseudosurv import jackknife
 from pseudosurv.pch import rmst_closed_form
 from pseudosurv.simulate import ScenarioConfig, generate
 
@@ -81,6 +82,15 @@ def test_removing_the_only_event_is_an_error():
     with pytest.raises(NoEvents) as excinfo:
         jackknife_km(ds, "survival", 1.5)
     assert excinfo.value.subject == 0
+
+
+def test_no_events_names_the_subject_past_the_first_block(monkeypatch):
+    # one event time, so blocks of two subjects: the only event is in the fifth
+    monkeypatch.setattr(jackknife, "BLOCK_ELEMENTS", 2)
+    ds = right_censored_dataset(np.arange(1.0, 11.0), [0] * 8 + [1, 0])
+    with pytest.raises(NoEvents) as excinfo:
+        jackknife_km(ds, "survival", 5.0)
+    assert excinfo.value.subject == 8
 
 
 def test_km_target_validation():
@@ -172,3 +182,53 @@ def test_failed_subfit_is_flagged_not_fatal():
     assert pv.flagged.sum() == 1
     assert math.isnan(pv.values[6])
     assert np.all(np.isfinite(np.delete(pv.values, 6)))
+
+
+def _by_single_subjects(monkeypatch, run):
+    """The oracle's output at the default block size, then one subject a block."""
+    default = run()
+    monkeypatch.setattr(jackknife, "BLOCK_ELEMENTS", 1)
+    return default, run()
+
+
+def _assert_same_pseudo(a, b):
+    np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+    if a.flagged is None or b.flagged is None:
+        assert a.flagged is None and b.flagged is None
+    else:
+        np.testing.assert_array_equal(a.flagged, b.flagged)
+
+
+@pytest.mark.parametrize("target", ["survival", "rmst"])
+def test_km_jackknife_does_not_depend_on_the_block_size(monkeypatch, target):
+    rng = np.random.default_rng(5)
+    times = np.round(rng.exponential(2.0, 80)) + 1.0  # eight distinct times
+    status = (rng.uniform(size=80) < 0.6).astype(int)
+    ds = right_censored_dataset(times, status)
+    default, single = _by_single_subjects(
+        monkeypatch, lambda: jackknife_km(ds, target, 3.5)
+    )
+    _assert_same_pseudo(default, single)
+
+
+@pytest.mark.parametrize(
+    "scenario,n,seed,target,horizon",
+    [
+        ("ic1", 60, 2, "rmst", 8.0),
+        ("ic1", 60, 2, "survival", 5.5),
+        ("ic2", 60, 19, "rmst", math.inf),  # five refits fail
+    ],
+)
+def test_pch_jackknife_does_not_depend_on_the_block_size(
+    monkeypatch, scenario, n, seed, target, horizon
+):
+    config = ScenarioConfig(scenario, n=n, seed=seed)
+    ds = generate(config)
+    grid = CutGrid(config.cuts)
+    fit = fit_pch(ds, grid)
+    default, single = _by_single_subjects(
+        monkeypatch, lambda: jackknife_pch(ds, grid, target, horizon, fit=fit)
+    )
+    if scenario == "ic2":
+        assert default.flagged is not None and default.flagged.sum() == 5
+    _assert_same_pseudo(default, single)

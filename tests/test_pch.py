@@ -8,6 +8,7 @@ the likelihood kernel evaluated on a one-record dataset.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from pseudosurv import (
     rmst_gradient,
 )
 from pseudosurv.data import EXACT, LEFT_CENSORED, RIGHT_CENSORED, STRICT_INTERVAL
-from pseudosurv.pch import loglik_parts, prepare_likelihood, score_matrix
+from pseudosurv.pch import (
+    loglik_parts,
+    prepare_likelihood,
+    rmst_rows,
+    score_matrix,
+    survival_rows,
+)
 from pseudosurv.simulate import ScenarioConfig, generate
 
 
@@ -250,6 +257,32 @@ def test_rmst_gradient_unrestricted_last_piece():
         assert -fd == pytest.approx(g[k], rel=1e-6)
 
 
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_stacked_rows_match_the_scalar_model(K):
+    # rows of rates as the leave-one-out oracle evaluates them, one NaN row
+    # standing for a failed refit
+    rng = np.random.default_rng(40 + K)
+    grid = CutGrid(tuple(np.sort(rng.uniform(0.3, 6.0, K - 1))))
+    rates = rng.uniform(0.05, 3.0, (6, K))
+    rates[2] = np.nan
+    fine = np.arange(6) != 2
+    first_cut = grid.cuts[0] if grid.cuts else 1.0
+    for tau in (math.inf, 0.5 * first_cut, 3.0, 9.0):
+        t = tau if math.isfinite(tau) else 9.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rmst = rmst_rows(grid, rates, tau)
+            surv = survival_rows(grid, rates, t)
+        assert np.isnan(rmst[2]) and np.isnan(surv[2])
+        models = [PchModel(grid, row) for row in rates[fine]]
+        np.testing.assert_allclose(
+            rmst[fine], [rmst_closed_form(m, tau) for m in models], rtol=1e-15, atol=0
+        )
+        np.testing.assert_allclose(
+            surv[fine], [float(m.survival(t)) for m in models], rtol=1e-15, atol=0
+        )
+
+
 # ---------------------------------------------------------------------------
 # Per-record log-density, score, Hessian from one-record kernels
 
@@ -403,13 +436,16 @@ def test_leave_out_by_weight_matches_subset_dataset():
     ds = interval_dataset([r.left for r in records], [r.right for r in records])
     prep = prepare_likelihood(ds, model.grid)
     classes = [r.censoring_class for r in records]
-    for cls in (STRICT_INTERVAL, RIGHT_CENSORED, EXACT, LEFT_CENSORED):
-        l = classes.index(cls)
+    # one left-out subject of every censoring class, each against its own rates
+    block = [classes.index(c) for c in (STRICT_INTERVAL, RIGHT_CENSORED, EXACT, LEFT_CENSORED)]
+    rates = model.rates * rng.uniform(0.5, 2.0, (len(block), model.grid.K))
+    stack = prep.leave_out(block)
+    assert np.shares_memory(stack.expo_left, prep.expo_left)
+    assert np.shares_memory(stack.diff, prep.diff)
+    stacked = loglik_parts(rates, stack)
+    for b, l in enumerate(block):
         kept = [r for i, r in enumerate(records) if i != l]
         sub = interval_dataset([r.left for r in kept], [r.right for r in kept])
         direct = prepare_likelihood(sub, model.grid)
-        view = prep.leave_out(l)
-        assert np.shares_memory(view.expo_left, prep.expo_left)
-        assert np.shares_memory(view.diff, prep.diff)
-        for a, b in zip(loglik_parts(model.rates, direct), loglik_parts(model.rates, view)):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        for a, rows in zip(loglik_parts(rates[b], direct), stacked):
+            np.testing.assert_allclose(a, rows[b], rtol=0, atol=1e-12)
