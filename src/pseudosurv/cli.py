@@ -31,6 +31,8 @@ from .pch import CutGrid, evaluate
 from .simulate import ScenarioConfig, benchmark, monte_carlo
 
 _TOL_HELP = "Newton stops after a full step that moves no log-rate by more than this"
+# Rows formatted per string by _csv, which bounds the text held at once.
+_CSV_ROWS = 1 << 16
 
 
 class _UsageError(Exception):
@@ -143,8 +145,7 @@ def _cmd_pseudo(args):
         else:
             pv = jackknife_km(dataset, target, horizon)
         if args.curve_out:
-            t, s = km.survival_curve()
-            _emit(_curve_csv(t, s), args.curve_out)
+            _emit(_csv("t,survival\n", "%.12g,%.12g\n", *km.survival_curve()), args.curve_out)
     else:
         dataset = load_interval_dataset(args.data)
         grid = _make_grid(args.cuts)
@@ -163,8 +164,7 @@ def _cmd_pseudo(args):
             "their pseudo values are NaN",
             file=sys.stderr,
         )
-    rows = enumerate(pv.values.tolist(), start=1)
-    _emit("id,pseudo\n" + "".join([f"{i},{v:.12g}\n" for i, v in rows]), args.out)
+    _emit(_csv("id,pseudo\n", "%d,%.12g\n", np.arange(1, pv.n + 1), pv.values), args.out)
 
 
 def _cmd_fit(args):
@@ -281,21 +281,29 @@ def _make_config(args) -> ScenarioConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _curve_csv(t, s) -> str:
-    lines = ["t,survival"]
-    lines += [f"{a:.12g},{b:.12g}" for a, b in zip(t, s)]
-    return "\n".join(lines) + "\n"
-
-
-def _pch_curve_csv(model, horizon, points: int = 201) -> str:
+def _pch_curve_csv(model, horizon, points: int = 201):
     upto = horizon if math.isfinite(horizon) else model.grid.cuts[-1] * 1.5
     grid = np.linspace(0.0, upto, points)
     hazard, _, survival = evaluate(model, grid)
-    lines = ["t,survival,hazard"]
-    lines += [
-        f"{t:.12g},{s:.12g},{h:.12g}" for t, s, h in zip(grid, survival, hazard)
-    ]
-    return "\n".join(lines) + "\n"
+    return _csv("t,survival,hazard\n", "%.12g,%.12g,%.12g\n", grid, survival, hazard)
+
+
+def _csv(header, row_format, *columns):
+    """Pieces of the CSV text of the array ``columns`` under ``header``.
+
+    Each piece after the header holds up to ``_CSV_ROWS`` rows and is one
+    ``%`` of ``row_format`` repeated over the piece's cells, interleaved
+    row by row: ``"%.12g" % x`` gives the bytes of ``f"{x:.12g}"``, and
+    ``"%d"`` those of an integer column.
+    """
+    yield header
+    width = len(columns)
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        parts = [column[start:start + _CSV_ROWS].tolist() for column in columns]
+        cells = [None] * (width * len(parts[0]))
+        for j, part in enumerate(parts):
+            cells[j::width] = part
+        yield (row_format * len(parts[0])) % tuple(cells)
 
 
 def _read_csv(path, usecols=None):
@@ -352,12 +360,15 @@ def _first_fault(path, usecols):
     return None
 
 
-def _emit(text: str, out_path):
+def _emit(text, out_path):
+    """Write ``text``, a string or an iterable of strings, to ``out_path``
+    or, when that is None, to stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ row; the record classes check and classify a single observation.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -39,6 +40,8 @@ KIND_INTERVAL = "interval"
 _HEADERS = {KIND_RIGHT: ("time", "status"), KIND_INTERVAL: ("left", "right")}
 # Rows formatted per write, which bounds the memory save_dataset holds.
 _WRITE_ROWS = 1 << 16
+# Lines parsed per np.loadtxt call, which bounds the text a loader holds.
+_READ_LINES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -358,36 +361,72 @@ def interval_width_summary(dataset: Dataset) -> dict:
 
 
 def _load(source, kind):
-    """Parse every data row with one vectorized call. Where that reading
-    could differ from the row-wise one (unparseable cells, ragged or blank
-    lines, which loadtxt skips, quoted line breaks, missing or invalid
-    values), reparse row by row, which raises the error of the first bad row."""
+    """Parse the data rows with one vectorized call per batch of
+    ``_READ_LINES`` lines. Where that reading could differ from the
+    row-wise one (unparseable cells, ragged or blank lines, which loadtxt
+    skips, quoted line breaks, missing or invalid values), reparse row by
+    row from the start, which raises the error of the first bad row. A file
+    named by path is read again for that; any other source is held as a
+    list of lines."""
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as handle:
-            lines = list(handle)
+        def lines():
+            return open(source, newline="", encoding="utf-8")
     else:
-        lines = list(source)
-    reader = csv.reader(lines)
-    header = next(reader, None)
+        held = list(source)
+
+        def lines():
+            return nullcontext(iter(held))
+    with lines() as handle:
+        header = _read_header(handle, kind)
+        names = _as_names(header[2:]) if len(header) > 2 else None
+        table = _read_batches(handle, len(header), kind)
+    if table is not None:
+        try:
+            covariates = np.ascontiguousarray(table[:, 2:]) if names else None
+            return Dataset(kind, (table[:, 0], table[:, 1]), covariates, names)
+        except (ValueError, PseudosurvError):
+            pass
+    with lines() as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        first, second, cov_rows = _parse_rows(reader, header, kind)
+    covariates = np.array(cov_rows, dtype=float) if names else None
+    return Dataset(kind, (first, second), covariates, names)
+
+
+def _read_header(lines, kind):
+    """The header row, read off ``lines``, which are left at the first body line."""
+    header = next(csv.reader(lines), None)
     if header is None:
         raise ParseError("missing header row", row=0)
     header = [c.strip() for c in header]
     _check_header(header, _HEADERS[kind])
-    names = _as_names(header[2:]) if len(header) > 2 else None
-    body = lines[reader.line_num:]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns when no line holds data
-            table = np.loadtxt(body, dtype=float, delimiter=",", comments=None, quotechar='"',
-                               ndmin=2, converters={1: _right_cell} if kind == KIND_INTERVAL else None)
-        if table.shape == (len(body), len(header)) and not np.isnan(table).any():
-            covariates = np.ascontiguousarray(table[:, 2:]) if names else None
-            return Dataset(kind, (table[:, 0], table[:, 1]), covariates, names)
-    except (ValueError, PseudosurvError):
-        pass
-    first, second, cov_rows = _parse_rows(csv.reader(body), header, kind)
-    covariates = np.array(cov_rows, dtype=float) if names else None
-    return Dataset(kind, (first, second), covariates, names)
+    return header
+
+
+def _read_batches(lines, width, kind):
+    """The body as a float table, or None when a batch's vectorized reading
+    could differ from the row-wise one: it fails, yields another shape
+    than one row of ``width`` cells per line, or holds a NaN."""
+    converters = {1: _right_cell} if kind == KIND_INTERVAL else None
+    tables = []
+    while True:
+        batch = list(itertools.islice(lines, _READ_LINES))
+        if tables and not batch:
+            break
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns when no line holds data
+                table = np.loadtxt(batch, dtype=float, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=2, converters=converters)
+        except ValueError:
+            return None
+        if table.shape != (len(batch), width) or np.isnan(table).any():
+            return None
+        tables.append(table)
+        if len(batch) < _READ_LINES:
+            break
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
 
 
 def _right_cell(cell):

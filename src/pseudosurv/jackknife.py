@@ -64,19 +64,21 @@ def jackknife_km(dataset: Dataset, target: str, horizon: float) -> PseudoVector:
     """
     _check_target(target, horizon)
     km = km_fit(dataset)
-    full = km.survival_at(horizon) if target == SURVIVAL else km.rmst(horizon)
+    full = (km._survival_at(horizon, stacklevel=3) if target == SURVIVAL
+            else km._rmst(horizon, stacklevel=3))
 
     times = km.times
     status = km.status
     n = km.n
-    u, d, r = _event_grid(times, status)
+    u, d, r, rank = _event_grid(times, status)
     events = np.flatnonzero(status == 1)
     if events.size == 1:
         raise NoEvents(
             f"removing subject {events[0]} leaves a sample with no events",
             subject=int(events[0]),
         )
-    where = np.searchsorted(u, times)
+    # A subject's own event time is the last event time at or before it.
+    where = rank - 1
     evaluate = _step_value if target == SURVIVAL else _step_integral
     loo = np.empty(n)
     for rows in _blocks(n, u.size):

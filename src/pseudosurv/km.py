@@ -11,6 +11,11 @@ increments and H_hat(u) is the at-risk fraction. The restricted-mean version
 replaces the constant weight by the tail integral of S_hat over [u, tau].
 Both preserve the plug-in estimate as the exact mean over subjects, because
 the martingale residuals sum to zero at every event time.
+
+Each subject enters both maps only through its event rank, the number of
+distinct event times at or before its own time. `km_fit` finds every rank
+with one sort of the times, so the maps make no per-subject search of the
+event-time grid.
 """
 
 from __future__ import annotations
@@ -78,13 +83,17 @@ class KmFit:
 
     Fields hold the distinct event-time grid together with, at each event
     time, the at-risk fraction H_hat, the Nelson-Aalen increment d/r, and
-    the product-limit survival value. The original per-subject times and
-    statuses are retained because the pseudo-observation maps need them.
+    the product-limit survival value. The per-subject statuses are kept,
+    and ``rank`` holds each subject's event rank: the number of event times
+    at or before its time, so ``event_times[rank - 1]`` is the subject's
+    own time when it had an event. The pseudo-observation maps read these
+    two instead of searching the grid for every subject's time.
     """
 
     n: int
     times: np.ndarray
     status: np.ndarray
+    rank: np.ndarray
     event_times: np.ndarray
     at_risk: np.ndarray
     na_increments: np.ndarray
@@ -97,23 +106,32 @@ class KmFit:
         Beyond the last observed time the curve is extended flat, with a
         warning, because nobody remains at risk there.
         """
+        return self._survival_at(t, stacklevel=3)
+
+    def rmst(self, tau: float) -> float:
+        """Integral of the product-limit curve over [0, tau], exact on the step grid."""
+        return self._rmst(tau, stacklevel=3)
+
+    # The pseudo maps and the jackknife evaluate the plug-in through these,
+    # with the stack level that makes a warning name their own caller.
+
+    def _survival_at(self, t, stacklevel):
         check_time(t)
         if t > self.max_time:
             warnings.warn(
                 f"evaluating survival at t={t} beyond the last observed time "
                 f"{self.max_time}; flat extension used",
-                stacklevel=2,
+                stacklevel=stacklevel,
             )
         return float(_step_value(self.event_times, self.survival, t))
 
-    def rmst(self, tau: float) -> float:
-        """Integral of the product-limit curve over [0, tau], exact on the step grid."""
+    def _rmst(self, tau, stacklevel):
         check_tau(tau, finite=True)
         if tau > self.max_time:
             warnings.warn(
                 f"tau={tau} exceeds the last observed time {self.max_time}; "
                 "nobody is at risk near tau and the curve is extended flat",
-                stacklevel=2,
+                stacklevel=stacklevel,
             )
         return float(_step_integral(self.event_times, self.survival, tau))
 
@@ -143,7 +161,7 @@ def km_fit(dataset: Dataset) -> KmFit:
         raise EmptyInput("cannot fit on an empty dataset")
     times = dataset.times
     status = dataset.status
-    u, d, r = _event_grid(times, status)
+    u, d, r, rank = _event_grid(times, status)
     if u.size == 0:
         raise NoEvents("no events in the sample")
     increments = d / r
@@ -151,6 +169,7 @@ def km_fit(dataset: Dataset) -> KmFit:
         n=dataset.n,
         times=times,
         status=status,
+        rank=rank,
         event_times=u,
         at_risk=r / dataset.n,
         na_increments=increments,
@@ -165,8 +184,7 @@ def km_pseudo_survival(km: KmFit, t: float) -> PseudoVector:
     Exact mean preservation holds: the subject values average to the
     plug-in estimate S_hat(t), since the martingale residuals cancel.
     """
-    check_time(t)
-    s_t = km.survival_at(t)
+    s_t = km._survival_at(t, stacklevel=3)
     event_part, risk_part = _martingale_sums(km, t, np.ones_like(km.event_times))
     return PseudoVector(s_t * (1.0 - event_part + risk_part), SURVIVAL, float(t), FAST)
 
@@ -178,8 +196,7 @@ def km_pseudo_rmst(km: KmFit, tau: float) -> PseudoVector:
     under the survival curve between u and tau, computed exactly on the
     step grid.
     """
-    check_tau(tau, finite=True)
-    total = km.rmst(tau)
+    total = km._rmst(tau, stacklevel=3)
     m = int(np.searchsorted(km.event_times, tau, side="right"))
     weights = np.zeros_like(km.event_times)
     if m > 0:
@@ -201,35 +218,46 @@ def _martingale_sums(km, horizon, weights):
     Returns (event_part, risk_part) where, for each subject l,
     event_part_l = w(T_l)/H(T_l) if l has an event at or before the horizon,
     and risk_part_l sums w_j * dLambda_j / H_j over event times at which l
-    is still at risk (u_j <= min(T_l, horizon)).
+    is still at risk (u_j <= min(T_l, horizon)). Those are the first
+    min(rank_l, m) event times, m the number at or before the horizon; an
+    event of l lies at or before the horizon when rank_l <= m, and falls on
+    the event time of index rank_l - 1.
     """
-    u = km.event_times
-    m = int(np.searchsorted(u, horizon, side="right"))
+    m = int(np.searchsorted(km.event_times, horizon, side="right"))
     q = np.zeros(m + 1)
     if m > 0:
         np.cumsum(weights[:m] * km.na_increments[:m] / km.at_risk[:m], out=q[1:])
-    at_risk_count = np.searchsorted(u[:m], km.times, side="right")
-    risk_part = q[at_risk_count]
+    risk_part = q[np.minimum(km.rank, m)]
 
     event_part = np.zeros(km.n)
-    has_event = (km.status == 1) & (km.times <= horizon)
-    if m > 0 and has_event.any():
-        j = np.searchsorted(u, km.times[has_event])
-        event_part[has_event] = weights[j] / km.at_risk[j]
+    has_event = (km.status == 1) & (km.rank <= m)
+    j = km.rank[has_event] - 1
+    event_part[has_event] = weights[j] / km.at_risk[j]
     return event_part, risk_part
 
 
 def _event_grid(times, status):
-    """Distinct event times with event counts d and at-risk counts r.
+    """Distinct event times u with event counts d and at-risk counts r, and
+    each subject's event rank, the number of event times <= T.
 
-    ``times`` need not be sorted; r counts every subject with T >= u,
-    censored or not.
+    ``times`` must be non-empty but need not be sorted; r counts every
+    subject with T >= u, censored or not. One sort of the times serves all
+    of them: in sorted order each distinct time is a run, an event time is
+    a run holding an event, and r and the ranks follow from where the runs
+    start. The ranks are then scattered back to subject order.
     """
-    event_times = times[status == 1]
-    u, d = np.unique(event_times, return_counts=True)
-    times_sorted = np.sort(times)
-    r = times.size - np.searchsorted(times_sorted, u, side="left")
-    return u, d, r
+    n = times.size
+    order = np.argsort(times)
+    times_sorted = times[order]
+    starts = np.flatnonzero(np.concatenate([[True], times_sorted[1:] != times_sorted[:-1]]))
+    deaths = np.add.reduceat(status[order], starts)
+    is_event_time = deaths > 0
+    first = starts[is_event_time]
+    marks = np.zeros(n, dtype=np.intp)
+    marks[first] = 1
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.cumsum(marks)
+    return times_sorted[first], deaths[is_event_time], n - first, rank
 
 
 def _step_value(knots, values, t):

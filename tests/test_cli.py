@@ -12,11 +12,11 @@ import warnings
 import numpy as np
 import pytest
 
-from pseudosurv import km_fit, km_pseudo_survival, save_dataset
+from pseudosurv import cli, fit_pch, interval_dataset, km_fit, km_pseudo_survival, save_dataset
 from pseudosurv.cli import main
 from pseudosurv.gee import fit_gee, wald_table
 from pseudosurv.jackknife import jackknife_pch
-from pseudosurv.pch import CutGrid
+from pseudosurv.pch import CutGrid, evaluate
 from pseudosurv.simulate import ScenarioConfig, generate
 
 
@@ -63,6 +63,70 @@ def test_pseudo_output_files_are_reproducible(rc_csv, tmp_path):
                 "--target", "rmst", "--tau", "5.0", "--out", str(out)]
         assert main(args) == 0
     assert filecmp.cmp(out1, out2, shallow=False)
+
+
+def _pseudo_reference(values):
+    """The pseudo output formatted row by row."""
+    return "id,pseudo\n" + "".join(
+        f"{i},{v:.12g}\n" for i, v in enumerate(values.tolist(), start=1)
+    )
+
+
+def _curve_reference(header, *columns):
+    """A curve CSV formatted row by row."""
+    rows = [",".join(f"{x:.12g}" for x in row) for row in zip(*columns)]
+    return "\n".join([header] + rows) + "\n"
+
+
+def test_csv_writer_is_byte_identical_to_row_by_row_formatting():
+    # more than two pieces, with the awkward floats at both ends and
+    # across the first piece boundary
+    n = 140_000
+    awkward = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1 / 3]
+    values = np.random.default_rng(3).normal(0.0, 1e3, (n, 2))
+    for rows in (slice(0, 7), slice(cli._CSV_ROWS - 3, cli._CSV_ROWS + 4), slice(n - 7, n)):
+        values[rows, 0] = awkward
+        values[rows, 1] = awkward[::-1]
+    pseudo = "".join(cli._csv("id,pseudo\n", "%d,%.12g\n", np.arange(1, n + 1), values[:, 0]))
+    assert pseudo == _pseudo_reference(values[:, 0])
+    curve = "".join(cli._csv("t,survival\n", "%.12g,%.12g\n", values[:, 0], values[:, 1]))
+    assert curve == _curve_reference("t,survival", values[:, 0], values[:, 1])
+
+
+def test_pseudo_rc_outputs_are_byte_identical_to_row_by_row_formatting(
+    rc_csv, tmp_path, monkeypatch
+):
+    path, ds = rc_csv
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)  # several pieces from a small sample
+    out, curve = tmp_path / "pseudo.csv", tmp_path / "curve.csv"
+    assert main(["pseudo", "--data", str(path), "--kind", "rc", "--target", "surv",
+                 "--t", "4.0", "--out", str(out), "--curve-out", str(curve)]) == 0
+    km = km_fit(ds)
+    assert out.read_bytes() == _pseudo_reference(km_pseudo_survival(km, 4.0).values).encode()
+    assert curve.read_bytes() == _curve_reference("t,survival", *km.survival_curve()).encode()
+
+
+def test_pseudo_jackknife_output_writes_a_flagged_nan(tmp_path, capsys, monkeypatch):
+    # index 6 holds the only finite bracket touching the second piece, so
+    # its leave-one-out refit fails
+    ds = interval_dataset([0.2] * 6 + [1.2] + [2.0, 2.0], [0.8] * 6 + [1.8] + [math.inf] * 2)
+    path, curve = tmp_path / "ic.csv", tmp_path / "curve.csv"
+    save_dataset(ds, path)
+    monkeypatch.setattr(cli, "_CSV_ROWS", 4)
+    assert main(["pseudo", "--data", str(path), "--kind", "ic", "--target", "surv",
+                 "--t", "1.5", "--cuts", "1.0", "--method", "jackknife",
+                 "--curve-out", str(curve)]) == 0
+    captured = capsys.readouterr()
+    assert "1 leave-one-out refits failed" in captured.err
+    grid = CutGrid((1.0,))
+    expected = jackknife_pch(ds, grid, "survival", 1.5).values
+    assert math.isnan(expected[6])
+    assert captured.out == _pseudo_reference(expected)
+    t = np.linspace(0.0, 1.5, 201)
+    hazard, _, survival = evaluate(fit_pch(ds, grid).model, t)
+    assert curve.read_bytes() == _curve_reference(
+        "t,survival,hazard", t, survival, hazard
+    ).encode()
 
 
 def test_pseudo_ic_both_methods_match_library(ic_csv, tmp_path, capsys):

@@ -268,13 +268,24 @@ def test_right_censored_dataset_rejects_status_other_than_binary(status):
         right_censored_dataset([1.0, 2.0], status)
 
 
-def _deep_file(header, rows, bad_row, bad_line):
-    lines = [header] + [bad_line if i == bad_row else rows(i) for i in range(1, 6001)]
+def _deep_file(header, rows, bad_row, bad_line, count=6000):
+    lines = [header] + [bad_line if i == bad_row else rows(i) for i in range(1, count + 1)]
     return "\n".join(lines) + "\n"
 
 
-_DEEP_RC = _deep_file("time,status", lambda i: f"{i / 7!r},{i % 2}", 5321, "4.5,x")
-_DEEP_IC = _deep_file("left,right", lambda i: f"{i / 7!r},{i / 5!r}", 5999, "9.0,8.0")
+def _rc_row(i):
+    return f"{i / 7!r},{i % 2}"
+
+
+def _ic_row(i):
+    return f"{i / 7!r},{i / 5!r}"
+
+
+_DEEP_RC = _deep_file("time,status", _rc_row, 5321, "4.5,x")
+_DEEP_IC = _deep_file("left,right", _ic_row, 5999, "9.0,8.0")
+# Past the first batch of lines that one vectorized parse reads.
+_PAST_BATCH = data._READ_LINES + 4465
+_BATCHES = _PAST_BATCH + 9
 
 # (loader, file text, expected): a valid file gives its columns and covariates
 # (None when absent); an invalid one gives the exception type, message and
@@ -336,6 +347,28 @@ _LOADER_CASES = {
         load_interval_dataset, _DEEP_IC,
         (MalformedInterval, "row 5999: right endpoint 8.0 is smaller than left endpoint 9.0", None),
     ),
+    "bad_cell_past_the_first_batch": (
+        load_right_censored_dataset,
+        _deep_file("time,status", _rc_row, _PAST_BATCH, "4.5,x", _BATCHES),
+        (ParseError, f"row {_PAST_BATCH}: cannot parse status='x' as a number", _PAST_BATCH),
+    ),
+    "blank_line_past_the_first_batch": (
+        load_right_censored_dataset,
+        _deep_file("time,status", _rc_row, _PAST_BATCH, "", _BATCHES),
+        (ParseError, f"row {_PAST_BATCH}: expected 2 cells, got 0", _PAST_BATCH),
+    ),
+    "inverted_bracket_past_the_first_batch": (
+        load_interval_dataset,
+        _deep_file("left,right", _ic_row, _PAST_BATCH, "9.0,8.0", _BATCHES),
+        (MalformedInterval,
+         f"row {_PAST_BATCH}: right endpoint 8.0 is smaller than left endpoint 9.0", None),
+    ),
+    "several_batches": (
+        load_interval_dataset,
+        _deep_file("left,right,z", lambda i: f"{i},{i + 1},{-i}", None, None, _BATCHES),
+        (np.arange(1.0, _BATCHES + 1), np.arange(2.0, _BATCHES + 2),
+         -np.arange(1.0, _BATCHES + 1)[:, None]),
+    ),
 }
 
 
@@ -366,6 +399,26 @@ def test_loader_rules_and_errors(case, source, tmp_path, monkeypatch):
         assert ds.covariates is None
     else:
         np.testing.assert_array_equal(ds.covariates, covariates)
+
+
+@pytest.mark.parametrize("source", ["buffer", "path"])
+def test_loader_reads_a_quoted_line_break_across_a_batch_boundary(source, tmp_path):
+    """A record whose quoted cell spans the last line of one batch and the
+    first of the next is read by the row-wise parse, as one record."""
+    n = data._READ_LINES + 10
+    lines = ["time,status"] + [_rc_row(i) for i in range(1, n + 1)]
+    lines[data._READ_LINES] = '1.5,"1'
+    lines[data._READ_LINES + 1] = '"'
+    text = "\n".join(lines) + "\n"
+    if source == "path":
+        src = tmp_path / "data.csv"
+        src.write_text(text, newline="")
+    else:
+        src = io.StringIO(text)
+    ds = load_right_censored_dataset(src)
+    assert ds.n == n - 1
+    assert (ds.times[data._READ_LINES - 1], ds.status[data._READ_LINES - 1]) == (1.5, 1)
+    assert ds.times[-1] == n / 7
 
 
 def _reference_csv(dataset):

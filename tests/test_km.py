@@ -1,5 +1,7 @@
 """Product-limit fit and the expansion-based pseudo-observations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pseudosurv import (
     InvalidTime,
     NoEvents,
     PseudoVector,
+    jackknife_km,
     km_fit,
     km_pseudo_rmst,
     km_pseudo_survival,
@@ -79,6 +82,30 @@ def test_rmst_beyond_last_time_warns():
     km = km_fit(right_censored_dataset([1.0, 2.0], [1, 0]))
     with pytest.warns(UserWarning):
         km.rmst(5.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda km, ds: km.survival_at(10.0),
+        lambda km, ds: km.rmst(10.0),
+        lambda km, ds: km_pseudo_survival(km, 10.0),
+        lambda km, ds: km_pseudo_rmst(km, 10.0),
+        lambda km, ds: jackknife_km(ds, "survival", 10.0),
+        lambda km, ds: jackknife_km(ds, "rmst", 10.0),
+    ],
+    ids=["survival_at", "rmst", "pseudo_survival", "pseudo_rmst",
+         "jackknife_survival", "jackknife_rmst"],
+)
+def test_beyond_last_time_warning_names_the_caller(call):
+    ds = right_censored_dataset([1.0, 2.0, 3.0], [1, 1, 0])
+    km = km_fit(ds)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(km, ds)
+    assert len(caught) == 1
+    assert "last observed time" in str(caught[0].message)
+    assert caught[0].filename == __file__
 
 
 def test_rmst_is_nondecreasing_in_tau():
