@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, MalformedInterval, ParseError, PseudosurvError
+from .errors import EmptyInput, MalformedInterval, ParseError
 
 LEFT_CENSORED = "left-censored"
 STRICT_INTERVAL = "strictly-interval"
@@ -153,18 +153,16 @@ class Dataset:
         second = raw.astype(float)
         if first.ndim != 1 or first.shape != second.shape:
             raise ValueError("the two columns must be 1-D and of equal length")
-        bad = ~np.isfinite(first) | (first < 0)
-        if self.kind == KIND_RIGHT:
-            bad |= (second != 0) & (second != 1)
-            if bad.any():
-                i = bad.argmax()
+        bad = _bad_rows(self.kind, first, second)
+        if bad.any():
+            i = bad.argmax()
+            if self.kind == KIND_RIGHT:
                 RightCensoredRecord(float(first[i]), raw[i].item())
+            else:
+                IntervalRecord(float(first[i]), float(second[i]))
+        if self.kind == KIND_RIGHT:
             second = second.astype(int)
         else:
-            bad |= np.isnan(second) | (second < first)
-            if bad.any():
-                i = bad.argmax()
-                IntervalRecord(float(first[i]), float(second[i]))
             at_zero = np.count_nonzero((first == 0.0) & (second == 0.0))
             if at_zero:
                 warnings.warn(f"exact observation at time 0 ({at_zero} records)", stacklevel=3)
@@ -263,6 +261,8 @@ def load_right_censored_dataset(source) -> Dataset:
     Parameters
     ----------
     source : path-like, file-like, or iterable of lines
+        Read once, one batch of lines at a time, so a pipe such as
+        ``/dev/stdin`` works as well as a file.
 
     Returns
     -------
@@ -277,7 +277,8 @@ def load_interval_dataset(source) -> Dataset:
     The header must name at least ``left,right``. The right endpoint
     accepts ``inf`` in any capitalization, ``+inf``, or an empty cell for
     an infinite endpoint; the emitted form on save is always ``inf``.
-    Classification into censoring classes is derived per record.
+    Classification into censoring classes is derived per record. The
+    source is read as `load_right_censored_dataset` reads it.
     """
     return _load(source, KIND_INTERVAL)
 
@@ -361,37 +362,15 @@ def interval_width_summary(dataset: Dataset) -> dict:
 
 
 def _load(source, kind):
-    """Parse the data rows with one vectorized call per batch of
-    ``_READ_LINES`` lines. Where that reading could differ from the
-    row-wise one (unparseable cells, ragged or blank lines, which loadtxt
-    skips, quoted line breaks, missing or invalid values), reparse row by
-    row from the start, which raises the error of the first bad row. A file
-    named by path is read again for that; any other source is held as a
-    list of lines."""
-    if isinstance(source, (str, Path)):
-        def lines():
-            return open(source, newline="", encoding="utf-8")
-    else:
-        held = list(source)
-
-        def lines():
-            return nullcontext(iter(held))
-    with lines() as handle:
-        header = _read_header(handle, kind)
-        names = _as_names(header[2:]) if len(header) > 2 else None
-        table = _read_batches(handle, len(header), kind)
-    if table is not None:
-        try:
-            covariates = np.ascontiguousarray(table[:, 2:]) if names else None
-            return Dataset(kind, (table[:, 0], table[:, 1]), covariates, names)
-        except (ValueError, PseudosurvError):
-            pass
-    with lines() as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        first, second, cov_rows = _parse_rows(reader, header, kind)
-    covariates = np.array(cov_rows, dtype=float) if names else None
-    return Dataset(kind, (first, second), covariates, names)
+    """Read ``source`` once: a path is opened, anything else is iterated as
+    lines. The header row comes first, then the body by ``_read_body``."""
+    is_path = isinstance(source, (str, Path))
+    with open(source, newline="", encoding="utf-8") if is_path else nullcontext(iter(source)) as lines:
+        header = _read_header(lines, kind)
+        table = _read_body(lines, header, kind)
+    names = _as_names(header[2:]) if len(header) > 2 else None
+    covariates = np.ascontiguousarray(table[:, 2:]) if names else None
+    return Dataset(kind, (table[:, 0], table[:, 1]), covariates, names)
 
 
 def _read_header(lines, kind):
@@ -404,13 +383,20 @@ def _read_header(lines, kind):
     return header
 
 
-def _read_batches(lines, width, kind):
-    """The body as a float table, or None when a batch's vectorized reading
-    could differ from the row-wise one: it fails, yields another shape
-    than one row of ``width`` cells per line, or holds a NaN."""
+def _read_body(lines, header, kind):
+    """The data rows as an (n, width) float table, one batch of
+    ``_READ_LINES`` lines at a time, each parsed by one np.loadtxt call.
+
+    From the first batch whose vectorized reading could differ from the
+    row-wise one (it fails, yields another shape than one row of ``width``
+    cells per line, holds a NaN or a row `_bad_rows` rejects, or ends inside
+    a quoted cell), the rest of the source is parsed row by row, which
+    raises the error of the first bad row.
+    """
+    width = len(header)
     converters = {1: _right_cell} if kind == KIND_INTERVAL else None
     tables = []
-    while True:
+    for start in itertools.count(1, _READ_LINES):
         batch = list(itertools.islice(lines, _READ_LINES))
         if tables and not batch:
             break
@@ -420,22 +406,37 @@ def _read_batches(lines, width, kind):
                 table = np.loadtxt(batch, dtype=float, delimiter=",", comments=None,
                                    quotechar='"', ndmin=2, converters=converters)
         except ValueError:
-            return None
-        if table.shape != (len(batch), width) or np.isnan(table).any():
-            return None
+            table = None
+        if (table is None or table.shape != (len(batch), width) or np.isnan(table).any()
+                or _bad_rows(kind, table[:, 0], table[:, 1]).any()
+                or batch and batch[-1].count('"') % 2):
+            rows = csv.reader(itertools.chain(batch, lines))
+            tables.append(_parse_rows(rows, header, kind, start))
+            break
         tables.append(table)
         if len(batch) < _READ_LINES:
             break
     return tables[0] if len(tables) == 1 else np.concatenate(tables)
 
 
+def _bad_rows(kind, first, second):
+    """Mask of the rows that `RightCensoredRecord` or `IntervalRecord`
+    would reject, given the two columns as floats."""
+    bad = ~np.isfinite(first) | (first < 0)
+    if kind == KIND_RIGHT:
+        return bad | ((second != 0) & (second != 1))
+    return bad | np.isnan(second) | (second < first)
+
+
 def _right_cell(cell):
     return math.inf if cell.strip() == "" else float(cell)
 
 
-def _parse_rows(rows, header, kind):
-    first, second, cov_rows = [], [], []
-    for i, row in enumerate(rows, start=1):
+def _parse_rows(rows, header, kind, start):
+    """Rows numbered from ``start`` as an (m, width) float table; raises the
+    error of the first bad row."""
+    table = []
+    for i, row in enumerate(rows, start=start):
         if len(row) != len(header):
             raise ParseError(f"row {i}: expected {len(header)} cells, got {len(row)}", row=i)
         if kind == KIND_RIGHT:
@@ -451,10 +452,8 @@ def _parse_rows(rows, header, kind):
                 IntervalRecord(a, b)
             except MalformedInterval as exc:
                 raise MalformedInterval(f"row {i}: {exc}") from exc
-        first.append(a)
-        second.append(b)
-        cov_rows.append([_parse_float(c, i, name) for c, name in zip(row[2:], header[2:])])
-    return first, second, cov_rows
+        table.append([a, b] + [_parse_float(c, i, name) for c, name in zip(row[2:], header[2:])])
+    return np.array(table, dtype=float).reshape(-1, len(header))
 
 
 def _check_header(header, expected):

@@ -264,26 +264,6 @@ def newton_prepared(
     rates = np.full((B, K), np.nan)
     iterations = np.zeros(B, dtype=int)
     errors = [None] * B
-
-    def settle(rows, it, alpha_rows):
-        """Record rows that stopped at alpha_rows, unless out of bounds."""
-        iterations[rows] = it
-        bad = _out_of_bounds(alpha_rows)
-        rates[rows[~bad]] = alpha_rows[~bad]
-        for row, alpha_row in zip(rows[bad], alpha_rows[bad]):
-            errors[row] = _bounds_error(alpha_row, report)
-
-    def fail(rows, it, alpha_rows, grad_rows, why):
-        iterations[rows] = it
-        for row, alpha_row, grad_row in zip(rows, alpha_rows, grad_rows):
-            grad_norm = float(np.max(np.abs(grad_row)))
-            errors[row] = DidNotConverge(
-                f"{why} (score norm {grad_norm:.3e})",
-                last_iterate=alpha_row,
-                grad_norm=grad_norm,
-                iterations=it,
-            )
-
     act = np.arange(B)
     beta = np.log(init_alpha)
     alpha = init_alpha.copy()
@@ -302,23 +282,18 @@ def newton_prepared(
         # comparison of log-likelihoods can judge. Either is taken whole.
         floor = FLOOR_ULPS * np.spacing(np.maximum(np.abs(loglik), n))
         done = (np.abs(step).max(axis=1) <= tol) | (_rowdot(grad_b, step) <= floor)
-        if done.any():
-            with np.errstate(over="ignore"):
-                settle(act[done], it, np.exp(beta[done] + step[done]))
-            act, beta, alpha, loglik, grad, hess, step = (
-                x[~done] for x in (act, beta, alpha, loglik, grad, hess, step)
-            )
-            if not act.size:
-                break
 
-        # Each row halves its own step until its log-likelihood is within
-        # rounding slack of its current one; the rows halve in lockstep, and
-        # a row's accepted point replaces its current one in place.
+        # Each row not done halves its own step until its log-likelihood is
+        # within rounding slack of its current one; the rows halve in
+        # lockstep, and a row's accepted point replaces its current one in
+        # place.
         worst = loglik - SLACK_ULPS * np.spacing(np.abs(loglik))
         factor = np.ones(act.size)
-        searching = np.ones(act.size, dtype=bool)
+        searching = ~done
         for _ in range(MAX_HALVINGS + 1):
             pending = np.flatnonzero(searching)
+            if not pending.size:
+                break
             with np.errstate(over="ignore"):
                 trial = np.exp(beta[pending] + factor[pending, None] * step[pending])
             # Rates that overflow or underflow, and brackets whose mass
@@ -337,27 +312,39 @@ def newton_prepared(
                 if not searching.any():
                     break
             factor[searching] /= 2.0
-        if searching.any():
-            fail(act[searching], it, alpha[searching], grad[searching],
-                 "step-halving found no improving step")
-            kept = ~searching
-            act, beta, alpha, loglik, grad, hess, step, factor = (
-                x[kept] for x in (act, beta, alpha, loglik, grad, hess, step, factor)
-            )
         beta = beta + factor[:, None] * step
-        recorded = np.full(B, np.nan)
-        recorded[act] = loglik
-        history.append(recorded)
-        bad = _out_of_bounds(alpha)
-        if bad.any():
-            settle(act[bad], it, alpha[bad])
-            act, beta, alpha, loglik, grad, hess = (
-                x[~bad] for x in (act, beta, alpha, loglik, grad, hess)
-            )
+        moved = ~(done | searching)
+        if not done.all():
+            recorded = np.full(B, np.nan)
+            recorded[act[moved]] = loglik[moved]
+            history.append(recorded)
+
+        # Rows leave the active set here, and only here: done (at the
+        # whole step), out of bounds, or with no improving step.
+        if done.any():
+            with np.errstate(over="ignore"):
+                alpha[done] = np.exp(beta[done])
+        bad = _out_of_bounds(alpha) & ~searching
+        leaving = ~moved | bad
+        if not leaving.any():
+            continue
+        iterations[act[leaving]] = it
+        rates[act[done & ~bad]] = alpha[done & ~bad]
+        for row, alpha_row in zip(act[bad], alpha[bad]):
+            errors[row] = _bounds_error(alpha_row, report)
+        for row, alpha_row, grad_row in zip(act[searching], alpha[searching], grad[searching]):
+            errors[row] = _no_convergence(alpha_row, grad_row, it,
+                                          "step-halving found no improving step")
+        act, beta, alpha, loglik, grad, hess = (
+            x[~leaving] for x in (act, beta, alpha, loglik, grad, hess)
+        )
         if not act.size:
             break
     else:
-        fail(act, max_iter, alpha, grad, f"no convergence in {max_iter} iterations")
+        iterations[act] = max_iter
+        for row, alpha_row, grad_row in zip(act, alpha, grad):
+            errors[row] = _no_convergence(alpha_row, grad_row, max_iter,
+                                          f"no convergence in {max_iter} iterations")
     return NewtonRows(rates, iterations, np.array(history), tuple(errors))
 
 
@@ -404,6 +391,17 @@ def _bounds_error(alpha, report):
         f"rate of piece {k + 1} {direction} during fitting{detail}",
         piece=k + 1,
         condition=condition,
+    )
+
+
+def _no_convergence(alpha, grad, it, why):
+    """The DidNotConverge for one row left at rates alpha with score grad."""
+    grad_norm = float(np.max(np.abs(grad)))
+    return DidNotConverge(
+        f"{why} (score norm {grad_norm:.3e})",
+        last_iterate=alpha,
+        grad_norm=grad_norm,
+        iterations=it,
     )
 
 

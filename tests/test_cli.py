@@ -4,10 +4,12 @@ subprocess test of the installed entry point."""
 import csv
 import filecmp
 import math
+import os
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +197,42 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error:NonIdentifiable:")
+
+
+def test_header_without_rows_exits_3(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("time,status,z\n")
+    code = main(["pseudo", "--data", str(path), "--kind", "rc", "--target", "rmst", "--tau", "6"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:EmptyInput:")
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("time,status\n1,1\nx,0\n", 3,
+     "error:ParseError: row 2: cannot parse time='x' as a number\n"),
+    ("time,status\n1,1\n-1,0\n", 3, "error:MalformedInterval:"),
+    (None, 0, None),
+], ids=["bad-cell", "negative-time", "valid"])
+def test_pseudo_reads_a_pipe_once(text, code, message, rc_csv, capsys):
+    """--data /dev/stdin is read once: errors keep their type and row, and a
+    valid file gives the output of the same file named by path."""
+    path, _ = rc_csv
+    if text is None:
+        text = path.read_text()
+    args = ["pseudo", "--kind", "rc", "--target", "rmst", "--tau", "6"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudosurv.cli", *args, "--data", "/dev/stdin"],
+        input=text, capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == code, proc.stderr
+    if message is not None:
+        assert proc.stderr.startswith(message)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([*args, "--data", str(path)]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_fit_report_and_curve(ic_csv, tmp_path, capsys):

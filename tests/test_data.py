@@ -195,6 +195,18 @@ def test_loader_rejects_ragged_rows():
     assert err.value.row == 1
 
 
+@pytest.mark.parametrize("loader, header", [
+    (load_right_censored_dataset, "time,status,z"),
+    (load_interval_dataset, "left,right,z1,z2"),
+])
+def test_header_without_rows_loads_an_empty_dataset(loader, header):
+    ds = loader(io.StringIO(header + "\n"))
+    names = tuple(header.split(",")[2:])
+    assert ds.n == 0
+    assert ds.covariates.shape == (0, len(names))
+    assert ds.covariate_names == names
+
+
 def test_interval_loader_reports_row_of_inverted_bracket():
     with pytest.raises(MalformedInterval) as err:
         load_interval_dataset(io.StringIO("left,right\n1,2\n5,3\n"))
@@ -268,8 +280,10 @@ def test_right_censored_dataset_rejects_status_other_than_binary(status):
         right_censored_dataset([1.0, 2.0], status)
 
 
-def _deep_file(header, rows, bad_row, bad_line, count=6000):
-    lines = [header] + [bad_line if i == bad_row else rows(i) for i in range(1, count + 1)]
+def _deep_file(header, rows, bad, count=6000):
+    """A header and ``count`` rows; ``bad`` maps row numbers to the lines
+    that replace them."""
+    lines = [header] + [bad[i] if i in bad else rows(i) for i in range(1, count + 1)]
     return "\n".join(lines) + "\n"
 
 
@@ -281,15 +295,50 @@ def _ic_row(i):
     return f"{i / 7!r},{i / 5!r}"
 
 
-_DEEP_RC = _deep_file("time,status", _rc_row, 5321, "4.5,x")
-_DEEP_IC = _deep_file("left,right", _ic_row, 5999, "9.0,8.0")
-# Past the first batch of lines that one vectorized parse reads.
-_PAST_BATCH = data._READ_LINES + 4465
-_BATCHES = _PAST_BATCH + 9
+_DEEP_RC = _deep_file("time,status", _rc_row, {5321: "4.5,x"})
+_DEEP_IC = _deep_file("left,right", _ic_row, {5999: "9.0,8.0"})
 
-# (loader, file text, expected): a valid file gives its columns and covariates
-# (None when absent); an invalid one gives the exception type, message and
-# ParseError row (None for MalformedInterval, which carries none).
+
+def _batch_cases(lines):
+    """Loader cases around the end of the first batch of ``lines`` lines
+    that one vectorized parse reads."""
+    past = lines + 4465
+    count = past + 9
+    return {
+        "bad_cell_past_the_first_batch": (
+            load_right_censored_dataset,
+            _deep_file("time,status", _rc_row, {past: "4.5,x"}, count),
+            (ParseError, f"row {past}: cannot parse status='x' as a number", past),
+        ),
+        "blank_line_past_the_first_batch": (
+            load_right_censored_dataset,
+            _deep_file("time,status", _rc_row, {past: ""}, count),
+            (ParseError, f"row {past}: expected 2 cells, got 0", past),
+        ),
+        "inverted_bracket_past_the_first_batch": (
+            load_interval_dataset,
+            _deep_file("left,right", _ic_row, {past: "9.0,8.0"}, count),
+            (MalformedInterval,
+             f"row {past}: right endpoint 8.0 is smaller than left endpoint 9.0", None),
+        ),
+        "several_batches": (
+            load_interval_dataset,
+            _deep_file("left,right,z", lambda i: f"{i},{i + 1},{-i}", {}, count),
+            (np.arange(1.0, count + 1), np.arange(2.0, count + 2),
+             -np.arange(1.0, count + 1)[:, None]),
+        ),
+        "bad_value_ahead_of_a_ragged_row_in_the_next_batch": (
+            load_right_censored_dataset,
+            _deep_file("time,status", _rc_row, {lines: "4.5,0.5", lines + 1: "4.5"}, lines + 9),
+            (ParseError, f"row {lines}: status must be 0 or 1, got '0.5'", lines),
+        ),
+    }
+
+
+# (loader, file text or list of lines, expected): a valid file gives its
+# columns and covariates (None when absent); an invalid one gives the
+# exception type, message and ParseError row (None for MalformedInterval,
+# which carries none).
 _LOADER_CASES = {
     "inf_spellings_and_empty_right": (
         load_interval_dataset, "left,right\n1,inf\n2,+inf\n3,INF\n4,Inf\n5,\n6,7\n",
@@ -302,6 +351,15 @@ _LOADER_CASES = {
     "quoted_cells": (
         load_right_censored_dataset, 'time,status,z\n"1.5","1",2\n2,"0","-3e-2"\n',
         ([1.5, 2.0], [1, 0], [[2.0], [-0.03]]),
+    ),
+    "every_cell_quoted": (
+        load_interval_dataset,
+        '"left","right","z"\n"1.5","2","-1"\n"0","3e-1","0"\n"2","inf","4"\n"2","","5"\n',
+        ([1.5, 0.0, 2.0, 2.0], [2.0, 0.3, math.inf, math.inf], [[-1.0], [0.0], [4.0], [5.0]]),
+    ),
+    "list_of_lines": (
+        load_right_censored_dataset, ["time,status,z", "1.5,1,2", "2,0,3", "0.5,1,-1"],
+        ([1.5, 2.0, 0.5], [1, 0, 1], [[2.0], [3.0], [-1.0]]),
     ),
     "crlf": (
         load_right_censored_dataset, "time,status,z\r\n1.5,1,2\r\n2,0,3\r\n",
@@ -347,42 +405,18 @@ _LOADER_CASES = {
         load_interval_dataset, _DEEP_IC,
         (MalformedInterval, "row 5999: right endpoint 8.0 is smaller than left endpoint 9.0", None),
     ),
-    "bad_cell_past_the_first_batch": (
-        load_right_censored_dataset,
-        _deep_file("time,status", _rc_row, _PAST_BATCH, "4.5,x", _BATCHES),
-        (ParseError, f"row {_PAST_BATCH}: cannot parse status='x' as a number", _PAST_BATCH),
-    ),
-    "blank_line_past_the_first_batch": (
-        load_right_censored_dataset,
-        _deep_file("time,status", _rc_row, _PAST_BATCH, "", _BATCHES),
-        (ParseError, f"row {_PAST_BATCH}: expected 2 cells, got 0", _PAST_BATCH),
-    ),
-    "inverted_bracket_past_the_first_batch": (
-        load_interval_dataset,
-        _deep_file("left,right", _ic_row, _PAST_BATCH, "9.0,8.0", _BATCHES),
-        (MalformedInterval,
-         f"row {_PAST_BATCH}: right endpoint 8.0 is smaller than left endpoint 9.0", None),
-    ),
-    "several_batches": (
-        load_interval_dataset,
-        _deep_file("left,right,z", lambda i: f"{i},{i + 1},{-i}", None, None, _BATCHES),
-        (np.arange(1.0, _BATCHES + 1), np.arange(2.0, _BATCHES + 2),
-         -np.arange(1.0, _BATCHES + 1)[:, None]),
-    ),
+    **_batch_cases(data._READ_LINES),
 }
 
 
-@pytest.mark.parametrize("source", ["buffer", "path"])
-@pytest.mark.parametrize("case", sorted(_LOADER_CASES))
-def test_loader_rules_and_errors(case, source, tmp_path, monkeypatch):
-    """Valid files load in one vectorized parse, without the row-wise
-    reading; invalid ones raise that reading's first-row error."""
-    loader, text, expected = _LOADER_CASES[case]
+def _check_loader_case(loader, text, expected, source, tmp_path, monkeypatch):
+    """Valid files load in vectorized parses, without the row-wise reading;
+    invalid ones raise that reading's first-row error."""
     if source == "path":
         src = tmp_path / "data.csv"
-        src.write_text(text, newline="")
+        src.write_text(text if isinstance(text, str) else "\n".join(text) + "\n", newline="")
     else:
-        src = io.StringIO(text)
+        src = io.StringIO(text) if isinstance(text, str) else text
     if isinstance(expected[0], type):
         kind, message, row = expected
         with pytest.raises(kind) as err:
@@ -399,6 +433,23 @@ def test_loader_rules_and_errors(case, source, tmp_path, monkeypatch):
         assert ds.covariates is None
     else:
         np.testing.assert_array_equal(ds.covariates, covariates)
+
+
+@pytest.mark.parametrize("source", ["buffer", "path"])
+@pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+def test_loader_rules_and_errors(case, source, tmp_path, monkeypatch):
+    _check_loader_case(*_LOADER_CASES[case], source, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("read_lines", [1, 2, 3])
+@pytest.mark.parametrize("source", ["buffer", "path"])
+@pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+def test_loader_rules_and_errors_in_small_batches(case, source, read_lines, tmp_path, monkeypatch):
+    """The same cases with batches of one to three lines, the batch
+    boundary cases moved to the smaller first batch."""
+    monkeypatch.setattr(data, "_READ_LINES", read_lines)
+    cases = {**_LOADER_CASES, **_batch_cases(read_lines)}
+    _check_loader_case(*cases[case], source, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("source", ["buffer", "path"])

@@ -7,11 +7,19 @@ are rejected, since no pseudo-observation exists for them.
 
 The product-limit maps are checked on right-censored samples of 1 to 60
 records whose times lie on a coarse grid, so that events, censorings and
-the horizon tie heavily. Hypothesis runs derandomized, so every run checks
-the same examples.
+the horizon tie heavily.
+
+The CSV loaders are checked on short generated files, mostly valid rows
+with quoted, padded, missing, malformed and ragged cells among them.
+
+Hypothesis runs derandomized, so every run checks the same examples.
 """
 
+import csv
+import io
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,11 +34,14 @@ from pseudosurv import (
     km_fit,
     km_pseudo_rmst,
     km_pseudo_survival,
+    load_interval_dataset,
+    load_right_censored_dataset,
     pseudo_alpha,
     pseudo_rmst,
     pseudo_survival,
     right_censored_dataset,
 )
+from pseudosurv import data
 from pseudosurv.fitting import _initial_rates
 from pseudosurv.pch import loglik_parts, prepare_likelihood, rmst_closed_form, score_matrix
 
@@ -236,3 +247,52 @@ def test_km_horizon_past_the_last_time(ds, beyond):
         assert survival.mean() == pytest.approx(km.survival_at(horizon), rel=1e-12, abs=0)
     with pytest.warns(UserWarning, match="last observed time"):
         assert rmst.mean() == pytest.approx(km.rmst(horizon), rel=1e-12, abs=0)
+
+
+_NUMBERS = ("0", "1", "2.5", "1e-1", '"1.5"', " 3 ")
+_RIGHTS = ("2.5", "3", "inf", "Inf", "", '"4"')
+_WILD = ("x", "nan", "-1", "inf", "", "0.5", "1_000", '"', '"7', '8"', '""', "1,1")
+
+
+@st.composite
+def csv_files(draw):
+    """(loader, text): a header, then mostly valid rows of the loader's kind,
+    some with a quoted line break in the last cell, some with malformed or
+    invalid cells, some ragged."""
+    interval = draw(st.booleans())
+    loader, header = ((load_interval_dataset, "left,right") if interval
+                      else (load_right_censored_dataset, "time,status"))
+    covariates = draw(st.integers(0, 1))
+    first, second = (_NUMBERS, _RIGHTS) if interval else (_NUMBERS, ("0", "1", '"1"'))
+    valid = st.tuples(st.sampled_from(first), st.sampled_from(second),
+                      *[st.sampled_from(_NUMBERS)] * covariates)
+    broken = valid.map(lambda cells: [*cells[:-1], '"' + cells[-1].strip('"') + '\n"'])
+    wild = st.tuples(*[st.sampled_from(_NUMBERS + _WILD)] * (2 + covariates))
+    ragged = st.lists(st.sampled_from(_NUMBERS), max_size=4)
+    rows = draw(st.lists(st.one_of(valid, valid, broken, wild, ragged), max_size=14))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [header + ",z" * covariates] + [",".join(row) for row in rows]
+    return loader, end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _load_outcome(loader, text, read_lines):
+    """The columns of the loaded file, or its error's type, message and row."""
+    with mock.patch.object(data, "_READ_LINES", read_lines), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            ds = loader(io.StringIO(text))
+        except (PseudosurvError, csv.Error) as exc:
+            return type(exc), str(exc), getattr(exc, "row", None)
+    covariates = None if ds.covariates is None else (ds.covariates.shape, ds.covariates.tobytes())
+    return ds.columns[0].tobytes(), ds.columns[1].tobytes(), covariates
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(csv_files())
+def test_loading_in_small_batches_matches_one_batch(file):
+    """Batches of one to five lines load every file as one batch holding
+    the whole file does: the same columns, or the same first error."""
+    loader, text = file
+    whole = _load_outcome(loader, text, 1 << 16)
+    for read_lines in range(1, 6):
+        assert _load_outcome(loader, text, read_lines) == whole
