@@ -3,24 +3,23 @@
 Outputs are plot-ready CSV tables or small human-readable reports; every
 error path exits nonzero with a single-line ``error:<Kind>: message`` on
 stderr (exit 2 for flags and ``regress`` inputs, 3 for a bad ``--data``
-file and for numerical failures). Warnings, such as identifiability
-diagnostics, go to stderr without changing the exit code.
+file and for numerical failures). Python warnings, such as identifiability
+diagnostics, go to stderr as one ``warning:<Category>: message`` line each,
+without changing the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 import warnings
 
 import numpy as np
 
-from .data import (
-    load_interval_dataset,
-    load_right_censored_dataset,
-)
+from .data import _csv, load_interval_dataset, load_right_censored_dataset
 from .errors import PseudosurvError
 from .fitting import fit_pch
 from .gee import LinkSpec, fit_gee, wald_table
@@ -31,8 +30,6 @@ from .pch import CutGrid, evaluate
 from .simulate import ScenarioConfig, benchmark, monte_carlo
 
 _TOL_HELP = "Newton stops after a full step that moves no log-rate by more than this"
-# Rows formatted per string by _csv, which bounds the text held at once.
-_CSV_ROWS = 1 << 16
 
 
 class _UsageError(Exception):
@@ -48,18 +45,23 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    default_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         args.run(args)
-    except _UsageError as exc:
-        print(f"error:usage: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error:usage: {exc}", file=sys.stderr)
         return 2
     except PseudosurvError as exc:
         print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = default_format
     return 0
+
+
+def _format_warning(message, category, *_):
+    """A shown warning as one ``warning:<Category>: message`` line."""
+    return f"warning:{category.__name__}: {' '.join(str(message).splitlines())}\n"
 
 
 def _build_parser() -> _Parser:
@@ -159,11 +161,8 @@ def _cmd_pseudo(args):
         if args.curve_out:
             _emit(_pch_curve_csv(pfit.model, horizon), args.curve_out)
     if pv.flagged is not None:
-        print(
-            f"warning: {int(pv.flagged.sum())} leave-one-out refits failed; "
-            "their pseudo values are NaN",
-            file=sys.stderr,
-        )
+        warnings.warn(f"{int(pv.flagged.sum())} leave-one-out refits failed;"
+                      " their pseudo values are NaN")
     _emit(_csv("id,pseudo\n", "%d,%.12g\n", np.arange(1, pv.n + 1), pv.values), args.out)
 
 
@@ -288,24 +287,6 @@ def _pch_curve_csv(model, horizon, points: int = 201):
     return _csv("t,survival,hazard\n", "%.12g,%.12g,%.12g\n", grid, survival, hazard)
 
 
-def _csv(header, row_format, *columns):
-    """Pieces of the CSV text of the array ``columns`` under ``header``.
-
-    Each piece after the header holds up to ``_CSV_ROWS`` rows and is one
-    ``%`` of ``row_format`` repeated over the piece's cells, interleaved
-    row by row: ``"%.12g" % x`` gives the bytes of ``f"{x:.12g}"``, and
-    ``"%d"`` those of an integer column.
-    """
-    yield header
-    width = len(columns)
-    for start in range(0, len(columns[0]), _CSV_ROWS):
-        parts = [column[start:start + _CSV_ROWS].tolist() for column in columns]
-        cells = [None] * (width * len(parts[0]))
-        for j, part in enumerate(parts):
-            cells[j::width] = part
-        yield (row_format * len(parts[0])) % tuple(cells)
-
-
 def _read_csv(path, usecols=None):
     """Header row and float body of one of ``regress``'s input CSVs.
 
@@ -313,50 +294,50 @@ def _read_csv(path, usecols=None):
     lines and each cell goes through Python's ``float``, so quoted cells,
     spaces around numbers and ``1_000`` are accepted. Blank lines are
     skipped. ``usecols=1`` reads the pseudo column of an ``id,pseudo`` file.
+    A source that cannot seek, such as a pipe, is read into memory first.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        header = next((row for row in csv.reader(handle) if row), [])
+        text = handle if handle.seekable() else io.StringIO(handle.read(), newline="")
+        header = next((row for row in csv.reader(text) if row), [])
         if usecols is not None and len(header) <= usecols:
             raise _UsageError(f"{path}: expected columns id,pseudo")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data"
-                body = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
+                body = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
                                   ndmin=2, converters=float, usecols=usecols)
         except ValueError as exc:
-            raise _UsageError(f"{path}: {_first_fault(path, usecols) or exc}") from None
+            text.seek(0)
+            raise _UsageError(f"{path}: {_first_fault(text, usecols) or exc}") from None
     if body.shape[0] == 0:
         raise _UsageError(f"{path}: no data rows")
     return header, body
 
 
-def _first_fault(path, usecols):
+def _first_fault(text, usecols):
     """Where and why the first body row of a CSV fails to read as numbers.
 
-    Lines are counted from 1 in the file, header and blank lines included.
+    Lines are counted from 1 in ``text``, header and blank lines included.
     The body rows must all be as long as the first one, or, when one column
     is used, merely hold it.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        past_header = False
-        width = None
-        line = 1
-        for row in reader:
-            if row and not past_header:
-                past_header = True
-            elif row:
-                width = width or len(row)
-                if usecols is not None and len(row) <= usecols:
-                    return f"line {line}: expected at least {usecols + 1} cells, got {len(row)}"
-                if usecols is None and len(row) != width:
-                    return f"line {line}: expected {width} cells, got {len(row)}"
-                for j in range(len(row)) if usecols is None else [usecols]:
-                    try:
-                        float(row[j])
-                    except ValueError:
-                        return f"line {line}, column {j + 1}: cannot parse {row[j]!r} as a number"
-            line = reader.line_num + 1
+    reader = csv.reader(text)
+    next((row for row in reader if row), None)  # the header
+    width = None
+    line = reader.line_num + 1
+    for row in reader:
+        if row:
+            width = width or len(row)
+            if usecols is not None and len(row) <= usecols:
+                return f"line {line}: expected at least {usecols + 1} cells, got {len(row)}"
+            if usecols is None and len(row) != width:
+                return f"line {line}: expected {width} cells, got {len(row)}"
+            for j in range(len(row)) if usecols is None else [usecols]:
+                try:
+                    float(row[j])
+                except ValueError:
+                    return f"line {line}, column {j + 1}: cannot parse {row[j]!r} as a number"
+        line = reader.line_num + 1
     return None
 
 

@@ -38,7 +38,7 @@ KIND_RIGHT = "right-censored"
 KIND_INTERVAL = "interval"
 
 _HEADERS = {KIND_RIGHT: ("time", "status"), KIND_INTERVAL: ("left", "right")}
-# Rows formatted per write, which bounds the memory save_dataset holds.
+# Rows formatted per piece by _csv, which bounds the text held at once.
 _WRITE_ROWS = 1 << 16
 # Lines parsed per np.loadtxt call, which bounds the text a loader holds.
 _READ_LINES = 1 << 16
@@ -289,37 +289,44 @@ def save_dataset(dataset: Dataset, target) -> None:
     Floats are written with shortest round-trip precision, so a
     load/save/load cycle reproduces records and classes exactly.
     """
-    first, second = dataset.columns
-    second_format = _str_each if dataset.kind == KIND_RIGHT else _repr_each
-    columns = [(_repr_each, first), (second_format, second)]
+    columns = list(dataset.columns)
+    cells = ["%r", "%d" if dataset.kind == KIND_RIGHT else "%r"]
     if dataset.covariates is not None:
-        columns += [(_repr_distinct, column) for column in dataset.covariates.T]
+        columns += [_repr_distinct(column) for column in dataset.covariates.T]
+        cells += ["%s"] * dataset.covariates.shape[1]
     is_path = isinstance(target, (str, Path))
     with open(target, "w", newline="", encoding="utf-8") if is_path else nullcontext(target) as handle:
         csv.writer(handle).writerow(list(_HEADERS[dataset.kind]) + list(dataset.covariate_names or ()))
         # No formatted number holds a delimiter, quote or line break, so
-        # csv.writer would write these rows unquoted, as joined here.
-        for start in range(0, dataset.n, _WRITE_ROWS):
-            cells = [fmt(col[start:start + _WRITE_ROWS]) for fmt, col in columns]
-            handle.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+        # csv.writer would write these rows unquoted, as formatted here.
+        handle.writelines(_csv("", ",".join(cells) + "\r\n", *columns))
 
 
-def _repr_distinct(chunk):
-    """repr of each cell, formatting each distinct value once.
+def _csv(header, row_format, *columns):
+    """Pieces of the CSV text of the array ``columns`` under ``header``.
+
+    Each piece after the header is one ``%`` of ``row_format`` repeated over
+    up to ``_WRITE_ROWS`` rows of cells: ``"%.12g" % x`` gives the bytes of
+    ``f"{x:.12g}"``, ``"%r"`` those of ``repr(x)``, ``"%d"`` an integer's.
+    """
+    yield header
+    width = len(columns)
+    for start in range(0, len(columns[0]), _WRITE_ROWS):
+        parts = [column[start:start + _WRITE_ROWS].tolist() for column in columns]
+        cells = [None] * (width * len(parts[0]))
+        for j, part in enumerate(parts):
+            cells[j::width] = part
+        yield (row_format * len(parts[0])) % tuple(cells)
+
+
+def _repr_distinct(column):
+    """repr of each cell as an object array, formatting each distinct value once.
 
     Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
     """
-    bits, inverse = np.unique(np.ascontiguousarray(chunk).view(np.int64), return_inverse=True)
+    bits, inverse = np.unique(np.ascontiguousarray(column).view(np.int64), return_inverse=True)
     text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-    return text[inverse].tolist()
-
-
-def _repr_each(chunk):
-    return map(repr, chunk.tolist())
-
-
-def _str_each(chunk):
-    return map(str, chunk.tolist())
+    return text[inverse]
 
 
 def censoring_summary(dataset: Dataset) -> dict:
@@ -411,7 +418,10 @@ def _read_body(lines, header, kind):
                 or _bad_rows(kind, table[:, 0], table[:, 1]).any()
                 or batch and batch[-1].count('"') % 2):
             rows = csv.reader(itertools.chain(batch, lines))
-            tables.append(_parse_rows(rows, header, kind, start))
+            with warnings.catch_warnings():
+                # Dataset warns once, with the count of exact records at time 0.
+                warnings.filterwarnings("ignore", "exact observation at time 0")
+                tables.append(_parse_rows(rows, header, kind, start))
             break
         tables.append(table)
         if len(batch) < _READ_LINES:

@@ -75,8 +75,9 @@ class PchFit:
         Newton iterations taken.
     condition_report : ConditionReport
         Per-piece identifiability diagnostics of the training data.
-    n : int
-        Sample size.
+    dataset : Dataset
+        The sample fitted, the only one (in any record order) that the fast
+        pseudo-observation maps and ``jackknife_pch(fit=)`` accept.
     loglik_trace : tuple
         Log-likelihood values, starting at the initial point; one per
         iteration after it. Each is at least the one before, less a few
@@ -90,8 +91,19 @@ class PchFit:
     grad_norm: float
     iterations: int
     condition_report: ConditionReport
-    n: int
+    dataset: Dataset
     loglik_trace: tuple
+
+    def check_sample(self, dataset: Dataset) -> None:
+        """Raise ValueError unless ``dataset`` is the fitted sample: the
+        same object, or the same records in any order."""
+        if dataset is self.dataset:
+            return
+        rows = [np.column_stack(d.columns)[np.lexsort(d.columns[::-1])]
+                for d in (dataset, self.dataset)]
+        if not np.array_equal(*rows):
+            raise ValueError(f"the fit is not of this dataset: its {self.dataset.n} records"
+                             f" differ from the dataset's {dataset.n}")
 
     @cached_property
     def info_factor(self):
@@ -209,7 +221,7 @@ def fit_pch(
         grad_norm=float(np.max(np.abs(grad))),
         iterations=iterations,
         condition_report=report,
-        n=dataset.n,
+        dataset=dataset,
         loglik_trace=tuple(trace),
     )
 

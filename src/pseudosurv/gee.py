@@ -115,7 +115,8 @@ def fit_gee(
         beta, iterations = _fisher_scoring(y, Z, link, tol, max_iter)
 
     cov = sandwich_variance(y, Z, beta, link)
-    se = np.sqrt(np.diag(cov))
+    # A sandwich is positive semi-definite: a diagonal rounded below 0 is 0.
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.inf * np.sign(beta))
     pvals = special.erfc(np.abs(z) / math.sqrt(2.0))

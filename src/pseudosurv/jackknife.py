@@ -18,8 +18,6 @@ oracles.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import Dataset
@@ -35,7 +33,7 @@ from .km import (
     _step_value,
     km_fit,
 )
-from .pch import CutGrid, loglik_parts, prepare_likelihood, rmst_rows, survival_rows
+from .pch import CutGrid, prepare_likelihood, rmst_rows, survival_rows
 
 # A block of left-out subjects holds at most this many elements per
 # block-by-column array: subjects times event times for the product-limit
@@ -114,24 +112,16 @@ def jackknife_pch(
     ----------
     fit : PchFit, optional
         A converged full-sample fit to reuse; must be on ``grid`` and of
-        ``dataset`` itself: its log-likelihood is evaluated again on
-        ``dataset`` and must agree with ``fit.loglik`` to 1e-12 relative.
+        ``dataset``, in any record order (`PchFit.check_sample`).
     """
     _check_target(target, horizon, finite=False)
     if fit is None:
         fit = fit_pch(dataset, grid, tol=tol, max_iter=max_iter)
-    elif fit.model.grid != grid:
+    if fit.model.grid != grid:
         raise ValueError("provided fit uses a different cut grid")
-    elif fit.n != dataset.n:
-        raise ValueError(f"provided fit is of {fit.n} records, the dataset has {dataset.n}")
+    fit.check_sample(dataset)
     alpha_full = fit.model.rates
     prep = prepare_likelihood(dataset, grid)
-    loglik = loglik_parts(alpha_full, prep)[0]
-    if not math.isclose(loglik, fit.loglik, rel_tol=1e-12):
-        raise ValueError(
-            f"provided fit is not of this dataset: its log-likelihood {fit.loglik!r}"
-            f" is {loglik!r} on the dataset"
-        )
     full = float(_pch_statistic(grid, alpha_full, target, horizon))
 
     n = dataset.n

@@ -60,7 +60,8 @@ def _score_solves(fit: PchFit, dataset: Dataset, g) -> np.ndarray:
 
     The information is symmetric, so this is g . (info^-1 s_l), the
     first-order jackknife correction along g; g may be a K-vector or a
-    K x M matrix of stacked directions.
+    K x M matrix of stacked directions. ``dataset`` must be the fitted sample.
     """
+    fit.check_sample(dataset)
     prep = prepare_likelihood(dataset, fit.model.grid)
     return score_products(fit.model.rates, prep, fit.solve_information(g))

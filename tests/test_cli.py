@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudosurv import cli, fit_pch, interval_dataset, km_fit, km_pseudo_survival, save_dataset
+from pseudosurv import cli, data, fit_pch, interval_dataset, km_fit, km_pseudo_survival, save_dataset
 from pseudosurv.cli import main
 from pseudosurv.gee import fit_gee, wald_table
 from pseudosurv.jackknife import jackknife_pch
@@ -86,12 +86,12 @@ def test_csv_writer_is_byte_identical_to_row_by_row_formatting():
     n = 140_000
     awkward = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1 / 3]
     values = np.random.default_rng(3).normal(0.0, 1e3, (n, 2))
-    for rows in (slice(0, 7), slice(cli._CSV_ROWS - 3, cli._CSV_ROWS + 4), slice(n - 7, n)):
+    for rows in (slice(0, 7), slice(data._WRITE_ROWS - 3, data._WRITE_ROWS + 4), slice(n - 7, n)):
         values[rows, 0] = awkward
         values[rows, 1] = awkward[::-1]
-    pseudo = "".join(cli._csv("id,pseudo\n", "%d,%.12g\n", np.arange(1, n + 1), values[:, 0]))
+    pseudo = "".join(data._csv("id,pseudo\n", "%d,%.12g\n", np.arange(1, n + 1), values[:, 0]))
     assert pseudo == _pseudo_reference(values[:, 0])
-    curve = "".join(cli._csv("t,survival\n", "%.12g,%.12g\n", values[:, 0], values[:, 1]))
+    curve = "".join(data._csv("t,survival\n", "%.12g,%.12g\n", values[:, 0], values[:, 1]))
     assert curve == _curve_reference("t,survival", values[:, 0], values[:, 1])
 
 
@@ -99,7 +99,7 @@ def test_pseudo_rc_outputs_are_byte_identical_to_row_by_row_formatting(
     rc_csv, tmp_path, monkeypatch
 ):
     path, ds = rc_csv
-    monkeypatch.setattr(cli, "_CSV_ROWS", 7)  # several pieces from a small sample
+    monkeypatch.setattr(data, "_WRITE_ROWS", 7)  # several pieces from a small sample
     out, curve = tmp_path / "pseudo.csv", tmp_path / "curve.csv"
     assert main(["pseudo", "--data", str(path), "--kind", "rc", "--target", "surv",
                  "--t", "4.0", "--out", str(out), "--curve-out", str(curve)]) == 0
@@ -114,12 +114,12 @@ def test_pseudo_jackknife_output_writes_a_flagged_nan(tmp_path, capsys, monkeypa
     ds = interval_dataset([0.2] * 6 + [1.2] + [2.0, 2.0], [0.8] * 6 + [1.8] + [math.inf] * 2)
     path, curve = tmp_path / "ic.csv", tmp_path / "curve.csv"
     save_dataset(ds, path)
-    monkeypatch.setattr(cli, "_CSV_ROWS", 4)
-    assert main(["pseudo", "--data", str(path), "--kind", "ic", "--target", "surv",
-                 "--t", "1.5", "--cuts", "1.0", "--method", "jackknife",
-                 "--curve-out", str(curve)]) == 0
+    monkeypatch.setattr(data, "_WRITE_ROWS", 4)
+    with pytest.warns(UserWarning, match="1 leave-one-out refits failed"):
+        assert main(["pseudo", "--data", str(path), "--kind", "ic", "--target", "surv",
+                     "--t", "1.5", "--cuts", "1.0", "--method", "jackknife",
+                     "--curve-out", str(curve)]) == 0
     captured = capsys.readouterr()
-    assert "1 leave-one-out refits failed" in captured.err
     grid = CutGrid((1.0,))
     expected = jackknife_pch(ds, grid, "survival", 1.5).values
     assert math.isnan(expected[6])
@@ -207,6 +207,15 @@ def test_header_without_rows_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:EmptyInput:")
 
 
+def _run_module(args, stdin_text):
+    """``python -m pseudosurv.cli args`` in a new process, ``stdin_text`` on a pipe."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "pseudosurv.cli", *args],
+        input=stdin_text, capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
 @pytest.mark.parametrize("text, code, message", [
     ("time,status\n1,1\nx,0\n", 3,
      "error:ParseError: row 2: cannot parse time='x' as a number\n"),
@@ -220,11 +229,7 @@ def test_pseudo_reads_a_pipe_once(text, code, message, rc_csv, capsys):
     if text is None:
         text = path.read_text()
     args = ["pseudo", "--kind", "rc", "--target", "rmst", "--tau", "6"]
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pseudosurv.cli", *args, "--data", "/dev/stdin"],
-        input=text, capture_output=True, text=True, timeout=120, env=env,
-    )
+    proc = _run_module([*args, "--data", "/dev/stdin"], text)
     assert proc.returncode == code, proc.stderr
     if message is not None:
         assert proc.stderr.startswith(message)
@@ -232,6 +237,22 @@ def test_pseudo_reads_a_pipe_once(text, code, message, rc_csv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main([*args, "--data", str(path)]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_warnings_reach_stderr_as_one_line_each(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("time,status\n1,1\n2,0\n3,1\n")
+    args = ["pseudo", "--data", str(path), "--kind", "rc", "--target", "rmst", "--tau", "6"]
+    proc = _run_module(args, "")
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning:UserWarning: tau=6.0 exceeds the last observed time 3.0;"
+        " nobody is at risk near tau and the curve is extended flat\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(args) == 0
     assert proc.stdout == capsys.readouterr().out
 
 
@@ -366,6 +387,23 @@ def test_regress_errors_name_the_file_line(pseudo_text, cov_text, message, tmp_p
     err = capsys.readouterr().err
     assert message in err
     assert "usecols" not in err
+
+
+def test_regress_names_the_line_of_a_piped_file(tmp_path):
+    """A pipe is read once; its bad cell is still located by file line."""
+    cov = tmp_path / "cov.csv"
+    cov.write_text(_COV)
+    proc = _run_module(["regress", "--pseudo", "/dev/stdin", "--covariates", str(cov)],
+                       _PV.replace("3.5", "x"))
+    assert proc.returncode == 2
+    assert proc.stderr == "error:usage: /dev/stdin: line 5, column 2: cannot parse 'x' as a number\n"
+
+
+def test_regress_zero_variance_coefficient_gets_an_infinite_z(tmp_path, capsys):
+    """The intercept is fitted without residual, so its sandwich variance is
+    0 up to rounding, which may fall below 0."""
+    assert _regress(tmp_path, "id,pseudo\n1,0.5\n2,0.1\n3,0.2\n", "z\n1\n0\n1\n") == 0
+    assert capsys.readouterr().out.split("\n")[1] == "intercept,0.1,0,inf,0"
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):

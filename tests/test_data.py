@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,18 @@ def test_exact_record_at_zero_warns_but_is_allowed():
     with pytest.warns(UserWarning):
         rec = IntervalRecord(0.0, 0.0)
     assert rec.censoring_class == EXACT
+
+
+@pytest.mark.parametrize("cell", ["10", "1_0"], ids=["vectorized", "row-wise"])
+def test_records_at_zero_warn_once_on_either_load_path(cell):
+    """``1_0`` is a number to Python's float, not to np.loadtxt, so its
+    batch is parsed row by row; either way one warning counts the records."""
+    text = f"left,right\n0,0\n2,inf\n0,0\n0,0\n{cell},inf\n"
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        ds = load_interval_dataset(io.StringIO(text))
+    assert ds.left[-1] == 10.0
+    assert [str(w.message) for w in log] == ["exact observation at time 0 (3 records)"]
 
 
 def test_dataset_rejects_unknown_kind_and_unequal_columns():

@@ -34,7 +34,7 @@ def test_exact_exponential_closed_form():
     assert fit.info[0, 0] == pytest.approx(4.0, abs=1e-8)
     assert fit.loglik == pytest.approx(4 * math.log(0.5) - 4.0, abs=1e-10)
     assert fit.grad_norm <= 1e-8
-    assert fit.n == 4
+    assert fit.dataset.n == 4
 
 
 def test_mixed_censoring_closed_form():
@@ -50,7 +50,7 @@ def test_reported_information_is_minus_mean_hessian():
     fit = fit_pch(ds, IC_CUTS)
     prep = prepare_likelihood(ds, IC_CUTS)
     _, _, hess = loglik_parts(fit.model.rates, prep)
-    np.testing.assert_allclose(fit.info, -(hess + hess.T) / (2 * fit.n), atol=1e-12)
+    np.testing.assert_allclose(fit.info, -(hess + hess.T) / (2 * fit.dataset.n), atol=1e-12)
     np.testing.assert_array_equal(fit.info, fit.info.T)
 
 
@@ -201,7 +201,7 @@ def _manual_fit(info):
         grad_norm=0.0,
         iterations=1,
         condition_report=report,
-        n=10,
+        dataset=interval_dataset([0.5] * 10, [2.0] * 10),
         loglik_trace=(-2.0, -1.0),
     )
 

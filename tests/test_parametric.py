@@ -12,6 +12,7 @@ from pseudosurv import (
     InvalidTime,
     fit_pch,
     interval_dataset,
+    jackknife_pch,
     pseudo_alpha,
     pseudo_rmst,
     pseudo_survival,
@@ -63,10 +64,27 @@ def test_pseudo_rmst_mean_matches_plugin(fitted):
 
 def test_identical_records_give_identical_pseudo_values():
     n = 12
-    ds = interval_dataset([1.0] * n, [2.5] * n)
-    fit = fit_pch(interval_dataset([1.0, 0.5, 2.0], [2.5, 1.5, math.inf]), CutGrid((1.5,)))
+    ds = interval_dataset([1.0] * n + [0.5, 2.0], [2.5] * n + [1.5, math.inf])
+    fit = fit_pch(ds, CutGrid((1.5,)))
     pv = pseudo_survival(fit, ds, 2.0)
-    assert np.ptp(pv.values) == 0.0
+    assert np.ptp(pv.values[:n]) == 0.0
+
+
+@pytest.mark.parametrize("n", [300, 50], ids=["same-size", "other-size"])
+def test_maps_reject_another_sample(fitted, n):
+    """A fit evaluated on records it was not fitted to raises instead of
+    returning plausible values."""
+    _, fit = fitted
+    other = generate(ScenarioConfig("ic1", n=n, seed=5))
+    maps = [
+        lambda ds: pseudo_alpha(fit, ds),
+        lambda ds: pseudo_survival(fit, ds, 5.5),
+        lambda ds: pseudo_rmst(fit, ds, 6.0),
+        lambda ds: jackknife_pch(ds, CUTS, "rmst", 6.0, fit=fit),
+    ]
+    for run in maps:
+        with pytest.raises(ValueError, match="not of this dataset"):
+            run(other)
 
 
 def test_matches_per_subject_solves(fitted):

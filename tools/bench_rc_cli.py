@@ -13,7 +13,9 @@ of ``pseudosurv pseudo --kind rc --target rmst --tau 6 --method fast``:
 - ``load``: ``load_right_censored_dataset`` on the CSV;
 - ``km_fit``: ``km_fit`` on the loaded dataset;
 - ``pseudo_map``: ``km_pseudo_rmst`` at tau = 6;
-- ``format``: the ``id,pseudo`` text, made as the tree's CLI makes it;
+- ``format``: the ``id,pseudo`` text, made by the tree's bulk writer
+  (``data._csv``, or ``cli._csv`` in older trees), or row by row in trees
+  that have neither;
 - ``write``: writing that text to a file;
 - ``cli``: the whole command through ``cli.main``, for reference.
 
@@ -90,12 +92,15 @@ def _run_stages(src, csv_path, out_path, repeat):
     sys.path.insert(0, src)
     import numpy as np
 
-    from pseudosurv import cli, km_fit, km_pseudo_rmst, load_right_censored_dataset
+    from pseudosurv import cli, data, km_fit, km_pseudo_rmst, load_right_censored_dataset
     from pseudosurv.simulate import _timed
 
+    # The bulk writer is data._csv; older trees have it as cli._csv.
+    writer = getattr(data, "_csv", None) or getattr(cli, "_csv", None)
+
     def format_text(values):
-        if hasattr(cli, "_csv"):
-            return list(cli._csv("id,pseudo\n", "%d,%.12g\n", np.arange(1, values.size + 1), values))
+        if writer is not None:
+            return list(writer("id,pseudo\n", "%d,%.12g\n", np.arange(1, values.size + 1), values))
         # The row-by-row formatting of earlier versions of the CLI.
         rows = enumerate(values.tolist(), start=1)
         return ["id,pseudo\n" + "".join([f"{i},{v:.12g}\n" for i, v in rows])]
