@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import math
 import sys
 import warnings
 
 import numpy as np
 
-from .data import _csv, load_interval_dataset, load_right_censored_dataset
+from .data import _csv, _read_body, load_interval_dataset, load_right_censored_dataset
 from .errors import PseudosurvError
 from .fitting import fit_pch
 from .gee import LinkSpec, fit_gee, wald_table
@@ -191,9 +191,6 @@ def _cmd_fit(args):
 def _cmd_regress(args):
     _, y = _read_csv(args.pseudo, usecols=1)
     names, design = _read_csv(args.covariates)
-    if len(names) != design.shape[1]:
-        raise _UsageError(f"{args.covariates}: the header names {len(names)} columns,"
-                          f" the rows hold {design.shape[1]}")
     if args.intercept:
         design = np.column_stack([np.ones(design.shape[0]), design])
         names = ["intercept"] + names
@@ -288,57 +285,45 @@ def _pch_curve_csv(model, horizon, points: int = 201):
 
 
 def _read_csv(path, usecols=None):
-    """Header row and float body of one of ``regress``'s input CSVs.
-
-    The header is the first non-empty CSV row. numpy only splits the body
-    lines and each cell goes through Python's ``float``, so quoted cells,
-    spaces around numbers and ``1_000`` are accepted. Blank lines are
-    skipped. ``usecols=1`` reads the pseudo column of an ``id,pseudo`` file.
-    A source that cannot seek, such as a pipe, is read into memory first.
-    """
+    """Header (the first non-empty CSV row) and float body of a ``regress``
+    input, read once, so a pipe works; ``usecols=1`` reads the pseudo column
+    of an ``id,pseudo`` file. The body's row rule is `_parse_rows`."""
     with open(path, newline="", encoding="utf-8") as handle:
-        text = handle if handle.seekable() else io.StringIO(handle.read(), newline="")
-        header = next((row for row in csv.reader(text) if row), [])
+        rows = csv.reader(handle)
+        header = next((row for row in rows if row), [])
         if usecols is not None and len(header) <= usecols:
             raise _UsageError(f"{path}: expected columns id,pseudo")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data"
-                body = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
-                                  ndmin=2, converters=float, usecols=usecols)
-        except ValueError as exc:
-            text.seek(0)
-            raise _UsageError(f"{path}: {_first_fault(text, usecols) or exc}") from None
+        body = _read_body(handle, functools.partial(_parse_rows, path, usecols, rows.line_num),
+                          usecols=usecols)
     if body.shape[0] == 0:
         raise _UsageError(f"{path}: no data rows")
+    if usecols is None and len(header) != body.shape[1]:
+        raise _UsageError(f"{path}: the header names {len(header)} columns,"
+                          f" the rows hold {body.shape[1]}")
     return header, body
 
 
-def _first_fault(text, usecols):
-    """Where and why the first body row of a CSV fails to read as numbers.
-
-    Lines are counted from 1 in ``text``, header and blank lines included.
-    The body rows must all be as long as the first one, or, when one column
-    is used, merely hold it.
-    """
-    reader = csv.reader(text)
-    next((row for row in reader if row), None)  # the header
-    width = None
-    line = reader.line_num + 1
-    for row in reader:
-        if row:
-            width = width or len(row)
-            if usecols is not None and len(row) <= usecols:
-                return f"line {line}: expected at least {usecols + 1} cells, got {len(row)}"
-            if usecols is None and len(row) != width:
-                return f"line {line}: expected {width} cells, got {len(row)}"
-            for j in range(len(row)) if usecols is None else [usecols]:
-                try:
-                    float(row[j])
-                except ValueError:
-                    return f"line {line}, column {j + 1}: cannot parse {row[j]!r} as a number"
-        line = reader.line_num + 1
-    return None
+def _parse_rows(path, usecols, skipped, records, _, width):
+    """``regress``'s row rule: the non-blank records as a float table, or a
+    `_UsageError` naming the file line of the first one whose column
+    ``usecols + 1`` (all ``width`` cells if None) is not a Python float.
+    ``skipped`` lines precede the body."""
+    table = []
+    for line, row in (record for record in records if record[1]):
+        at = f"{path}: line {skipped + line + 1}"
+        if usecols is not None and len(row) <= usecols:
+            raise _UsageError(f"{at}: expected at least {usecols + 1} cells, got {len(row)}")
+        width = width or len(row)
+        if usecols is None and len(row) != width:
+            raise _UsageError(f"{at}: expected {width} cells, got {len(row)}")
+        values = []
+        for j in range(len(row)) if usecols is None else [usecols]:
+            try:
+                values.append(float(row[j]))
+            except ValueError:
+                raise _UsageError(f"{at}, column {j + 1}: cannot parse {row[j]!r} as a number") from None
+        table.append(values)
+    return np.array(table, dtype=float).reshape(len(table), -1 if table else 0)
 
 
 def _emit(text, out_path):

@@ -40,8 +40,9 @@ KIND_INTERVAL = "interval"
 _HEADERS = {KIND_RIGHT: ("time", "status"), KIND_INTERVAL: ("left", "right")}
 # Rows formatted per piece by _csv, which bounds the text held at once.
 _WRITE_ROWS = 1 << 16
-# Lines parsed per np.loadtxt call, which bounds the text a loader holds.
-_READ_LINES = 1 << 16
+# Lines parsed per np.loadtxt call. This bounds the text a reader holds, and
+# the lines that one cell np.loadtxt cannot read sends to the row rule.
+_READ_LINES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -370,11 +371,18 @@ def interval_width_summary(dataset: Dataset) -> dict:
 
 def _load(source, kind):
     """Read ``source`` once: a path is opened, anything else is iterated as
-    lines. The header row comes first, then the body by ``_read_body``."""
+    lines. The header comes first, then the body, `_parse_rows` its row rule."""
     is_path = isinstance(source, (str, Path))
-    with open(source, newline="", encoding="utf-8") if is_path else nullcontext(iter(source)) as lines:
+    with (open(source, newline="", encoding="utf-8") if is_path else nullcontext(iter(source)) as lines,
+          warnings.catch_warnings()):
+        # Dataset warns once, with the count of exact records at time 0.
+        warnings.filterwarnings("ignore", "exact observation at time 0")
         header = _read_header(lines, kind)
-        table = _read_body(lines, header, kind)
+        table = _read_body(
+            lines, lambda records, start, _: _parse_rows(records, header, kind, start),
+            width=len(header), accept=lambda t: not _bad_rows(kind, t[:, 0], t[:, 1]).any(),
+            converters={1: _right_cell} if kind == KIND_INTERVAL else None,
+        )
     names = _as_names(header[2:]) if len(header) > 2 else None
     covariates = np.ascontiguousarray(table[:, 2:]) if names else None
     return Dataset(kind, (table[:, 0], table[:, 1]), covariates, names)
@@ -386,47 +394,54 @@ def _read_header(lines, kind):
     if header is None:
         raise ParseError("missing header row", row=0)
     header = [c.strip() for c in header]
-    _check_header(header, _HEADERS[kind])
+    expected = _HEADERS[kind]
+    if tuple(c.lower() for c in header[: len(expected)]) != expected:
+        raise ParseError(f"header must start with {','.join(expected)},"
+                         f" got {','.join(header) or '(empty)'}", row=0)
     return header
 
 
-def _read_body(lines, header, kind):
-    """The data rows as an (n, width) float table, one batch of
-    ``_READ_LINES`` lines at a time, each parsed by one np.loadtxt call.
+def _read_body(lines, parse_rows, width=None, accept=lambda table: True, **options):
+    """The body of a CSV, read off ``lines``, as one float table.
 
-    From the first batch whose vectorized reading could differ from the
-    row-wise one (it fails, yields another shape than one row of ``width``
-    cells per line, holds a NaN or a row `_bad_rows` rejects, or ends inside
-    a quoted cell), the rest of the source is parsed row by row, which
-    raises the error of the first bad row.
+    Each batch of ``_READ_LINES`` lines is parsed by one np.loadtxt call with
+    ``options``. Its table is kept if every line gave a row of ``width``
+    cells (by default the first table's), no cell is NaN, ``accept(table)``
+    holds and the last line leaves no quote open. Any other batch goes alone
+    to the caller's row rule ``parse_rows(records, start, width)``, which
+    returns its table or raises the error of its first bad record, and
+    batching resumes. ``records`` yields (body lines before it, cells) for
+    each record starting in the batch; ``start`` is its first table row.
     """
-    width = len(header)
-    converters = {1: _right_cell} if kind == KIND_INTERVAL else None
     tables = []
-    for start in itertools.count(1, _READ_LINES):
-        batch = list(itertools.islice(lines, _READ_LINES))
-        if tables and not batch:
-            break
+    lines_read = 0
+    while batch := list(itertools.islice(lines, _READ_LINES)):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns when no line holds data
                 table = np.loadtxt(batch, dtype=float, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=2, converters=converters)
+                                   quotechar='"', ndmin=2, **options)
         except ValueError:
             table = None
-        if (table is None or table.shape != (len(batch), width) or np.isnan(table).any()
-                or _bad_rows(kind, table[:, 0], table[:, 1]).any()
-                or batch and batch[-1].count('"') % 2):
-            rows = csv.reader(itertools.chain(batch, lines))
-            with warnings.catch_warnings():
-                # Dataset warns once, with the count of exact records at time 0.
-                warnings.filterwarnings("ignore", "exact observation at time 0")
-                tables.append(_parse_rows(rows, header, kind, start))
-            break
-        tables.append(table)
-        if len(batch) < _READ_LINES:
-            break
-    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+        if (table is None or table.shape != (len(batch), width or table.shape[1])
+                or np.isnan(table).any() or not accept(table) or batch[-1].count('"') % 2):
+            reader = csv.reader(itertools.chain(batch, lines))
+            records = _records(reader, len(batch), lines_read)
+            table = parse_rows(records, sum(map(len, tables)) + 1, width)
+            lines_read += reader.line_num
+        else:
+            lines_read += len(batch)
+        if len(table):
+            tables.append(table)
+            width = table.shape[1]
+    return np.concatenate(tables) if tables else np.empty((0, width or 0))
+
+
+def _records(reader, count, before):
+    """``_read_body``'s records: those of ``reader`` that start in its first
+    ``count`` lines, after ``before`` others."""
+    while reader.line_num < count:
+        yield before + reader.line_num, next(reader)
 
 
 def _bad_rows(kind, first, second):
@@ -442,11 +457,11 @@ def _right_cell(cell):
     return math.inf if cell.strip() == "" else float(cell)
 
 
-def _parse_rows(rows, header, kind, start):
-    """Rows numbered from ``start`` as an (m, width) float table; raises the
-    error of the first bad row."""
+def _parse_rows(records, header, kind, start):
+    """The row rule of ``--data``: records numbered from ``start`` as an
+    (m, width) float table; raises the error of the first bad row."""
     table = []
-    for i, row in enumerate(rows, start=start):
+    for i, (_, row) in enumerate(records, start=start):
         if len(row) != len(header):
             raise ParseError(f"row {i}: expected {len(header)} cells, got {len(row)}", row=i)
         if kind == KIND_RIGHT:
@@ -464,15 +479,6 @@ def _parse_rows(rows, header, kind, start):
                 raise MalformedInterval(f"row {i}: {exc}") from exc
         table.append([a, b] + [_parse_float(c, i, name) for c, name in zip(row[2:], header[2:])])
     return np.array(table, dtype=float).reshape(-1, len(header))
-
-
-def _check_header(header, expected):
-    got = tuple(c.lower() for c in header[: len(expected)])
-    if got != expected:
-        raise ParseError(
-            f"header must start with {','.join(expected)}, got {','.join(header) or '(empty)'}",
-            row=0,
-        )
 
 
 def _parse_float(cell, row, name):

@@ -99,8 +99,11 @@ class PchFit:
         same object, or the same records in any order."""
         if dataset is self.dataset:
             return
-        rows = [np.column_stack(d.columns)[np.lexsort(d.columns[::-1])]
-                for d in (dataset, self.dataset)]
+        rows = [np.empty(d.n, dtype=complex) for d in (dataset, self.dataset)]
+        for row, d in zip(rows, (dataset, self.dataset)):
+            # sorted by real, then imaginary part; right * 1j would give nan+infj
+            row.real, row.imag = d.columns
+            row.sort()
         if not np.array_equal(*rows):
             raise ValueError(f"the fit is not of this dataset: its {self.dataset.n} records"
                              f" differ from the dataset's {dataset.n}")

@@ -94,6 +94,8 @@ def fit_gee(
 
     Raises
     ------
+    ValueError
+        If the shapes disagree, or a response or covariate is not finite.
     SingularDesign
         If the design is rank deficient.
     DidNotConverge
@@ -105,6 +107,8 @@ def fit_gee(
     Z = np.asarray(covariates, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != y.shape[0]:
         raise ValueError("covariates must be an n x p matrix matching the responses")
+    if not (np.isfinite(y).all() and np.isfinite(Z).all()):
+        raise ValueError("responses and covariates must be finite")
     n, p = Z.shape
     if np.linalg.matrix_rank(Z) < p:
         raise SingularDesign("design matrix is rank deficient")

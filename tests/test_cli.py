@@ -399,6 +399,48 @@ def test_regress_names_the_line_of_a_piped_file(tmp_path):
     assert proc.stderr == "error:usage: /dev/stdin: line 5, column 2: cannot parse 'x' as a number\n"
 
 
+def test_regress_names_the_line_of_a_bad_cell_in_a_later_batch_of_a_pipe(tmp_path):
+    """The bad cell of a piped file lies past the first batch of lines."""
+    line = data._READ_LINES + 500
+    rows = [f"{i},{i / 8}" for i in range(1, line + 100)]
+    rows[line - 2] = f"{line - 1},x"
+    cov = tmp_path / "cov.csv"
+    cov.write_text("z\n" + "\n".join(f"{i % 2}" for i in range(len(rows))) + "\n")
+    proc = _run_module(["regress", "--pseudo", "/dev/stdin", "--covariates", str(cov)],
+                       "id,pseudo\n" + "\n".join(rows) + "\n")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error:usage: /dev/stdin: line {line}, column 2: cannot parse 'x' as a number\n"
+    )
+
+
+@pytest.mark.parametrize("read_lines", [1, 2, 3])
+def test_regress_skips_blank_lines_across_batch_boundaries(read_lines, tmp_path, capsys,
+                                                            monkeypatch):
+    assert _regress(tmp_path, _PV, _COV) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(data, "_READ_LINES", read_lines)
+    # blank runs of one to three lines, some of them across each boundary
+    pseudo = _PV.replace("\n2,", "\n\n2,").replace("\n4,", "\n\n\n4,").replace("\n6,", "\n\n\n\n6,")
+    cov = "\n\n" + _COV.replace("\n1,1", "\n\n1,1").replace("\n", "\r\n") + "\r\n"
+    assert _regress(tmp_path, pseudo, cov) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("where", ["pseudo", "covariates"])
+def test_regress_rejects_a_non_finite_cell(cell, where, tmp_path, capsys):
+    """A NaN or infinite response or covariate exits 2 instead of printing
+    NaN coefficients."""
+    pseudo, cov = "id,pseudo\n1,0.5\n2,0.1\n3,0.2\n", "z\n1\n0\n1\n"
+    if where == "pseudo":
+        pseudo = pseudo.replace("0.1", cell)
+    else:
+        cov = cov.replace("0", cell)
+    assert _regress(tmp_path, pseudo, cov) == 2
+    assert capsys.readouterr().err == "error:usage: responses and covariates must be finite\n"
+
+
 def test_regress_zero_variance_coefficient_gets_an_infinite_z(tmp_path, capsys):
     """The intercept is fitted without residual, so its sandwich variance is
     0 up to rounding, which may fall below 0."""

@@ -485,6 +485,62 @@ def test_loader_reads_a_quoted_line_break_across_a_batch_boundary(source, tmp_pa
     assert ds.times[-1] == n / 7
 
 
+def _broken_early(count, bad=None):
+    """``count`` rows with covariates, row 2's covariate cell holding a
+    quoted line break, and row ``bad`` (if given) holding a bad status."""
+    rows = [f"{i / 7!r},{i % 2},{-i}" for i in range(1, count + 1)]
+    plain = "\n".join(["time,status,z"] + rows) + "\n"
+    rows[1] = rows[1].replace(",-2", ',"-2\n"')
+    if bad is not None:
+        rows[bad - 1] = f"{bad / 7!r},x,0"
+    return plain, "\n".join(["time,status,z"] + rows) + "\n"
+
+
+@pytest.mark.parametrize("source", ["buffer", "path"])
+def test_batches_resume_after_one_parsed_row_by_row(source, tmp_path, monkeypatch):
+    """A batch that np.loadtxt cannot take whole goes alone to the row rule:
+    the records of the first batch are parsed row by row, the plain batches
+    after it in vectorized parses."""
+    monkeypatch.setattr(data, "_READ_LINES", 4)
+    plain, broken = _broken_early(40)
+    if source == "path":
+        src = tmp_path / "data.csv"
+        src.write_text(broken, newline="")
+    else:
+        src = io.StringIO(broken)
+    received = []
+    parse_rows = data._parse_rows
+
+    def counted(records, *args):
+        records = list(records)
+        received.append(len(records))
+        return parse_rows(iter(records), *args)
+
+    monkeypatch.setattr(data, "_parse_rows", counted)
+    ds = load_right_censored_dataset(src)
+    # four lines, three records: row 2 spans the second and third line
+    assert received == [3]
+    expected = load_right_censored_dataset(io.StringIO(plain))
+    np.testing.assert_array_equal(ds.times, expected.times)
+    np.testing.assert_array_equal(ds.status, expected.status)
+    np.testing.assert_array_equal(ds.covariates, expected.covariates)
+
+
+@pytest.mark.parametrize("read_lines", [1, 2, 3, None], ids=["1", "2", "3", "default"])
+def test_rows_after_a_row_by_row_batch_keep_their_numbers(read_lines, monkeypatch):
+    """A bad row after a batch holding a line break is named by its record
+    number, not by its line."""
+    if read_lines is not None:
+        monkeypatch.setattr(data, "_READ_LINES", read_lines)
+    count = data._READ_LINES + 30
+    bad = count - 10
+    _, text = _broken_early(count, bad)
+    with pytest.raises(ParseError) as err:
+        load_right_censored_dataset(io.StringIO(text))
+    assert str(err.value) == f"row {bad}: cannot parse status='x' as a number"
+    assert err.value.row == bad
+
+
 def _reference_csv(dataset):
     """Row-by-row formatting: repr for floats, csv.writer line ends."""
     buffer = io.StringIO()

@@ -233,3 +233,23 @@ def test_fit_recovers_generating_rates_at_scale():
     right = left + 0.25
     fit = fit_pch(interval_dataset(left, right), true.grid)
     np.testing.assert_allclose(fit.model.rates, true.rates, rtol=0.15)
+
+
+def test_check_sample_accepts_the_fitted_records_in_any_order():
+    """Right-censored brackets (right = inf), -0.0 for 0.0 and tied records
+    in another order are the fitted sample; a copy with one record changed,
+    or with two right endpoints swapped, is not."""
+    left = np.array([0.0, 1.0, 1.0, 2.0, 0.5, 3.0, 1.0, 0.0])
+    right = np.array([1.0, math.inf, 2.0, math.inf, 0.5, math.inf, math.inf, 2.5])
+    ds = interval_dataset(left, right)
+    fit = fit_pch(ds, CutGrid((1.5,)))
+    order = np.array([6, 3, 7, 0, 5, 2, 4, 1])
+    shuffled = np.where(left == 0.0, -0.0, left)[order]
+    fit.check_sample(ds)
+    fit.check_sample(interval_dataset(shuffled, right[order]))
+    changed = right.copy()
+    changed[3] = 4.0
+    swapped = right[[0, 1, 7, 3, 4, 5, 6, 2]]
+    for other in (changed, swapped):
+        with pytest.raises(ValueError, match="not of this dataset"):
+            fit.check_sample(interval_dataset(left, other))

@@ -206,3 +206,13 @@ def test_link_spec_validation():
     np.testing.assert_allclose(link.derivative(eta), fd, atol=1e-7)
     np.testing.assert_allclose(link.link(link.inverse(eta)), eta, atol=1e-12)
     assert LinkSpec(IDENTITY).derivative(eta) == pytest.approx(np.ones(3))
+
+
+@pytest.mark.parametrize("cell", [math.nan, math.inf])
+def test_non_finite_responses_or_covariates_raise(cell):
+    y = np.array([0.5, 0.1, 0.2])
+    Z = np.column_stack([np.ones(3), [1.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_gee(np.where([False, True, False], cell, y), Z)
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_gee(y, np.where([[False, False], [False, True], [False, False]], cell, Z))

@@ -9,8 +9,9 @@ The product-limit maps are checked on right-censored samples of 1 to 60
 records whose times lie on a coarse grid, so that events, censorings and
 the horizon tie heavily.
 
-The CSV loaders are checked on short generated files, mostly valid rows
-with quoted, padded, missing, malformed and ragged cells among them.
+The CSV loaders and the readers of ``regress``'s inputs are checked on
+short generated files, mostly valid rows with quoted, padded, missing,
+malformed and ragged cells among them.
 
 Hypothesis runs derandomized, so every run checks the same examples.
 """
@@ -18,7 +19,9 @@ Hypothesis runs derandomized, so every run checks the same examples.
 import csv
 import io
 import math
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -41,7 +44,7 @@ from pseudosurv import (
     pseudo_survival,
     right_censored_dataset,
 )
-from pseudosurv import data
+from pseudosurv import cli, data
 from pseudosurv.fitting import _initial_rates
 from pseudosurv.pch import loglik_parts, prepare_likelihood, rmst_closed_form, score_matrix
 
@@ -296,3 +299,50 @@ def test_loading_in_small_batches_matches_one_batch(file):
     whole = _load_outcome(loader, text, 1 << 16)
     for read_lines in range(1, 6):
         assert _load_outcome(loader, text, read_lines) == whole
+
+
+_IDS = ("1", "a", '"b, c"', '"d\ne"', "")
+
+
+@st.composite
+def regress_files(draw):
+    """(usecols, text): an ``id,pseudo`` file (usecols 1) or a covariates
+    file (usecols None), with blank lines, quoted, padded and malformed
+    cells, ragged rows and quoted line breaks among mostly valid rows."""
+    usecols = draw(st.sampled_from([1, None]))
+    width = 2 if usecols else draw(st.integers(1, 3))
+    first = st.sampled_from(_IDS) if usecols else st.sampled_from(_NUMBERS)
+    valid = st.tuples(first, *[st.sampled_from(_NUMBERS)] * (width - 1))
+    broken = valid.map(lambda cells: [*cells[:-1], '"' + cells[-1].strip('"') + '\n"'])
+    wild = st.tuples(*[st.sampled_from(_NUMBERS + _WILD)] * width)
+    ragged = st.lists(st.sampled_from(_NUMBERS), max_size=4)
+    blank = st.just(())
+    rows = draw(st.lists(st.one_of(valid, valid, broken, wild, ragged, blank), max_size=14))
+    header = "id,pseudo" if usecols else ",".join(f"z{j}" for j in range(width))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [""] * draw(st.integers(0, 2)) + [header] + [",".join(row) for row in rows]
+    return usecols, end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _regress_outcome(path, usecols, read_lines):
+    """The header and body `regress` reads from ``path``, or its message."""
+    with mock.patch.object(data, "_READ_LINES", read_lines):
+        try:
+            header, body = cli._read_csv(path, usecols)
+        except cli._UsageError as exc:
+            return str(exc)
+    return header, body.shape, body.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(regress_files())
+def test_regress_inputs_in_small_batches_match_one_batch(file):
+    """Batches of one to five lines read every ``regress`` input as one batch
+    holding the whole file does: the same table, or the same message."""
+    usecols, text = file
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "input.csv"
+        path.write_bytes(text.encode())
+        whole = _regress_outcome(path, usecols, 1 << 16)
+        for read_lines in range(1, 6):
+            assert _regress_outcome(path, usecols, read_lines) == whole

@@ -1,4 +1,5 @@
-"""Seconds per stage of the rc ``pseudo`` path, for one or more source trees.
+"""Seconds per stage of the rc ``pseudo`` and ``regress`` path, for one or more
+source trees.
 
 Run from the repository root, for example to compare a checkout of the
 parent commit with this one:
@@ -6,9 +7,10 @@ parent commit with this one:
     python tools/bench_rc_cli.py --tree parent=../parent/src --tree change=src \
         --n 1000 10000 100000 1000000 --seeds 1 2 3 --out BENCH_rc_cli.json
 
-For each n and seed, the rc scenario is generated once and saved as CSV.
-Each tree then runs, in a fresh process and trees alternating, the stages
-of ``pseudosurv pseudo --kind rc --target rmst --tau 6 --method fast``:
+For each n and seed, the rc scenario is generated once and saved as CSV,
+with its covariates less the intercept column as a second CSV. Each tree
+then runs, in a fresh process and trees alternating, the stages of
+``pseudosurv pseudo --kind rc --target rmst --tau 6 --method fast``:
 
 - ``load``: ``load_right_censored_dataset`` on the CSV;
 - ``km_fit``: ``km_fit`` on the loaded dataset;
@@ -17,11 +19,14 @@ of ``pseudosurv pseudo --kind rc --target rmst --tau 6 --method fast``:
   (``data._csv``, or ``cli._csv`` in older trees), or row by row in trees
   that have neither;
 - ``write``: writing that text to a file;
-- ``cli``: the whole command through ``cli.main``, for reference.
+- ``cli``: the whole command through ``cli.main``, for reference;
+- ``regress``: ``cli.main`` running ``regress --intercept`` on that
+  command's ``id,pseudo`` output and the covariates CSV.
 
 Every stage is timed with ``simulate._timed``; a run repeats the stages
 ``--repeat`` times and keeps each stage's median. The JSON also holds the
-digest of each tree's output, which must agree across trees.
+digests of each tree's ``id,pseudo`` and ``regress`` outputs, which must
+agree across trees.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-STAGES = ("load", "km_fit", "pseudo_map", "format", "write", "cli")
+STAGES = ("load", "km_fit", "pseudo_map", "format", "write", "cli", "regress")
 TAU = 6.0
 
 
@@ -49,11 +54,11 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", default="BENCH_rc_cli.json")
-    parser.add_argument("--worker", nargs=3, metavar=("SRC", "CSV", "OUT"), help=argparse.SUPPRESS)
+    parser.add_argument("--worker", nargs=4, metavar=("SRC", "CSV", "COVARIATES", "WORK"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        src, csv_path, out_path = args.worker
-        print(json.dumps(_run_stages(src, csv_path, out_path, args.repeat)))
+        print(json.dumps(_run_stages(*args.worker, args.repeat)))
         return 0
     if not args.tree:
         parser.error("give at least one --tree LABEL=SRC")
@@ -67,33 +72,48 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         for n in args.n:
             for seed in args.seeds:
-                data = Path(work) / "data.csv"
-                save_dataset(generate(ScenarioConfig("rc", n, seed=seed)), data)
+                data, covariates = Path(work) / "data.csv", Path(work) / "covariates.csv"
+                dataset = generate(ScenarioConfig("rc", n, seed=seed))
+                save_dataset(dataset, data)
+                _save_covariates(dataset, covariates)
+                del dataset
                 for label, src in trees.items():
                     out = subprocess.run(
                         [sys.executable, __file__, "--repeat", str(args.repeat),
-                         "--worker", os.path.abspath(src), str(data),
-                         str(Path(work) / "pseudo.csv")],
+                         "--worker", os.path.abspath(src), str(data), str(covariates), work],
                         check=True, capture_output=True, text=True,
                     ).stdout
                     record = json.loads(out.strip().splitlines()[-1])
                     runs.append({"tree": label, "n": n, "seed": seed, **record})
                     print(label, n, seed, {k: round(v, 4) for k, v in record["seconds"].items()},
                           file=sys.stderr)
-                digests = {r["tree"]: r["output_sha256"] for r in runs[-len(trees):]}
-                if len(set(digests.values())) != 1:
-                    raise SystemExit(f"n={n} seed={seed}: outputs differ between trees: {digests}")
+                for output in ("output_sha256", "regress_sha256"):
+                    digests = {r["tree"]: r[output] for r in runs[-len(trees):]}
+                    if len(set(digests.values())) != 1:
+                        raise SystemExit(f"n={n} seed={seed}: {output} differs between trees:"
+                                         f" {digests}")
 
     Path(args.out).write_text(json.dumps(_report(args, list(trees), runs), indent=1) + "\n")
     return 0
 
 
-def _run_stages(src, csv_path, out_path, repeat):
+def _save_covariates(dataset, path):
+    """The covariates less the intercept column, as ``regress --intercept`` reads them."""
+    import numpy as np
+
+    names = ",".join(dataset.covariate_names[1:])
+    np.savetxt(path, dataset.covariates[:, 1:], fmt="%d", delimiter=",", header=names,
+               comments="")
+
+
+def _run_stages(src, csv_path, covariates_path, work, repeat):
     sys.path.insert(0, src)
     import numpy as np
 
     from pseudosurv import cli, data, km_fit, km_pseudo_rmst, load_right_censored_dataset
     from pseudosurv.simulate import _timed
+
+    out_path, regress_path = str(Path(work) / "pseudo.csv"), str(Path(work) / "regress.csv")
 
     # The bulk writer is data._csv; older trees have it as cli._csv.
     writer = getattr(data, "_csv", None) or getattr(cli, "_csv", None)
@@ -128,9 +148,15 @@ def _run_stages(src, csv_path, out_path, repeat):
         if code != 0:
             raise SystemExit(f"pseudo exited with {code}")
         samples["cli"].append(seconds)
-    digest = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
+        argv = ["regress", "--pseudo", out_path, "--covariates", covariates_path, "--intercept",
+                "--out", regress_path]
+        code, seconds = _timed(cli.main, argv)
+        if code != 0:
+            raise SystemExit(f"regress exited with {code}")
+        samples["regress"].append(seconds)
     return {"seconds": {k: statistics.median(v) for k, v in samples.items()},
-            "output_sha256": digest}
+            "output_sha256": hashlib.sha256(Path(out_path).read_bytes()).hexdigest(),
+            "regress_sha256": hashlib.sha256(Path(regress_path).read_bytes()).hexdigest()}
 
 
 def _report(args, labels, runs):
@@ -145,7 +171,8 @@ def _report(args, labels, runs):
             }
     return {
         "what": "seconds per stage of `pseudosurv pseudo --kind rc --target rmst --tau 6 "
-                "--method fast` on the rc scenario, per source tree",
+                "--method fast` and of `regress --intercept` on its output and the "
+                "covariates, on the rc scenario, per source tree",
         "stages": list(STAGES),
         "timer": "pseudosurv.simulate._timed",
         "repeat": args.repeat,
