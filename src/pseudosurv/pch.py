@@ -1,16 +1,16 @@
-"""Piecewise-constant-hazard model: evaluation, the vectorized likelihood
-kernel, closed-form restricted-mean integrals, and identifiability
-diagnostics.
+"""Piecewise-constant-hazard model: evaluation, the likelihood kernel,
+closed-form restricted-mean integrals, and identifiability diagnostics.
 
 The hazard is a step function over pieces (c_{k-1}, c_k] with c_0 = 0 and
-c_K = +inf, so the cumulative hazard is a piecewise-linear ramp and survival
-is piecewise exponential. Interval-censored records contribute the bracket
-mass S(L) - S(R) to the likelihood; right-censored records contribute S(L);
-exact records contribute the density lambda(T) S(T). One weighted kernel
-(``loglik_parts``, with ``score_products`` for the per-record scores)
-evaluates every record at once; its derivatives are analytic, with
-expm1-based evaluations wherever a naive difference of exponentials would
-cancel.
+c_K = +inf. Interval-censored records contribute the bracket mass
+S(L) - S(R) to the likelihood, right-censored ones S(L), exact ones the
+density lambda(T) S(T). One kernel (``loglik_parts``, with
+``score_products`` for the per-record scores) evaluates every record from
+its piece indices: an exposure is the full widths below its piece plus the
+part within it, and a bracket's cumulative hazard involves its two end
+pieces and the full pieces between, shared by its (jL, jR) class. So it
+keeps O(n) numbers, never an n x K array. Its derivatives are analytic, with
+expm1 wherever a difference of exponentials would cancel.
 """
 
 from __future__ import annotations
@@ -69,14 +69,11 @@ class CutGrid:
 
     def piece_index(self, t):
         """Index k of the piece (c_k, c_{k+1}] containing t; t = 0 maps to piece 0."""
-        return np.searchsorted(np.asarray(self.cuts), t, side="left")
+        return np.searchsorted(self.upper[:-1], t, side="left")
 
     def exposure(self, t):
-        """Per-piece time at risk up to t: (c_k ^ t - c_{k-1})+ for each piece.
-
-        Accepts a scalar (returns a K-vector) or an array of shape (n,)
-        (returns n x K). Components sum to t.
-        """
+        """Per-piece time at risk up to t, (c_k ^ t - c_{k-1})+ for each piece:
+        a K-vector for a scalar t, n x K for n times. Components sum to t."""
         t = np.asarray(t, dtype=float)
         return np.clip(t[..., None] - self.lower, 0.0, self.widths)
 
@@ -141,13 +138,9 @@ def grad_cum_hazard(model: PchModel, t) -> np.ndarray:
 
 
 def rmst_closed_form(model: PchModel, tau) -> float:
-    """Integral of survival over [0, tau], in closed form.
-
-    tau may be +inf, in which case the last piece contributes its full
-    exponential tail. Each piece l adds
-    S(c_{l-1}) (1 - exp(-alpha_l w_l)) / alpha_l for the within-piece width
-    w_l, evaluated through expm1 so that small rates lose no precision.
-    """
+    """Integral of survival over [0, tau] (tau may be +inf), in closed form:
+    each piece l adds S(c_{l-1}) (1 - exp(-alpha_l w_l)) / alpha_l for its
+    width w_l within tau, through expm1 so that small rates lose nothing."""
     check_tau(tau)
     return float(rmst_rows(model.grid, model.rates, float(tau)))
 
@@ -216,53 +209,46 @@ class ConditionReport:
     def describe(self) -> str:
         if self.ok:
             return "all pieces identifiable"
-        parts = []
-        for piece, condition in self.violations:
-            what = (
-                "no finite bracket intersects it"
-                if condition == 1
-                else "no left endpoint exceeds its lower edge"
-            )
-            parts.append(f"piece {piece}: {what}")
-        return "; ".join(parts)
+        what = {1: "no finite bracket intersects it", 2: "no left endpoint exceeds its lower edge"}
+        return "; ".join(f"piece {piece}: {what[c]}" for piece, c in self.violations)
 
 
-def check_conditions(dataset: Dataset, grid: CutGrid) -> ConditionReport:
+def check_conditions(dataset: Dataset, grid: CutGrid,
+                     prep: PreparedLikelihood | None = None) -> ConditionReport:
     """Count, per piece, the records that pin its rate down.
 
-    Advisory only; fitting proceeds with a warning when a piece fails,
-    because near-violations merely make the fit fragile rather than wrong.
+    One pass over the piece indices of ``prep`` (prepared here if not
+    given): a bracket meets pieces jL to jR (an exact record at t > 0 its
+    own), counted as the running sum of +1 at jL and -1 after jR; a left
+    endpoint exceeds the lower edges up to its own piece's, and piece 0's
+    if it is positive. Advisory only; fitting proceeds with a warning when
+    a piece fails, because near-violations merely make the fit fragile.
     """
     if dataset.n == 0:
         raise EmptyInput("cannot check conditions on an empty dataset")
-    left = dataset.left
-    right = dataset.right
-    finite = np.isfinite(right)
-    finite_counts = []
-    exceed_counts = []
-    violations = []
-    for k in range(grid.K):
-        lo = grid.lower[k]
-        hi = grid.upper[k]
-        n_finite = int(np.sum(finite & (left <= hi) & (right > lo)))
-        n_exceed = int(np.sum(left > lo))
-        finite_counts.append(n_finite)
-        exceed_counts.append(n_exceed)
-        if n_finite == 0:
-            violations.append((k + 1, 1))
-        if n_exceed == 0:
-            violations.append((k + 1, 2))
-    return ConditionReport(tuple(finite_counts), tuple(exceed_counts), tuple(violations))
+    prep = prepare_likelihood(dataset, grid) if prep is None else prep
+    K = prep.K
+    timed = prep.exact_piece[prep.expo_left[prep.exact_rows] > 0]
+    lo, hi = np.concatenate([prep.class_pieces, [timed, timed]], axis=1)
+    weight = np.concatenate([prep.class_sizes, np.ones(timed.size)])
+    ends = np.bincount(lo, weight, K + 1) - np.bincount(hi + 1, weight, K + 1)
+    finite_counts = np.cumsum(ends)[:K].astype(int)
+    exceed_counts = np.cumsum(np.bincount(prep.left_piece, minlength=K)[::-1])[::-1]
+    exceed_counts[0] = np.count_nonzero(prep.expo_left > 0)
+    violations = [(k + 1, condition) for k in range(K)
+                  for condition, counts in ((1, finite_counts), (2, exceed_counts))
+                  if counts[k] == 0]
+    return ConditionReport(tuple(finite_counts.tolist()), tuple(exceed_counts.tolist()),
+                           tuple(violations))
 
 
 def _piece_areas(grid: CutGrid, rates: np.ndarray, tau: float):
     """Area under survival within each piece, truncated at tau.
 
-    ``rates`` is one row of K rates or a (B, K) stack; the last axis runs
-    over pieces throughout. Returns (areas, active, w, a, s_left): the
-    areas, then the mask of the pieces that start before tau and, for
-    those, their widths truncated at tau, their rates and the survival at
-    their left edges.
+    ``rates`` is one row of K rates or a (B, K) stack. Returns (areas,
+    active, w, a, s_left): the areas, the mask of the pieces that start
+    before tau and, for those, their widths truncated at tau, their rates
+    and the survival at their left edges.
     """
     active = tau > grid.lower
     w = np.minimum(grid.upper, tau)[active] - grid.lower[active]
@@ -291,175 +277,232 @@ def _own_factor(x: np.ndarray) -> np.ndarray:
 # Vectorized likelihood kernel shared by the fitter, the fast
 # pseudo-observations, and the leave-one-out oracle.
 
+# A class's 3 x 3 curvature moments, in the order of its basis rows, as rows
+# of the curvature sums of c a^2, c ab, c b^2, c a, c b and c.
+_MOMENTS = np.array([[0, 1, 3], [1, 2, 4], [3, 4, 5]])
+
 
 @dataclass(frozen=True, eq=False)
 class PreparedLikelihood:
-    """Exposures and rate-free sums of one weighted dataset, computed once.
+    """One dataset's records by piece index, and its rate-free sums, computed once.
 
-    ``diff`` holds one row per bracket record, aligned with ``interval_rows``:
-    the exposure difference between its endpoints. Each record weighs one,
-    or zero when left out. The terms that do not depend on the rates are
-    hoisted: ``expo_sum`` is the weighted column sum of ``expo_left`` and
-    ``exact_counts`` the weighted number of exact records per piece;
-    ``bracket_weights`` holds the bracket records' weights. In a stack made
-    by ``leave_out`` these three gain a leading axis with one row per
-    likelihood, and ``loglik_parts`` evaluates one rate row against each.
+    ``expo_left`` is the dataset's left endpoints L (its own column; L is
+    the record's total exposure) and ``left_piece`` their pieces jL: an
+    exposure is the full widths below jL plus L - c_jL. A bracket, with a
+    finite R > L in piece jR, is of class (jL, jR). The brackets are stored
+    class by class (``interval_rows``; ``class_starts``, ``class_sizes`` and
+    ``class_pieces`` give each class's first position, size and (jL, jR))
+    with their own-piece lengths in the rows of ``diff``: a from L to the
+    top of piece jL (R - L if jL = jR), b from the bottom of piece jR to R
+    (0 if jL = jR). ``classes`` (3, Q, K) holds each class's basis: the
+    unit vectors of jL and jR and the full widths strictly between, so a
+    bracket's cumulative hazard is alpha_jL a + alpha_jR b + alpha @ row 3.
+
+    ``expo_sum`` (the exposures' column sum) and ``exact_counts`` (exact
+    records per piece) are hoisted. In a stack made by ``leave_out`` they
+    have one row per likelihood and ``left_out`` holds each row's left-out
+    bracket position (-1 for any other record).
     """
 
-    K: int
+    grid: CutGrid
     expo_left: np.ndarray
+    left_piece: np.ndarray
     diff: np.ndarray
     interval_rows: np.ndarray
+    class_starts: np.ndarray
+    class_sizes: np.ndarray
+    class_pieces: np.ndarray
+    classes: np.ndarray
     exact_rows: np.ndarray
     exact_piece: np.ndarray
     expo_sum: np.ndarray
     exact_counts: np.ndarray
-    bracket_weights: np.ndarray
+    left_out: np.ndarray | None = None
+
+    @property
+    def K(self) -> int:
+        return self.grid.K
 
     def leave_out(self, rows) -> "PreparedLikelihood":
-        """A stack of B likelihoods, the b-th with subject rows[b]'s weight set to zero.
-
-        The stack shares ``expo_left`` and ``diff``; only the B x K sums and
-        the B x (bracket rows) weights are new, so no n x K array is copied.
-        """
+        """A stack of B likelihoods, the b-th without subject rows[b]: new B x K
+        sums, and each row's left-out bracket, which the kernel drops."""
         rows = np.asarray(rows, dtype=int)
-        expo_sum = self.expo_sum - self.expo_left[rows]
+        piece = self.left_piece[rows]
+        expo = np.where(np.arange(self.K) < piece[:, None], self.grid.widths, 0.0)
+        expo[np.arange(rows.size), piece] = self.expo_left[rows] - self.grid.lower[piece]
         exact_counts = np.tile(self.exact_counts, (rows.size, 1))
-        b, j = _matches(self.exact_rows, rows)
-        exact_counts[b, self.exact_piece[j]] -= 1.0
-        bracket_weights = np.tile(self.bracket_weights, (rows.size, 1))
-        b, j = _matches(self.interval_rows, rows)
-        bracket_weights[b, j] = 0.0
-        return replace(
-            self,
-            expo_sum=expo_sum,
-            exact_counts=exact_counts,
-            bracket_weights=bracket_weights,
-        )
+        exact = np.flatnonzero(np.isin(rows, self.exact_rows))
+        exact_counts[exact, piece[exact]] -= 1.0
+        position = np.full(self.expo_left.size, -1)
+        position[self.interval_rows] = np.arange(self.interval_rows.size)
+        return replace(self, expo_sum=self.expo_sum - expo, exact_counts=exact_counts,
+                       left_out=position[rows])
 
     def take(self, idx) -> "PreparedLikelihood":
         """Rows idx of a stack; an unstacked likelihood is returned as is."""
-        if self.bracket_weights.ndim == 1:
+        if self.left_out is None:
             return self
-        return replace(
-            self,
-            expo_sum=self.expo_sum[idx],
-            exact_counts=self.exact_counts[idx],
-            bracket_weights=self.bracket_weights[idx],
-        )
+        return replace(self, expo_sum=self.expo_sum[idx], exact_counts=self.exact_counts[idx],
+                       left_out=self.left_out[idx])
 
 
 def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
-    """Precompute per-record exposures for repeated likelihood evaluation."""
+    """Describe every record by piece indices, and hoist the rate-free sums."""
     if dataset.n == 0:
         raise EmptyInput("cannot prepare an empty dataset")
-    left = dataset.left
-    right = dataset.right
+    left, right = dataset.left, dataset.right
+    n, K = dataset.n, grid.K
+    piece = grid.piece_index(left)
     is_exact = left == right
-    rows = np.flatnonzero(np.isfinite(right) & ~is_exact)
-    expo_left = grid.exposure(left)
+    bracket = np.flatnonzero(np.isfinite(right) & ~is_exact)
+    # One stable sort by (jL, then jR for a bracket and K for any other
+    # record) makes each piece's records, and each bracket class, contiguous.
+    key = piece * (K + 1) + K
+    key[bracket] += grid.piece_index(right[bracket]) - K
+    key = key.astype(np.min_scalar_type(K * (K + 2)))
+    order = np.argsort(key, kind="stable")
+    key = np.sort(key)
+    lo, hi = np.divmod(key, K + 1)
+    # numpy's pairwise sum of each piece's own parts, then the full widths
+    # of the records beyond it; a running sum over n records would round
+    # about n units in the last place.
+    counts = np.bincount(lo, minlength=K)
+    held = counts > 0
+    expo_sum = np.zeros(K)
+    starts = (np.cumsum(counts) - counts)[held]
+    expo_sum[held] = np.add.reduceat(left[order] - grid.lower[lo], starts)
+    expo_sum[:-1] += grid.widths[:-1] * (n - np.cumsum(counts))[:-1]
+
+    in_bracket = hi < K
+    rows, key, lo, hi = order[in_bracket], key[in_bracket], lo[in_bracket], hi[in_bracket]
+    class_starts = np.flatnonzero(np.diff(key, prepend=-1))
+    pieces, first, last = np.arange(K), lo[class_starts, None], hi[class_starts, None]
+    between = np.where((pieces > first) & (pieces < last), grid.widths, 0.0)
+    L, R = left[rows], right[rows]
+    own = lo == hi
     exact_rows = np.flatnonzero(is_exact)
-    exact_piece = np.asarray(grid.piece_index(left[exact_rows]), dtype=int)
+    piece = piece.astype(np.min_scalar_type(K))
     return PreparedLikelihood(
-        K=grid.K,
-        expo_left=expo_left,
-        diff=grid.exposure(right[rows]) - expo_left[rows],
-        interval_rows=rows,
-        exact_rows=exact_rows,
-        exact_piece=exact_piece,
-        expo_sum=expo_left.sum(axis=0),
-        exact_counts=np.bincount(exact_piece, minlength=grid.K).astype(float),
-        bracket_weights=np.ones(rows.size),
+        grid=grid,
+        expo_left=left,
+        left_piece=piece,
+        diff=np.stack([np.where(own, R - L, grid.upper[lo] - L),
+                       np.where(own, 0.0, R - grid.lower[hi])]),
+        interval_rows=rows.astype(np.min_scalar_type(n)),
+        class_starts=class_starts,
+        class_sizes=np.diff(class_starts, append=rows.size),
+        class_pieces=np.stack([lo[class_starts], hi[class_starts]]),
+        classes=np.stack([pieces == first, pieces == last, between]).astype(float),
+        exact_rows=exact_rows.astype(np.min_scalar_type(n)),
+        exact_piece=piece[exact_rows],
+        expo_sum=expo_sum,
+        exact_counts=np.bincount(piece[exact_rows], minlength=K).astype(float),
     )
 
 
 def loglik_parts(alpha, prep: PreparedLikelihood):
-    """Weighted total log-likelihood, score, and Hessian at the rates alpha.
+    """Total log-likelihood, score, and Hessian at the rates alpha.
 
-    The log-likelihood is
-    -expo_sum @ alpha + w @ log(1 - exp(-dlam)) + exact_counts @ log(alpha)
-    for the bracket weights w and the bracket increments dlam = diff @ alpha,
-    so a call reads the bracket rows and never the n x K exposures.
-
-    alpha is one row of K rates, or a (B, K) stack evaluated row by row
-    against a stack from ``leave_out`` or against one unstacked likelihood.
-    Returns (loglik, gradient, Hessian), of shapes (), (K,), (K, K) for one
-    row and (B,), (B, K), (B, K, K) for a stack. The Hessian is symmetric
-    only to rounding, because it is formed as (curve * diff).T @ diff from
-    two different factors; ``fit_pch`` symmetrizes the information it keeps.
-    Raises DegenerateInterval if any bracket's mass underflows to zero, a
-    zero-weight bracket included; that happens only at rates far outside
-    the fitter's bounds.
+    The log-likelihood is -expo_sum @ alpha + sum log(1 - exp(-dlam)) +
+    exact_counts @ log(alpha) over the bracket increments dlam: a call reads
+    only the brackets, summed per class (jL, jR), three sums for the score
+    and six for the Hessian, then spread over the pieces by the classes'
+    bases. alpha is one row of K rates, or a (B, K) stack evaluated row by
+    row against a stack from ``leave_out`` or one unstacked likelihood;
+    the results have shapes (), (K,), (K, K) or (B,), (B, K), (B, K, K).
+    The Hessian is symmetric only to rounding (``fit_pch`` symmetrizes the
+    information). Raises DegenerateInterval if any bracket's mass, a
+    left-out one included, underflows to zero, which happens only far
+    outside the fitter's rate bounds.
     """
     alpha = np.asarray(alpha, dtype=float)
-    loglik, grad, hess = _kernel(alpha, _bracket_increments(alpha, prep), prep)
-    return (float(loglik) if alpha.ndim == 1 else loglik), grad, hess
+    rows = np.atleast_2d(alpha)
+    loglik, grad, hess = _kernel(rows, _increments(rows, prep, check=True), prep)
+    if alpha.ndim == 1:
+        return float(loglik[0]), grad[0], hess[0]
+    return loglik, grad, hess
 
 
 def _kernel(alpha, dlam, prep: PreparedLikelihood):
-    """``loglik_parts`` at known bracket increments dlam, all of them positive."""
-    w = prep.bracket_weights
-    counts = prep.exact_counts
-    # numpy's pairwise sum, not a BLAS dot: near the maximum the line search
-    # compares log-likelihoods that differ by less than their rounding, and
-    # a dot over n terms rounds several units in the last place worse.
-    log_mass = (w * np.log(-np.expm1(-dlam))).sum(axis=-1)
-    loglik = -_rowdot(prep.expo_sum, alpha) + log_mass + _rowdot(counts, np.log(alpha))
-    # expm1 may overflow to inf for extreme trial rates during line
-    # search; the reciprocal is then exactly the limiting value 0.
-    with np.errstate(over="ignore"):
-        inv = 1.0 / np.expm1(dlam)
-    grad = -prep.expo_sum + (w * inv) @ prep.diff + counts / alpha
-
-    hess = np.zeros(alpha.shape + (prep.K,))
-    diag = np.arange(prep.K)
-    # For trial rates where a bracket's mass nearly underflows, or where a
-    # rate's square over- or underflows, the curvature is not finite; such
-    # steps are rejected (their log-likelihood is far worse) or end the fit
-    # at the rate bounds, so the noise is suppressed.
+    """``loglik_parts`` of R rate rows, alpha (R, K), at known bracket
+    increments dlam (R, brackets), all of them positive."""
+    R, K = alpha.shape
+    lengths = prep.diff[:, None, :]
+    terms = np.empty((6,) + dlam.shape)
+    mass = np.negative(dlam)
+    g = np.exp(mass, out=terms[2])
+    np.negative(np.expm1(mass, out=mass), out=mass)
+    # The score factor g = 1 / expm1(dlam) times a, b, 1 is summed by class,
+    # then in the same buffer the curvature c = g / (1 - exp(-dlam)) times
+    # a^2, ab, b^2, a, b, 1. At trial rates where a bracket's mass nearly
+    # underflows, or a rate's square over- or underflows, the curvature is
+    # not finite; such steps are rejected or end the fit at the rate bounds.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        curve = np.exp(-dlam) / np.expm1(-dlam) ** 2 * w
-        hess -= (curve[..., None] * prep.diff).swapaxes(-1, -2) @ prep.diff
-        hess[..., diag, diag] -= counts / alpha**2
+        np.divide(g, mass, out=g)
+        if prep.left_out is not None:
+            stacked = np.flatnonzero(prep.left_out >= 0)
+            g[stacked, prep.left_out[stacked]] = 0.0
+        np.multiply(g, lengths, out=terms[:2])
+        score = np.add.reduceat(terms[:3], prep.class_starts, axis=-1)
+        np.multiply(np.divide(g, mass, out=terms[5]), lengths, out=terms[3:5])
+        np.multiply(terms[3], lengths, out=terms[:2])
+        np.multiply(terms[4], lengths[1], out=terms[2])
+        curvature = np.add.reduceat(terms, prep.class_starts, axis=-1)
+        log_mass = np.log(mass, out=mass)
+        if prep.left_out is not None:
+            log_mass[stacked, prep.left_out[stacked]] = 0.0
+        Q = score.shape[-1]
+        basis = prep.classes.reshape(3 * Q, K)
+        counts = prep.exact_counts
+        # numpy's pairwise sum, not a BLAS dot: near the maximum the line
+        # search compares log-likelihoods that differ by less than their
+        # rounding, and a dot over n terms rounds several units in the last
+        # place worse.
+        loglik = (-_rowdot(prep.expo_sum, alpha) + log_mass.sum(axis=-1)
+                  + _rowdot(counts, np.log(alpha)))
+        grad = (score.transpose(1, 0, 2).reshape(R, 3 * Q) @ basis
+                - prep.expo_sum + counts / alpha)
+        # Each class's moments times its basis, one matmul per class for all
+        # the rows, then summed against the basis again.
+        moments = curvature[_MOMENTS].transpose(3, 2, 0, 1).reshape(Q, 3 * R, 3)
+        spread = (moments @ np.swapaxes(prep.classes, 0, 1)).reshape(Q, R, 3, K)
+        hess = -(spread.transpose(1, 3, 2, 0).reshape(R * K, 3 * Q) @ basis).reshape(R, K, K)
+        hess.reshape(R, K * K)[:, ::K + 1] -= counts / alpha**2
     return loglik, grad, hess
 
 
 def _rowdot(x, y):
-    """Row-wise dot products over the last axis, broadcasting the rows.
-
-    Each row goes through the same BLAS dot as a single vector's ``x @ y``,
-    so a one-row stack rounds exactly as the vector does.
-    """
+    """Row-wise dot products over the last axis, broadcasting the rows; each
+    row goes through the same BLAS dot as a single vector's ``x @ y``."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _matches(sorted_rows, rows):
-    """Index pairs (i, j) with sorted_rows[j] == rows[i]; sorted_rows ascends."""
-    j = np.searchsorted(sorted_rows, rows)
-    i = np.flatnonzero(j < sorted_rows.size)
-    i = i[sorted_rows[j[i]] == rows[i]]
-    return i, j[i]
 
 
 def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
     """Per-record score vectors times the directions D, at the rates alpha.
 
-    Row l of the result is subject l's unweighted score (the derivative of
-    the weighted score in subject l's weight) times D, for D a K-vector or
-    a K x M matrix. It is summed term by term: minus the exposures times D,
-    the bracket rows' exposure differences times D over expm1 of their
-    increments, and D's exact piece row over that piece's rate; no n x K
-    score matrix is formed.
+    Row l is subject l's score times D, a K-vector or a K x M matrix, from
+    the piece indices with no n x K score matrix: minus the exposure of L
+    times D, ``cumsum(widths * D)`` below jL plus (L - c_jL) D_jL; for a
+    bracket, (a D_jL + b D_jR + its class's full pieces times D) over expm1
+    of its increment; for an exact record, D_j over alpha_j in its piece.
     """
     alpha = np.asarray(alpha, dtype=float)
     D = np.asarray(D, dtype=float)
-    dlam = _bracket_increments(alpha, prep)
-    out = -(prep.expo_left @ D)
-    # Transposes put the rows last, so the per-row divisors broadcast
-    # for a vector D and a matrix D alike.
-    out[prep.interval_rows] += ((prep.diff @ D).T / np.expm1(dlam)).T
-    out[prep.exact_rows] += (D[prep.exact_piece].T / alpha[prep.exact_piece]).T
-    return out
+    dlam = _increments(alpha, prep, check=True)
+    grid, piece = prep.grid, prep.left_piece
+    rows = D.reshape(prep.K, -1)
+    below = np.zeros_like(rows)
+    np.cumsum(grid.widths[:-1, None] * rows[:-1], axis=0, out=below[1:])
+    out = np.take(below, piece, axis=0)
+    out += (prep.expo_left - grid.lower[piece])[:, None] * np.take(rows, piece, axis=0)
+    np.negative(out, out=out)
+    per_bracket = np.repeat(prep.classes @ rows, prep.class_sizes, axis=1)
+    bracket = np.einsum("ir,irm->rm", prep.diff, per_bracket[:2])
+    bracket += per_bracket[2]
+    bracket /= np.expm1(dlam)[:, None]
+    out[prep.interval_rows] += bracket
+    out[prep.exact_rows] += rows[prep.exact_piece] / alpha[prep.exact_piece, None]
+    return out.reshape(out.shape[:1] + D.shape[1:])
 
 
 def score_matrix(alpha, prep: PreparedLikelihood) -> np.ndarray:
@@ -467,11 +510,17 @@ def score_matrix(alpha, prep: PreparedLikelihood) -> np.ndarray:
     return score_products(alpha, prep, np.eye(prep.K))
 
 
-def _bracket_increments(alpha, prep: PreparedLikelihood) -> np.ndarray:
-    """Cumulative hazard across each bracket, for each rate row; raises if
-    one has no mass."""
-    dlam = alpha @ prep.diff.T
-    if np.any(dlam <= 0.0):
+def _increments(alpha, prep: PreparedLikelihood, check=False) -> np.ndarray:
+    """Cumulative hazard across each bracket, in ``interval_rows`` order, for
+    each rate row: alpha_jL a + alpha_jR b plus the full pieces between,
+    which is exactly alpha_j (R - L) for a bracket within one piece. With
+    ``check``, raises DegenerateInterval if a bracket has no mass."""
+    per_class = alpha @ prep.classes.reshape(-1, prep.K).T
+    per_bracket = np.repeat(per_class.reshape(per_class.shape[:-1] + (3, -1)),
+                            prep.class_sizes, axis=-1)
+    dlam = np.einsum("...ir,ir->...r", per_bracket[..., :2, :], prep.diff)
+    dlam += per_bracket[..., 2, :]
+    if check and np.any(dlam <= 0.0):
         bad = prep.interval_rows[int(np.argmin(dlam)) % dlam.shape[-1]]
         raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")
     return dlam

@@ -34,6 +34,7 @@ from pseudosurv.pch import (
     prepare_likelihood,
     rmst_rows,
     score_matrix,
+    score_products,
     survival_rows,
 )
 from pseudosurv.simulate import ScenarioConfig, generate
@@ -449,3 +450,111 @@ def test_leave_out_by_weight_matches_subset_dataset():
         direct = prepare_likelihood(sub, model.grid)
         for a, rows in zip(loglik_parts(rates[b], direct), stacked):
             np.testing.assert_allclose(a, rows[b], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The piece-index kernel against the n x K exposure formulas it replaced
+
+
+def _dense_parts(alpha, ds, grid, left_out=None):
+    """(loglik, score, Hessian, per-record scores) from n x K exposure rows.
+
+    The exposures of both endpoints come from ``grid.exposure``; a bracket's
+    increment is its exposure difference times the rates. Subject
+    ``left_out`` weighs zero in the sums.
+    """
+    left, right = ds.left, ds.right
+    keep = np.ones(ds.n)
+    if left_out is not None:
+        keep[left_out] = 0.0
+    expo = grid.exposure(left)
+    exact = left == right
+    bracket = np.isfinite(right) & ~exact
+    diff = grid.exposure(right[bracket]) - expo[bracket]
+    dlam = diff @ alpha
+    piece = grid.piece_index(left[exact])
+    counts = np.bincount(piece, weights=keep[exact], minlength=grid.K)
+    w = keep[bracket]
+    loglik = (-(keep @ expo) @ alpha + np.sum(w * np.log(-np.expm1(-dlam)))
+              + counts @ np.log(alpha))
+    scores = -expo
+    scores[bracket] += diff / np.expm1(dlam)[:, None]
+    scores[np.flatnonzero(exact), piece] += 1.0 / alpha[piece]
+    curve = w * np.exp(-dlam) / np.expm1(-dlam) ** 2
+    hess = -(curve[:, None] * diff).T @ diff - np.diag(counts / alpha**2)
+    return loglik, keep @ scores, hess, scores
+
+
+def _kernel_sample(rng, K, n=240):
+    """Brackets, right-censored, exact and left-censored records on a grid of
+    K pieces, with endpoints on cut points and at 0, and brackets within one
+    piece and across many."""
+    cuts = np.sort(rng.choice(np.arange(1, 400) / 40.0, K - 1, replace=False))
+    points = np.concatenate([cuts, rng.uniform(0.0, 12.0, 40), [0.0]])
+    p, q = rng.choice(points, n), rng.choice(points, n)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    hi = np.where(hi > lo, hi, lo + rng.uniform(0.01, 0.3, n))
+    kind = rng.integers(4, size=n)
+    left = np.choose(kind, [lo, lo, hi, np.zeros(n)])
+    right = np.choose(kind, [hi, np.full(n, math.inf), hi, hi])
+    return interval_dataset(left, right), CutGrid(tuple(cuts))
+
+
+@pytest.mark.parametrize("K", [1, 5, 50])
+def test_kernel_matches_dense_exposure_formulas(K):
+    rng = np.random.default_rng(60 + K)
+    ds, grid = _kernel_sample(rng, K)
+    alpha = rng.uniform(0.05, 2.0, K)
+    prep = prepare_likelihood(ds, grid)
+    loglik, grad, hess, scores = _dense_parts(alpha, ds, grid)
+    ll, g, h = loglik_parts(alpha, prep)
+    assert ll == pytest.approx(loglik, rel=1e-13)
+    scale = np.abs(scores).sum(axis=0)
+    np.testing.assert_allclose(g, grad, rtol=0, atol=1e-13 * scale.max())
+    np.testing.assert_allclose(h, hess, rtol=1e-12, atol=1e-13 * np.abs(hess).max())
+    np.testing.assert_allclose(score_matrix(alpha, prep), scores, rtol=1e-12, atol=1e-12)
+    D = rng.normal(size=(K, 3))
+    np.testing.assert_allclose(score_products(alpha, prep, D), scores @ D, rtol=1e-12,
+                               atol=1e-12 * np.abs(scores @ D).max())
+    np.testing.assert_allclose(score_products(alpha, prep, D[:, 0]), scores @ D[:, 0],
+                               rtol=1e-12, atol=1e-12 * np.abs(scores @ D[:, 0]).max())
+
+
+@pytest.mark.parametrize("K", [1, 5, 50])
+def test_leave_out_stack_matches_dense_exposure_formulas(K):
+    rng = np.random.default_rng(70 + K)
+    ds, grid = _kernel_sample(rng, K)
+    prep = prepare_likelihood(ds, grid)
+    exact = ds.left == ds.right
+    bracket = np.isfinite(ds.right) & ~exact
+    # subjects of every class, each against its own rates
+    block = np.concatenate([np.flatnonzero(c)[:3] for c in (exact, bracket, np.isinf(ds.right))])
+    rates = rng.uniform(0.05, 2.0, (block.size, K))
+    stacked = loglik_parts(rates, prep.leave_out(block))
+    for b, l in enumerate(block):
+        loglik, grad, hess, scores = _dense_parts(rates[b], ds, grid, left_out=l)
+        assert stacked[0][b] == pytest.approx(loglik, rel=1e-13)
+        np.testing.assert_allclose(stacked[1][b], grad, rtol=0,
+                                   atol=1e-13 * np.abs(scores).sum(axis=0).max())
+        np.testing.assert_allclose(stacked[2][b], hess, rtol=1e-12,
+                                   atol=1e-13 * np.abs(hess).max())
+
+
+def test_exposure_sum_is_summed_pairwise():
+    """Visits at fixed offsets within each piece: a running sum of 10^5
+    exposures rounds the same way at every step and drifts about 1e-12,
+    while the hoisted sum stays within 1e-14 of the exactly rounded one."""
+    rng = np.random.default_rng(11)
+    grid = CutGrid((1.0, 2.0, 3.0))
+    left = rng.choice([0.1, 1.1, 2.1, 3.1, 4.1], 100_000)
+    ds = interval_dataset(left, np.where(rng.uniform(size=left.size) < 0.5, left + 0.5, math.inf))
+    columns = grid.exposure(ds.left).T
+    exact = np.array([math.fsum(column) for column in columns])
+    running = np.array([np.cumsum(column)[-1] for column in columns])
+    assert np.max(np.abs(running - exact) / exact) > 1e-13
+    hoisted = prepare_likelihood(ds, grid).expo_sum
+    np.testing.assert_allclose(hoisted, exact, rtol=1e-14, atol=0)
+    # pieces that no left endpoint reaches, between the others and after them
+    grid = CutGrid((0.05, 1.0, 2.0, 3.0, 3.05, 9.0, 10.0))
+    exact = [math.fsum(column) for column in grid.exposure(ds.left).T]
+    np.testing.assert_allclose(prepare_likelihood(ds, grid).expo_sum, exact, rtol=1e-14, atol=0)

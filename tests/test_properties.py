@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from pseudosurv import (
     CutGrid,
     PseudosurvError,
+    check_conditions,
     fit_pch,
     interval_dataset,
     km_fit,
@@ -147,6 +148,73 @@ def test_score_matrix_columns_sum_to_the_kernel_gradient(sample, rates):
     np.testing.assert_allclose(
         score_matrix(alpha, prep).sum(axis=0), loglik_parts(alpha, prep)[1],
         rtol=1e-12, atol=1e-12,
+    )
+
+
+@examples
+@given(ic_samples(), st.integers(-6, 6), st.one_of(st.floats(0.1, 5.0), st.just(math.inf)))
+def test_scaling_time_by_a_power_of_two_scales_rates_and_rmst(sample, k, tau):
+    """Times, cuts and tau in units 2^k times smaller: the rates are 2^k
+    times smaller too, and the restricted means 2^k times larger."""
+    ds, grid = sample
+    scale = 2.0**k
+    fit = _fit_or_reject(ds, grid)
+    scaled = interval_dataset(ds.left * scale, ds.right * scale)
+    other = _fit_or_reject(scaled, CutGrid(tuple(c * scale for c in grid.cuts)))
+    np.testing.assert_allclose(other.model.rates * scale, fit.model.rates, rtol=1e-12, atol=0)
+    values = pseudo_rmst(fit, ds, tau).values
+    np.testing.assert_allclose(pseudo_rmst(other, scaled, tau * scale).values / scale, values,
+                               rtol=1e-10, atol=1e-10 * np.abs(values).max())
+
+
+@examples
+@given(st.lists(st.tuples(st.floats(0.05, 5.0), st.booleans()), min_size=1, max_size=60))
+def test_one_piece_fit_is_the_exponential_mle(records):
+    """On exact and right-censored records one exponential piece fits at
+    events / total time."""
+    assume(any(exact for _, exact in records))
+    times = [t for t, _ in records]
+    ds = interval_dataset(times, [t if exact else math.inf for t, exact in records])
+    fit = fit_pch(ds, CutGrid(()))
+    events = sum(exact for _, exact in records)
+    assert fit.model.rates[0] == pytest.approx(events / math.fsum(times), rel=1e-12, abs=0)
+
+
+@st.composite
+def endpoints_on_cuts(draw):
+    """(dataset, grid) whose endpoints fall on cut points and at 0 often:
+    brackets, right-censored, exact and left-censored records."""
+    gaps = draw(st.lists(st.floats(0.3, 2.0), max_size=4))
+    grid = CutGrid(tuple(np.cumsum(gaps)))
+    top = (grid.cuts[-1] if grid.cuts else 1.0) + 1.0
+    point = st.one_of(st.sampled_from((0.0,) + grid.cuts), st.floats(0.0, top))
+    left, right = [], []
+    for kind, p, q in draw(st.lists(st.tuples(st.integers(0, 3), point, point),
+                                    min_size=1, max_size=40)):
+        lo, hi = min(p, q), max(p, q)
+        lo, hi = ((lo, hi if hi > lo else lo + 0.5), (p, math.inf), (p, p), (0.0, q or 0.5))[kind]
+        left.append(lo)
+        right.append(hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # exact records at time 0
+        return interval_dataset(left, right), grid
+
+
+@examples
+@given(endpoints_on_cuts())
+def test_condition_counts_match_a_count_per_piece(sample):
+    ds, grid = sample
+    left, right = ds.left, ds.right
+    finite = np.isfinite(right)
+    meets = [int(np.sum(finite & (left <= hi) & (right > lo)))
+             for lo, hi in zip(grid.lower, grid.upper)]
+    exceeds = [int(np.sum(left > lo)) for lo in grid.lower]
+    report = check_conditions(ds, grid)
+    assert report.finite_counts == tuple(meets)
+    assert report.exceed_counts == tuple(exceeds)
+    assert report.violations == tuple(
+        (k + 1, condition) for k in range(grid.K)
+        for condition, counts in ((1, meets), (2, exceeds)) if counts[k] == 0
     )
 
 
