@@ -1,11 +1,13 @@
 """Maximum likelihood for piecewise-constant hazards.
 
-Newton-Raphson runs in log-rate space, which keeps every iterate positive,
-with step-halving as the safeguard. It starts from per-piece
-occurrence/exposure rates and stops on the Newton step, by a rule that does
-not grow with n (see ``fit_pch``'s ``tol``); that step is also the gap
-between the mean of the fast pseudo-observations of the rates and the
-rates. The reported observed information is the rate-space one.
+Newton-Raphson runs in log-rate space, which keeps every iterate strictly
+positive without projections, with step-halving as the safeguard. It starts
+from per-piece occurrence/exposure rates and stops on the Newton step, by a
+rule that does not grow with n (see ``fit_pch``'s ``tol``). The step at the
+fitted rates is also the gap between the mean of the fast
+pseudo-observations of the rates and the rates themselves. The observed
+information reported afterwards is the rate-space one, as the downstream
+pseudo-observation formulas require.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .pch import (
     CutGrid,
     PchModel,
     PreparedLikelihood,
+    _conditions,
     _increments,
     _kernel,
     _rowdot,
-    check_conditions,
     loglik_parts,
     prepare_likelihood,
 )
@@ -62,23 +64,29 @@ class PchFit:
         The model at the fitted rates.
     info : numpy.ndarray
         Observed information, minus the mean Hessian of the per-record
-        log-densities at the fitted rates; symmetric, and positive definite
+        log-densities at the fitted rates. Symmetric; positive definite
         whenever the identifiability conditions hold.
-    loglik, grad_norm : float
-        Total log-likelihood and sup-norm of the total score at the fitted
-        rates; the latter is for diagnostics, not the stopping criterion.
+    loglik : float
+        Total log-likelihood at the fitted rates.
+    grad_norm : float
+        Sup-norm of the total score at the fitted rates, for diagnostics;
+        it is not the stopping criterion, and at large n it stays at the
+        rounding level of a sum of n scores.
     iterations : int
+        Newton iterations taken.
     condition_report : ConditionReport
         Per-piece identifiability diagnostics of the training data.
     dataset : Dataset
         The sample fitted, the only one (in any record order) that the fast
         pseudo-observation maps and ``jackknife_pch(fit=)`` accept.
     loglik_trace : tuple
-        Log-likelihood values from the initial point on, one per iteration;
-        each is at least the one before, less a few units in the last place,
-        except the last: the step that ends the fit is taken whole.
-    likelihood : PreparedLikelihood or None
-        The prepared likelihood of ``dataset`` the fit ran on (see ``prepared``).
+        Log-likelihood values, starting at the initial point; one per
+        iteration after it. Each is at least the one before, less a few
+        units in the last place, except the last: the step that ends the
+        fit is taken without comparison.
+    likelihood : PreparedLikelihood, optional
+        The prepared likelihood of ``dataset`` that the fit ran on, which
+        ``prepared`` hands to the fast maps and the jackknife.
     """
 
     model: PchModel
@@ -107,8 +115,8 @@ class PchFit:
 
     def prepared(self, dataset: Dataset) -> PreparedLikelihood:
         """The prepared likelihood of ``dataset``, after ``check_sample``: the
-        fit's own for the fitted object itself, a new one for its records in
-        another order."""
+        fit's own for the fitted object itself, a new one for the fitted
+        records in another order."""
         self.check_sample(dataset)
         if dataset is self.dataset and self.likelihood is not None:
             return self.likelihood
@@ -125,7 +133,9 @@ class PchFit:
         try:
             return linalg.cho_factor(info)
         except linalg.LinAlgError as exc:
-            raise SingularInformation("observed information is not positive definite") from exc
+            raise SingularInformation(
+                "observed information is not positive definite"
+            ) from exc
 
     def solve_information(self, rhs: np.ndarray) -> np.ndarray:
         """Solve info @ x = rhs (rhs may be a matrix of stacked columns)."""
@@ -143,7 +153,9 @@ def observed_information(fit: PchFit) -> np.ndarray:
     """
     info = fit.info
     if not np.all(np.isfinite(info)) or np.linalg.cond(info) > INFO_CONDITION_LIMIT:
-        raise SingularInformation("observed information is singular to working precision")
+        raise SingularInformation(
+            "observed information is singular to working precision"
+        )
     return info
 
 
@@ -170,30 +182,42 @@ def fit_pch(
         (events + 0.5) / exposure under that imputation.
     tol : float
         Convergence threshold on the Newton step: the fit ends with a step
-        whose sup-norm in log-rates is at most ``tol``, or whose predicted
-        log-likelihood gain is below the rounding of the log-likelihood;
-        that last step is taken whole. Neither test grows with n.
+        whose sup-norm in log-rates (the largest relative rate change) is
+        at most ``tol``, or with a step whose predicted log-likelihood gain
+        is below the rounding of the log-likelihood, which no comparison
+        can check. That last step is taken whole. Neither test grows with
+        n, unlike a bound on the total score.
     max_iter : int
     strict : bool
         Raise instead of warning when the identifiability diagnostics fail.
 
-    Raises DidNotConverge (carrying the last iterate) if the iteration
-    budget runs out or no step-halving keeps the log-likelihood within its
-    rounding slack, and NonIdentifiable, naming the violated per-piece
-    condition, if some rate escapes its bounds.
+    Raises
+    ------
+    DidNotConverge
+        If the iteration budget runs out or no step-halving keeps the
+        log-likelihood within its rounding slack; carries the last iterate.
+    NonIdentifiable
+        If some rate escapes its bounds, naming the empirically violated
+        per-piece condition.
     """
     if dataset.n == 0:
         raise EmptyInput("cannot fit on an empty dataset")
     dataset._require(KIND_INTERVAL)
     prep = prepare_likelihood(dataset, grid)
-    report = check_conditions(dataset, grid, prep)
+    report = _conditions(prep)
     if not report.ok:
         if strict:
             piece, condition = report.violations[0]
-            raise NonIdentifiable(f"identifiability fails: {report.describe()}",
-                                  piece=piece, condition=condition)
-        warnings.warn(f"identifiability conditions violated: {report.describe()}; fitting anyway",
-                      stacklevel=2)
+            raise NonIdentifiable(
+                f"identifiability fails: {report.describe()}",
+                piece=piece,
+                condition=condition,
+            )
+        warnings.warn(
+            f"identifiability conditions violated: {report.describe()}; "
+            "fitting anyway",
+            stacklevel=2,
+        )
     init_alpha = _initial_rates(dataset, grid) if init is None else np.asarray(init, float)
     if init_alpha.shape != (grid.K,) or not np.all(np.isfinite(init_alpha) & (init_alpha > 0)):
         raise ValueError("init must hold one positive rate per piece")
@@ -221,12 +245,21 @@ def fit_pch(
 
 
 class NewtonRows(NamedTuple):
-    """Per-row outcomes of ``newton_prepared`` on a stack of B likelihoods:
-    the (B, K) fitted ``rates``, NaN in a row whose fit failed; the (B,)
-    Newton ``iterations`` of each row; the (T, B) log-likelihood
-    ``history``, row 0 at the start and row t after the t-th accepted step,
-    NaN once a row has left the active set; and per row, None or the
-    DidNotConverge or NonIdentifiable its fit ended with (``errors``)."""
+    """Per-row outcomes of ``newton_prepared`` on a stack of B likelihoods.
+
+    Parameters
+    ----------
+    rates : numpy.ndarray
+        (B, K) fitted rates; NaN in a row whose fit failed.
+    iterations : numpy.ndarray
+        (B,) Newton iterations each row took.
+    history : numpy.ndarray
+        (T, B) log-likelihoods: row 0 at the start, row t after the t-th
+        accepted step, NaN once a row has left the active set.
+    errors : tuple
+        Per row, None or the DidNotConverge or NonIdentifiable its fit
+        ended with.
+    """
 
     rates: np.ndarray
     iterations: np.ndarray
@@ -246,12 +279,14 @@ def newton_prepared(
     ``init_alpha`` holds B rows of starting rates, one per likelihood of
     ``prep``: a stack from ``PreparedLikelihood.leave_out``, or B = 1 with
     one unstacked likelihood. The rows iterate in lockstep, each by the
-    rule ``fit_pch`` documents for ``tol`` with its own step, floor, slack,
-    step-halvings and bounds; one kernel call evaluates all the rows still
-    searching. A row that stops or fails leaves the active set; a failure
-    is recorded, not raised. A row's last step is taken without a kernel
-    call, so a caller that needs the log-likelihood or the information at
-    the fitted rates evaluates the kernel there once.
+    rule ``fit_pch`` documents for ``tol`` and with its own step, floor,
+    slack, step-halvings and rate bounds; one kernel call evaluates all the
+    rows still searching. A row that stops or fails leaves the active set;
+    a failure is recorded in the result, not raised. A row's last step is
+    taken without a kernel call, so a caller that needs the log-likelihood
+    or the information at the fitted rates evaluates the kernel there once;
+    the leave-one-out oracle, which needs only the rates, calls this
+    directly with warm starts, skipping dataset re-validation.
     """
     init_alpha = np.asarray(init_alpha, dtype=float)
     B, K = init_alpha.shape
@@ -296,17 +331,16 @@ def newton_prepared(
             ok = np.flatnonzero((np.isfinite(trial) & (trial > 0)).all(axis=1))
             trial = trial[ok]
             dlam = _increments(trial, prep)
-            has_mass = (dlam > 0.0).all(axis=1)
+            has_mass = (dlam > 0.0).all(axis=0)
             if not has_mass.all():
-                ok, trial, dlam = ok[has_mass], trial[has_mass], dlam[has_mass]
+                ok, trial, dlam = ok[has_mass], trial[has_mass], dlam[:, has_mass]
             if ok.size:
                 rows = pending[ok]
                 cand = (trial,) + _kernel(trial, dlam, prep.take(act[rows]))
                 won = np.isfinite(cand[1]) & (cand[1] >= worst[rows])
-                accepted = rows[won]
                 for current, value in zip((alpha, loglik, grad, hess), cand):
-                    current[accepted] = value[won]
-                searching[accepted] = False
+                    current[rows[won]] = value[won]
+                searching[rows[won]] = False
                 if not searching.any():
                     break
             factor[searching] /= 2.0
@@ -385,15 +419,22 @@ def _bounds_error(alpha, report):
         elif report.exceed_counts[k] == 0:
             condition = 2
             detail = "; no left endpoint exceeds the piece's lower edge"
-    return NonIdentifiable(f"rate of piece {k + 1} {direction} during fitting{detail}",
-                           piece=k + 1, condition=condition)
+    return NonIdentifiable(
+        f"rate of piece {k + 1} {direction} during fitting{detail}",
+        piece=k + 1,
+        condition=condition,
+    )
 
 
 def _no_convergence(alpha, grad, it, why):
     """The DidNotConverge for one row left at rates alpha with score grad."""
     grad_norm = float(np.max(np.abs(grad)))
-    return DidNotConverge(f"{why} (score norm {grad_norm:.3e})", last_iterate=alpha,
-                          grad_norm=grad_norm, iterations=it)
+    return DidNotConverge(
+        f"{why} (score norm {grad_norm:.3e})",
+        last_iterate=alpha,
+        grad_norm=grad_norm,
+        iterations=it,
+    )
 
 
 def _initial_rates(dataset: Dataset, grid: CutGrid) -> np.ndarray:

@@ -1,14 +1,19 @@
 """Exact leave-one-out pseudo-observations, the slow ground truth.
 
-The jackknife pseudo-observation is n * theta - (n - 1) * theta_(-l) for
-theta_(-l) computed without subject l. This module recomputes theta_(-l)
-honestly: the product-limit curve for the Kaplan-Meier targets, and a full
-warm-started refit of the fit's own likelihood kernel without subject l for
-the piecewise-hazard targets. A block of subjects is done per numpy call
-(one cumulative product, or one Newton loop whose rows iterate in lockstep,
-each to its own convergence). The fast formulas differentiate the kernel
-in the subject's weight instead (the infinitesimal jackknife); they are
-validated and benchmarked against these oracles.
+For an estimate theta computed on the full sample and theta_(-l) computed
+with subject l removed, the jackknife pseudo-observation is
+n * theta - (n - 1) * theta_(-l). This module recomputes theta_(-l)
+honestly for every subject: by rebuilding the product-limit curve for the
+Kaplan-Meier targets, and for the piecewise-hazard targets by a full
+(warm-started) refit of the fit's own likelihood kernel with subject l's
+weight set to zero. The subjects are taken in blocks, and a block's
+curves, or its refits, are computed together in numpy calls: one
+cumulative product for the block's curves, one Newton loop whose rows
+iterate in lockstep for its refits. Every refit still runs to its own
+convergence. The fast formulas elsewhere in the package differentiate
+the kernel in the weight instead of refitting (the infinitesimal
+jackknife); they are validated against, and benchmarked against, these
+oracles.
 """
 
 from __future__ import annotations
@@ -39,10 +44,21 @@ BLOCK_ELEMENTS = 1 << 15
 def jackknife_km(dataset: Dataset, target: str, horizon: float) -> PseudoVector:
     """Exact jackknife pseudo-observations for the product-limit targets.
 
-    ``target`` is ``"survival"`` or ``"rmst"`` and ``horizon`` the time t or
-    tau. Raises NoEvents if the full sample or a leave-one-out sample of the
-    right-censored ``dataset`` has no events; in the latter case the
-    exception carries the removed subject's index.
+    Parameters
+    ----------
+    dataset : Dataset
+        Right-censored records.
+    target : str
+        ``"survival"`` or ``"rmst"``.
+    horizon : float
+        The evaluation time t or restriction time tau.
+
+    Raises
+    ------
+    NoEvents
+        If the full sample, or any leave-one-out sample, has no events;
+        the exception carries the removed subject's index in the latter
+        case.
     """
     _check_target(target, horizon)
     km = km_fit(dataset)
@@ -55,8 +71,10 @@ def jackknife_km(dataset: Dataset, target: str, horizon: float) -> PseudoVector:
     u, d, r, rank = _event_grid(times, status)
     events = np.flatnonzero(status == 1)
     if events.size == 1:
-        raise NoEvents(f"removing subject {events[0]} leaves a sample with no events",
-                       subject=int(events[0]))
+        raise NoEvents(
+            f"removing subject {events[0]} leaves a sample with no events",
+            subject=int(events[0]),
+        )
     # A subject's own event time is the last event time at or before it.
     where = rank - 1
     evaluate = _step_value if target == SURVIVAL else _step_integral
@@ -86,10 +104,15 @@ def jackknife_pch(
     """Exact jackknife pseudo-observations under the piecewise-hazard model.
 
     Runs n leave-one-out refits, each warm-started at the full-sample
-    rates, the fairest slow baseline and the most stable one. A subfit that
-    fails to converge or loses identifiability gives a NaN entry, flagged.
-    ``fit``, a full-sample fit to reuse, must be on ``grid`` and of
-    ``dataset``, in any record order (`PchFit.check_sample`).
+    rates, which is both the fairest slow baseline and the most stable one.
+    A subfit that fails to converge or loses identifiability does not abort
+    the whole vector: its entry is NaN and flagged.
+
+    Parameters
+    ----------
+    fit : PchFit, optional
+        A converged full-sample fit to reuse; must be on ``grid`` and of
+        ``dataset``, in any record order (`PchFit.check_sample`).
     """
     _check_target(target, horizon, finite=False)
     if fit is None:

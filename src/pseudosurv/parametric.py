@@ -1,10 +1,12 @@
 """Fast pseudo-observations under a fitted piecewise-constant hazard.
 
-To first order, removing subject l shifts the maximum-likelihood estimate
-by the solve of the observed information against that subject's score.
-Pushed through the delta method, this gives closed-form pseudo-observations
-for the rates, for survival at a time and for the restricted mean from one
-fit, with one factorization of the information for all n right-hand sides.
+The jackknife recomputes the maximum-likelihood estimate n times; to first
+order, removing subject l shifts the estimate by the solve of the observed
+information against that subject's score. Pushing the shift through the
+delta method gives closed-form per-subject pseudo-observations for the
+rates themselves, for survival at a time point, and for the restricted
+mean, all from a single fit. The information is factorized once and the
+factor reused across all n right-hand sides.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _score_solves(fit: PchFit, dataset: Dataset, g) -> np.ndarray:
     """s_l . (info^-1 g) for every subject l, in one pass over the records.
 
     The information is symmetric, so this is g . (info^-1 s_l), the
-    first-order jackknife correction along g, a K-vector or a K x M matrix.
-    ``dataset`` must be the fitted sample (see ``PchFit.prepared``).
+    first-order jackknife correction along g; g may be a K-vector or a
+    K x M matrix of stacked directions. ``dataset`` must be the fitted sample.
     """
     return score_products(fit.model.rates, fit.prepared(dataset), fit.solve_information(g))

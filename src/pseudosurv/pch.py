@@ -1,16 +1,23 @@
-"""Piecewise-constant-hazard model: evaluation, the likelihood kernel,
-closed-form restricted-mean integrals, and identifiability diagnostics.
+"""Piecewise-constant-hazard model: evaluation, the vectorized likelihood
+kernel, closed-form restricted-mean integrals, and identifiability
+diagnostics.
 
 The hazard is a step function over pieces (c_{k-1}, c_k] with c_0 = 0 and
-c_K = +inf. Interval-censored records contribute the bracket mass
-S(L) - S(R) to the likelihood, right-censored ones S(L), exact ones the
-density lambda(T) S(T). One kernel (``loglik_parts``, with
-``score_products`` for the per-record scores) evaluates every record from
-its piece indices: an exposure is the full widths below its piece plus the
-part within it, and a bracket's cumulative hazard involves its two end
-pieces and the full pieces between, shared by its (jL, jR) class. So it
-keeps O(n) numbers, never an n x K array. Its derivatives are analytic, with
-expm1 wherever a difference of exponentials would cancel.
+c_K = +inf, so the cumulative hazard is a piecewise-linear ramp and survival
+is piecewise exponential. Interval-censored records contribute the bracket
+mass S(L) - S(R) to the likelihood; right-censored records contribute S(L);
+exact records contribute the density lambda(T) S(T). One kernel
+(``loglik_parts``, with ``score_products`` for the per-record scores)
+evaluates every record at once; its derivatives are analytic, with
+expm1-based evaluations wherever a naive difference of exponentials would
+cancel.
+
+The kernel describes each record by piece indices, never by an n x K row of
+exposures: an exposure is the full widths of the pieces below the record's
+piece plus the part within it, and a bracket's cumulative hazard is its two
+own-piece lengths times those pieces' rates plus the full pieces between,
+which it shares with every bracket of its (first piece, last piece) class.
+So a likelihood evaluation reads O(n) numbers at any number of pieces.
 """
 
 from __future__ import annotations
@@ -72,8 +79,11 @@ class CutGrid:
         return np.searchsorted(self.upper[:-1], t, side="left")
 
     def exposure(self, t):
-        """Per-piece time at risk up to t, (c_k ^ t - c_{k-1})+ for each piece:
-        a K-vector for a scalar t, n x K for n times. Components sum to t."""
+        """Per-piece time at risk up to t: (c_k ^ t - c_{k-1})+ for each piece.
+
+        Accepts a scalar (returns a K-vector) or an array of shape (n,)
+        (returns n x K). Components sum to t.
+        """
         t = np.asarray(t, dtype=float)
         return np.clip(t[..., None] - self.lower, 0.0, self.widths)
 
@@ -138,9 +148,13 @@ def grad_cum_hazard(model: PchModel, t) -> np.ndarray:
 
 
 def rmst_closed_form(model: PchModel, tau) -> float:
-    """Integral of survival over [0, tau] (tau may be +inf), in closed form:
-    each piece l adds S(c_{l-1}) (1 - exp(-alpha_l w_l)) / alpha_l for its
-    width w_l within tau, through expm1 so that small rates lose nothing."""
+    """Integral of survival over [0, tau], in closed form.
+
+    tau may be +inf, in which case the last piece contributes its full
+    exponential tail. Each piece l adds
+    S(c_{l-1}) (1 - exp(-alpha_l w_l)) / alpha_l for the within-piece width
+    w_l, evaluated through expm1 so that small rates lose no precision.
+    """
     check_tau(tau)
     return float(rmst_rows(model.grid, model.rates, float(tau)))
 
@@ -209,24 +223,34 @@ class ConditionReport:
     def describe(self) -> str:
         if self.ok:
             return "all pieces identifiable"
-        what = {1: "no finite bracket intersects it", 2: "no left endpoint exceeds its lower edge"}
-        return "; ".join(f"piece {piece}: {what[c]}" for piece, c in self.violations)
+        parts = []
+        for piece, condition in self.violations:
+            what = (
+                "no finite bracket intersects it"
+                if condition == 1
+                else "no left endpoint exceeds its lower edge"
+            )
+            parts.append(f"piece {piece}: {what}")
+        return "; ".join(parts)
 
 
-def check_conditions(dataset: Dataset, grid: CutGrid,
-                     prep: PreparedLikelihood | None = None) -> ConditionReport:
+def check_conditions(dataset: Dataset, grid: CutGrid) -> ConditionReport:
     """Count, per piece, the records that pin its rate down.
 
-    One pass over the piece indices of ``prep`` (prepared here if not
-    given): a bracket meets pieces jL to jR (an exact record at t > 0 its
-    own), counted as the running sum of +1 at jL and -1 after jR; a left
-    endpoint exceeds the lower edges up to its own piece's, and piece 0's
-    if it is positive. Advisory only; fitting proceeds with a warning when
-    a piece fails, because near-violations merely make the fit fragile.
+    Advisory only; fitting proceeds with a warning when a piece fails,
+    because near-violations merely make the fit fragile rather than wrong.
     """
     if dataset.n == 0:
         raise EmptyInput("cannot check conditions on an empty dataset")
-    prep = prepare_likelihood(dataset, grid) if prep is None else prep
+    return _conditions(prepare_likelihood(dataset, grid))
+
+
+def _conditions(prep: PreparedLikelihood) -> ConditionReport:
+    """``check_conditions`` of the prepared dataset, in one pass over its
+    piece indices: a bracket meets pieces jL to jR (an exact record at
+    t > 0 its own), counted as the running sum of +1 at jL and -1 after jR;
+    a left endpoint exceeds the lower edges up to its own piece's, and
+    piece 0's if it is positive."""
     K = prep.K
     timed = prep.exact_piece[prep.expo_left[prep.exact_rows] > 0]
     lo, hi = np.concatenate([prep.class_pieces, [timed, timed]], axis=1)
@@ -245,10 +269,11 @@ def check_conditions(dataset: Dataset, grid: CutGrid,
 def _piece_areas(grid: CutGrid, rates: np.ndarray, tau: float):
     """Area under survival within each piece, truncated at tau.
 
-    ``rates`` is one row of K rates or a (B, K) stack. Returns (areas,
-    active, w, a, s_left): the areas, the mask of the pieces that start
-    before tau and, for those, their widths truncated at tau, their rates
-    and the survival at their left edges.
+    ``rates`` is one row of K rates or a (B, K) stack; the last axis runs
+    over pieces throughout. Returns (areas, active, w, a, s_left): the
+    areas, then the mask of the pieces that start before tau and, for
+    those, their widths truncated at tau, their rates and the survival at
+    their left edges.
     """
     active = tau > grid.lower
     w = np.minimum(grid.upper, tau)[active] - grid.lower[active]
@@ -277,31 +302,39 @@ def _own_factor(x: np.ndarray) -> np.ndarray:
 # Vectorized likelihood kernel shared by the fitter, the fast
 # pseudo-observations, and the leave-one-out oracle.
 
-# A class's 3 x 3 curvature moments, in the order of its basis rows, as rows
-# of the curvature sums of c a^2, c ab, c b^2, c a, c b and c.
-_MOMENTS = np.array([[0, 1, 3], [1, 2, 4], [3, 4, 5]])
+# A class's 3 x 3 curvature moments, in the order of its basis rows, as
+# indices into its sums of c b^2, c a^2, c ab, c, c a and c b.
+_MOMENTS = np.array([[1, 2, 4], [2, 0, 5], [4, 5, 3]])
 
 
 @dataclass(frozen=True, eq=False)
 class PreparedLikelihood:
     """One dataset's records by piece index, and its rate-free sums, computed once.
 
-    ``expo_left`` is the dataset's left endpoints L (its own column; L is
-    the record's total exposure) and ``left_piece`` their pieces jL: an
-    exposure is the full widths below jL plus L - c_jL. A bracket, with a
-    finite R > L in piece jR, is of class (jL, jR). The brackets are stored
-    class by class (``interval_rows``; ``class_starts``, ``class_sizes`` and
-    ``class_pieces`` give each class's first position, size and (jL, jR))
-    with their own-piece lengths in the rows of ``diff``: a from L to the
-    top of piece jL (R - L if jL = jR), b from the bottom of piece jR to R
-    (0 if jL = jR). ``classes`` (3, Q, K) holds each class's basis: the
-    unit vectors of jL and jR and the full widths strictly between, so a
-    bracket's cumulative hazard is alpha_jL a + alpha_jR b + alpha @ row 3.
+    Nothing here has a row per record and a column per piece. A record's
+    exposure (its time at risk in each piece up to its left endpoint L) is
+    the full widths of the pieces below its piece jL plus L - c_jL within
+    it; ``expo_left`` holds L (the dataset's own column) and ``left_piece``
+    jL. A bracket, a record with a finite right endpoint R > L, lies in
+    pieces jL to jR, its class (jL, jR). Its cumulative hazard is
+    alpha_jL a + alpha_jR b plus the rates of the full pieces between times
+    their widths, where a and b are its own-piece lengths: a from L to the
+    top of piece jL and b from the bottom of piece jR to R, or a = R - L and
+    b = 0 within one piece.
 
-    ``expo_sum`` (the exposures' column sum) and ``exact_counts`` (exact
-    records per piece) are hoisted. In a stack made by ``leave_out`` they
-    have one row per likelihood and ``left_out`` holds each row's left-out
-    bracket position (-1 for any other record).
+    The brackets are stored class by class: ``interval_rows`` gives their
+    records and ``diff`` (2, brackets) their a and b; ``class_starts``,
+    ``class_sizes`` and ``class_pieces`` (2, Q) give each of the Q classes'
+    first position, size and (jL, jR). ``classes`` (3, Q, K) holds the
+    classes' bases, the unit vectors of jL and jR and the widths of the full
+    pieces between, so the class's increments are its bases times the rates
+    dotted with (a, b, 1). Exact records are ``exact_rows``, in pieces
+    ``exact_piece``.
+
+    The rate-free terms are hoisted: ``expo_sum``, the column sum of the
+    exposures, and ``exact_counts``, the exact records per piece. In a stack
+    made by ``leave_out`` these two have one row per likelihood, and
+    ``left_out`` holds each row's left-out bracket position, or -1.
     """
 
     grid: CutGrid
@@ -324,8 +357,12 @@ class PreparedLikelihood:
         return self.grid.K
 
     def leave_out(self, rows) -> "PreparedLikelihood":
-        """A stack of B likelihoods, the b-th without subject rows[b]: new B x K
-        sums, and each row's left-out bracket, which the kernel drops."""
+        """A stack of B likelihoods, the b-th without subject rows[b].
+
+        Only the B x K sums and the B left-out positions are new; the stack
+        shares every per-record and per-bracket array, and the kernel drops
+        each row's left-out bracket from its sums.
+        """
         rows = np.asarray(rows, dtype=int)
         piece = self.left_piece[rows]
         expo = np.where(np.arange(self.K) < piece[:, None], self.grid.widths, 0.0)
@@ -347,73 +384,84 @@ class PreparedLikelihood:
 
 
 def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
-    """Describe every record by piece indices, and hoist the rate-free sums."""
+    """Describe every record by its piece indices, and hoist the rate-free sums."""
     if dataset.n == 0:
         raise EmptyInput("cannot prepare an empty dataset")
     left, right = dataset.left, dataset.right
     n, K = dataset.n, grid.K
     piece = grid.piece_index(left)
-    is_exact = left == right
-    bracket = np.flatnonzero(np.isfinite(right) & ~is_exact)
-    # One stable sort by (jL, then jR for a bracket and K for any other
-    # record) makes each piece's records, and each bracket class, contiguous.
-    key = piece * (K + 1) + K
-    key[bracket] += grid.piece_index(right[bracket]) - K
-    key = key.astype(np.min_scalar_type(K * (K + 2)))
+    bracket = np.flatnonzero(np.isfinite(right) & (right != left))
+    # One stable sort by a small-int key puts the brackets first, class
+    # (jL, jR) after class, and then the other records piece by piece.
+    key = piece + K * K
+    key[bracket] = piece[bracket] * K + grid.piece_index(right[bracket])
+    key = key.astype(np.min_scalar_type(K * (K + 1)))
     order = np.argsort(key, kind="stable")
-    key = np.sort(key)
-    lo, hi = np.divmod(key, K + 1)
-    # numpy's pairwise sum of each piece's own parts, then the full widths
-    # of the records beyond it; a running sum over n records would round
-    # about n units in the last place.
-    counts = np.bincount(lo, minlength=K)
-    held = counts > 0
-    expo_sum = np.zeros(K)
-    starts = (np.cumsum(counts) - counts)[held]
-    expo_sum[held] = np.add.reduceat(left[order] - grid.lower[lo], starts)
-    expo_sum[:-1] += grid.widths[:-1] * (n - np.cumsum(counts))[:-1]
+    sizes = np.bincount(key, minlength=K * (K + 1))
+    groups = np.flatnonzero(sizes)
+    starts = np.cumsum(sizes) - sizes
+    # numpy's pairwise sum of the own parts of each group, then at most K + 1
+    # group sums per piece, and the full widths of the records beyond it; a
+    # running sum over n records would round about n units in the last place.
+    group_piece = np.where(groups < K * K, groups // K, groups - K * K)
+    own = np.add.reduceat((left - grid.lower[piece])[order], starts[groups])
+    expo_sum = np.bincount(group_piece, own, K)
+    beyond = n - np.cumsum(np.bincount(group_piece, sizes[groups], K))
+    expo_sum[:-1] += grid.widths[:-1] * beyond[:-1]
 
-    in_bracket = hi < K
-    rows, key, lo, hi = order[in_bracket], key[in_bracket], lo[in_bracket], hi[in_bracket]
-    class_starts = np.flatnonzero(np.diff(key, prepend=-1))
-    pieces, first, last = np.arange(K), lo[class_starts, None], hi[class_starts, None]
-    between = np.where((pieces > first) & (pieces < last), grid.widths, 0.0)
+    rows = order[:bracket.size]
+    classes = groups[groups < K * K]
+    lo, hi = np.divmod(classes, K)
+    first, last = piece[rows], np.repeat(hi, sizes[classes])
     L, R = left[rows], right[rows]
-    own = lo == hi
-    exact_rows = np.flatnonzero(is_exact)
+    diff = np.empty((2, rows.size))
+    np.subtract(np.minimum(grid.upper[first], R), L, out=diff[0])
+    np.multiply(R - grid.lower[last], first != last, out=diff[1])
+    basis = np.zeros((3, classes.size, K))
+    basis[0, np.arange(classes.size), lo] = 1.0
+    basis[1, np.arange(classes.size), hi] = 1.0
+    inner = np.arange(K - 1)
+    basis[2, :, :-1] = ((inner > lo[:, None]) & (inner < hi[:, None])) * grid.widths[:-1]
+    exact_rows = np.flatnonzero(left == right)
     piece = piece.astype(np.min_scalar_type(K))
+    exact_piece = piece[exact_rows]
     return PreparedLikelihood(
         grid=grid,
         expo_left=left,
         left_piece=piece,
-        diff=np.stack([np.where(own, R - L, grid.upper[lo] - L),
-                       np.where(own, 0.0, R - grid.lower[hi])]),
+        diff=diff,
         interval_rows=rows.astype(np.min_scalar_type(n)),
-        class_starts=class_starts,
-        class_sizes=np.diff(class_starts, append=rows.size),
-        class_pieces=np.stack([lo[class_starts], hi[class_starts]]),
-        classes=np.stack([pieces == first, pieces == last, between]).astype(float),
+        class_starts=starts[classes],
+        class_sizes=sizes[classes],
+        class_pieces=np.array([lo, hi], dtype=piece.dtype),
+        classes=basis,
         exact_rows=exact_rows.astype(np.min_scalar_type(n)),
-        exact_piece=piece[exact_rows],
+        exact_piece=exact_piece,
         expo_sum=expo_sum,
-        exact_counts=np.bincount(piece[exact_rows], minlength=K).astype(float),
+        exact_counts=np.bincount(exact_piece, minlength=K).astype(float),
     )
 
 
 def loglik_parts(alpha, prep: PreparedLikelihood):
     """Total log-likelihood, score, and Hessian at the rates alpha.
 
-    The log-likelihood is -expo_sum @ alpha + sum log(1 - exp(-dlam)) +
-    exact_counts @ log(alpha) over the bracket increments dlam: a call reads
-    only the brackets, summed per class (jL, jR), three sums for the score
-    and six for the Hessian, then spread over the pieces by the classes'
-    bases. alpha is one row of K rates, or a (B, K) stack evaluated row by
-    row against a stack from ``leave_out`` or one unstacked likelihood;
-    the results have shapes (), (K,), (K, K) or (B,), (B, K), (B, K, K).
-    The Hessian is symmetric only to rounding (``fit_pch`` symmetrizes the
-    information). Raises DegenerateInterval if any bracket's mass, a
-    left-out one included, underflows to zero, which happens only far
-    outside the fitter's rate bounds.
+    The log-likelihood is
+    -expo_sum @ alpha + sum log(1 - exp(-dlam)) + exact_counts @ log(alpha)
+    over the bracket increments dlam, so a call reads only the brackets,
+    never the exposures. It sums, class by class, the score factor
+    g = 1 / expm1(dlam) times a, b and 1 and the curvature
+    exp(-dlam) / expm1(-dlam)^2 = g (1 + g) times the six products of a, b
+    and 1, and spreads these sums over the pieces by the classes' bases.
+
+    alpha is one row of K rates, or a (B, K) stack evaluated row by row
+    against a stack from ``leave_out`` or against one unstacked likelihood.
+    Returns (loglik, gradient, Hessian), of shapes (), (K,), (K, K) for one
+    row and (B,), (B, K), (B, K, K) for a stack. The Hessian is symmetric
+    only to rounding, because each class's curvature sums meet its basis on
+    one side first; ``fit_pch`` symmetrizes the information it keeps.
+    Raises DegenerateInterval if any bracket's mass underflows to zero, a
+    left-out one included; that happens only at rates far outside the
+    fitter's bounds.
     """
     alpha = np.asarray(alpha, dtype=float)
     rows = np.atleast_2d(alpha)
@@ -425,84 +473,106 @@ def loglik_parts(alpha, prep: PreparedLikelihood):
 
 def _kernel(alpha, dlam, prep: PreparedLikelihood):
     """``loglik_parts`` of R rate rows, alpha (R, K), at known bracket
-    increments dlam (R, brackets), all of them positive."""
+    increments dlam (brackets, R), all of them positive."""
     R, K = alpha.shape
-    lengths = prep.diff[:, None, :]
-    terms = np.empty((6,) + dlam.shape)
-    mass = np.negative(dlam)
-    g = np.exp(mass, out=terms[2])
-    np.negative(np.expm1(mass, out=mass), out=mass)
-    # The score factor g = 1 / expm1(dlam) times a, b, 1 is summed by class,
-    # then in the same buffer the curvature c = g / (1 - exp(-dlam)) times
-    # a^2, ab, b^2, a, b, 1. At trial rates where a bracket's mass nearly
-    # underflows, or a rate's square over- or underflows, the curvature is
-    # not finite; such steps are rejected or end the fit at the rate bounds.
+    Q = prep.class_starts.size
+    lengths = prep.diff[:, :, None]
+    starts = prep.class_starts
+    # Per bracket, g = 1 / expm1(dlam) is the score factor, c = g (1 + g)
+    # the curvature and -log1p(g) the log of the bracket mass. They are
+    # summed class by class, three bracket rows at a time in one buffer: g
+    # times a, b and 1, then c times 1, a and b, then c times b^2, a^2 and
+    # ab. For trial rates where a bracket's mass nearly underflows, or where
+    # a rate's square over- or underflows, the curvature is not finite; such
+    # steps are rejected (their log-likelihood is far worse) or end the fit
+    # at the rate bounds, so the noise is suppressed.
+    terms = np.empty((3,) + dlam.shape)
+    curvature = np.empty((6, Q, R))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(g, mass, out=g)
+        g = np.reciprocal(np.expm1(dlam, out=terms[2]), out=terms[2])
         if prep.left_out is not None:
             stacked = np.flatnonzero(prep.left_out >= 0)
-            g[stacked, prep.left_out[stacked]] = 0.0
+            g[prep.left_out[stacked], stacked] = 0.0
         np.multiply(g, lengths, out=terms[:2])
-        score = np.add.reduceat(terms[:3], prep.class_starts, axis=-1)
-        np.multiply(np.divide(g, mass, out=terms[5]), lengths, out=terms[3:5])
-        np.multiply(terms[3], lengths, out=terms[:2])
-        np.multiply(terms[4], lengths[1], out=terms[2])
-        curvature = np.add.reduceat(terms, prep.class_starts, axis=-1)
-        log_mass = np.log(mass, out=mass)
-        if prep.left_out is not None:
-            log_mass[stacked, prep.left_out[stacked]] = 0.0
-        Q = score.shape[-1]
-        basis = prep.classes.reshape(3 * Q, K)
+        score = np.add.reduceat(terms, starts, axis=1)
+        c = np.multiply(g, g, out=terms[0])
+        c += g
+        # Each row's log masses, summed by numpy's pairwise sum rather than
+        # a BLAS dot: near the maximum the line search compares
+        # log-likelihoods that differ by less than their rounding, and a
+        # dot over n terms rounds several units in the last place worse.
+        log_mass = np.log1p(g.T, out=terms[1].reshape(dlam.shape[::-1])).sum(axis=-1)
+        np.multiply(c, lengths, out=terms[1:])
+        np.add.reduceat(terms, starts, axis=1, out=curvature[3:])
+        np.multiply(terms[2], lengths[1], out=terms[0])
+        np.multiply(terms[1], lengths[1], out=terms[2])
+        np.multiply(terms[1], lengths[0], out=terms[1])
+        np.add.reduceat(terms, starts, axis=1, out=curvature[:3])
+        del terms, g, c
         counts = prep.exact_counts
-        # numpy's pairwise sum, not a BLAS dot: near the maximum the line
-        # search compares log-likelihoods that differ by less than their
-        # rounding, and a dot over n terms rounds several units in the last
-        # place worse.
-        loglik = (-_rowdot(prep.expo_sum, alpha) + log_mass.sum(axis=-1)
-                  + _rowdot(counts, np.log(alpha)))
-        grad = (score.transpose(1, 0, 2).reshape(R, 3 * Q) @ basis
-                - prep.expo_sum + counts / alpha)
-        # Each class's moments times its basis, one matmul per class for all
-        # the rows, then summed against the basis again.
-        moments = curvature[_MOMENTS].transpose(3, 2, 0, 1).reshape(Q, 3 * R, 3)
-        spread = (moments @ np.swapaxes(prep.classes, 0, 1)).reshape(Q, R, 3, K)
-        hess = -(spread.transpose(1, 3, 2, 0).reshape(R * K, 3 * Q) @ basis).reshape(R, K, K)
+        loglik = _rowdot(counts, np.log(alpha)) - _rowdot(prep.expo_sum, alpha) - log_mass
+        basis = prep.classes.reshape(3 * Q, K)
+        grad = (basis.T @ score.reshape(3 * Q, R)).T - prep.expo_sum + counts / alpha
+        # Each class's 3 x 3 moments times its basis, one product per class
+        # for all the rows, then the bases times those, summed over the
+        # classes in one product.
+        moments = curvature.transpose(1, 2, 0)[..., _MOMENTS].reshape(Q, 3 * R, 3)
+        spread = (moments @ prep.classes.transpose(1, 0, 2)).reshape(Q, R, 3, K)
+        hess = spread.transpose(1, 3, 2, 0).reshape(R * K, 3 * Q) @ basis
+        hess = -hess.reshape(R, K, K)
         hess.reshape(R, K * K)[:, ::K + 1] -= counts / alpha**2
     return loglik, grad, hess
 
 
 def _rowdot(x, y):
-    """Row-wise dot products over the last axis, broadcasting the rows; each
-    row goes through the same BLAS dot as a single vector's ``x @ y``."""
+    """Row-wise dot products over the last axis, broadcasting the rows.
+
+    Each row goes through the same BLAS dot as a single vector's ``x @ y``,
+    so a one-row stack rounds exactly as the vector does.
+    """
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
     """Per-record score vectors times the directions D, at the rates alpha.
 
-    Row l is subject l's score times D, a K-vector or a K x M matrix, from
-    the piece indices with no n x K score matrix: minus the exposure of L
-    times D, ``cumsum(widths * D)`` below jL plus (L - c_jL) D_jL; for a
-    bracket, (a D_jL + b D_jR + its class's full pieces times D) over expm1
-    of its increment; for an exact record, D_j over alpha_j in its piece.
+    Row l of the result is subject l's score times D, for D a K-vector or a
+    K x M matrix, summed term by term from the piece indices with no n x K
+    score matrix: minus the exposure times D, which is ``cumsum(widths * D)``
+    below jL plus (L - c_jL) D_jL; for a bracket, a D_jL + b D_jR plus its
+    class's full pieces times D, over expm1 of its increment; for an exact
+    record, D's row of its piece j over alpha_j. Each of the M columns is
+    worked on as one contiguous row, and the result is their transpose.
     """
     alpha = np.asarray(alpha, dtype=float)
     D = np.asarray(D, dtype=float)
-    dlam = _increments(alpha, prep, check=True)
-    grid, piece = prep.grid, prep.left_piece
-    rows = D.reshape(prep.K, -1)
-    below = np.zeros_like(rows)
-    np.cumsum(grid.widths[:-1, None] * rows[:-1], axis=0, out=below[1:])
-    out = np.take(below, piece, axis=0)
-    out += (prep.expo_left - grid.lower[piece])[:, None] * np.take(rows, piece, axis=0)
+    dlam = _increments(alpha[None], prep, check=True)[:, 0]
+    grid, piece = prep.grid, prep.left_piece.astype(np.intp)
+    cols = D.reshape(prep.K, -1).T
+    below = np.zeros_like(cols)
+    np.cumsum(grid.widths[:-1] * cols[:, :-1], axis=1, out=below[:, 1:])
+    out = np.take(below, piece, axis=1)
+    own = np.take(cols, piece, axis=1)
+    own *= prep.expo_left - grid.lower[piece]
+    out += own
+    del own
     np.negative(out, out=out)
-    per_bracket = np.repeat(prep.classes @ rows, prep.class_sizes, axis=1)
-    bracket = np.einsum("ir,irm->rm", prep.diff, per_bracket[:2])
-    bracket += per_bracket[2]
-    bracket /= np.expm1(dlam)[:, None]
-    out[prep.interval_rows] += bracket
-    out[prep.exact_rows] += rows[prep.exact_piece] / alpha[prep.exact_piece, None]
-    return out.reshape(out.shape[:1] + D.shape[1:])
+    first, last = np.repeat(prep.class_pieces.astype(np.intp), prep.class_sizes, axis=1)
+    bracket = np.take(cols, first, axis=1)
+    bracket *= prep.diff[0]
+    part = np.take(cols, last, axis=1)
+    part *= prep.diff[1]
+    bracket += part
+    del part
+    bracket += np.repeat(cols @ prep.classes[2].T, prep.class_sizes, axis=1)
+    bracket /= np.expm1(dlam)
+    # One column at a time: a scatter into a row is cheaper than into the
+    # strided rows of a matrix.
+    rows = prep.interval_rows.astype(np.intp)
+    for column, part in zip(out, bracket):
+        column[rows] += part
+    out[:, prep.exact_rows] += cols[:, prep.exact_piece] / alpha[prep.exact_piece]
+    return out.T.reshape(out.shape[1:] + D.shape[1:])
 
 
 def score_matrix(alpha, prep: PreparedLikelihood) -> np.ndarray:
@@ -512,15 +582,16 @@ def score_matrix(alpha, prep: PreparedLikelihood) -> np.ndarray:
 
 def _increments(alpha, prep: PreparedLikelihood, check=False) -> np.ndarray:
     """Cumulative hazard across each bracket, in ``interval_rows`` order, for
-    each rate row: alpha_jL a + alpha_jR b plus the full pieces between,
-    which is exactly alpha_j (R - L) for a bracket within one piece. With
-    ``check``, raises DegenerateInterval if a bracket has no mass."""
-    per_class = alpha @ prep.classes.reshape(-1, prep.K).T
-    per_bracket = np.repeat(per_class.reshape(per_class.shape[:-1] + (3, -1)),
-                            prep.class_sizes, axis=-1)
-    dlam = np.einsum("...ir,ir->...r", per_bracket[..., :2, :], prep.diff)
-    dlam += per_bracket[..., 2, :]
-    if check and np.any(dlam <= 0.0):
-        bad = prep.interval_rows[int(np.argmin(dlam)) % dlam.shape[-1]]
+    the R rate rows alpha (R, K), as (brackets, R): alpha_jL a + alpha_jR b
+    plus the full pieces between, which is exactly alpha_j (R - L) for a
+    bracket within piece j. With ``check``, raises DegenerateInterval if a
+    bracket has no mass."""
+    K, Q = prep.K, prep.class_starts.size
+    per_class = (prep.classes.reshape(3 * Q, K) @ alpha.T).reshape(3, Q, alpha.shape[0])
+    parts = np.repeat(per_class, prep.class_sizes, axis=1)
+    parts[:2] *= prep.diff[:, :, None]
+    dlam = parts.sum(axis=0)
+    if check and (dlam <= 0.0).any():
+        bad = prep.interval_rows[int(np.argmin(dlam)) // dlam.shape[1]]
         raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")
     return dlam

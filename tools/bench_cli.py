@@ -29,9 +29,11 @@ Each tree then runs, in a fresh process and trees alternating, the stages of
 Every stage is timed with ``simulate._timed``; a run repeats the stages
 ``--repeat`` times and keeps each stage's median. The trees' outputs must
 agree: for rc the digests of the ``id,pseudo`` and ``regress`` outputs are
-equal, for ic the largest difference between the trees' pseudo values
-(``max_abs_diff`` in the JSON, from the command's output) is at most
-``--ic-tolerance``.
+equal; for ic the pseudo values of the command's output differ between the
+trees by at most ``DIGIT_UNITS`` units in the last printed digit (the 12th
+significant one) of the largest value. The JSON records the largest
+difference, ``max_abs_diff``, and the same in those units,
+``max_digit_units``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ from pathlib import Path
 STAGES = {"rc": ("load", "km_fit", "pseudo_map", "format", "write", "cli", "regress"),
           "ic": ("load", "prepare", "fit", "pseudo_map", "format", "write", "cli")}
 TAU = {"rc": 6.0, "ic1": 6.0, "ic2": math.inf}
+# The command writes pseudo values with %.12g. Trees whose fits agree to
+# rounding print the same digits up to a few units in the last one of the
+# largest value; a value near zero, a difference of larger terms, shares
+# that absolute rounding, not its own last digit's.
+PRINTED_DIGITS = 12
+DIGIT_UNITS = 4
 
 
 def main() -> int:
@@ -61,7 +69,6 @@ def main() -> int:
     parser.add_argument("--n", type=int, nargs="+", default=[1000, 10_000, 100_000, 1_000_000])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--ic-tolerance", type=float, default=1e-9)
     parser.add_argument("--out", default="BENCH_cli.json")
     parser.add_argument("--worker", nargs=5, metavar=("SRC", "KIND", "CSV", "COVARIATES", "OUT"),
                         help=argparse.SUPPRESS)
@@ -102,7 +109,7 @@ def main() -> int:
                         print(kind, label, n, seed,
                               {k: round(v, 4) for k, v in record["seconds"].items()},
                               file=sys.stderr)
-                    _check_agreement(runs[-len(trees):], outputs, kind, args.ic_tolerance)
+                    _check_agreement(runs[-len(trees):], outputs, kind)
                     for path in outputs.values():
                         path.unlink()
 
@@ -110,8 +117,9 @@ def main() -> int:
     return 0
 
 
-def _check_agreement(runs, outputs, kind, tolerance):
-    """rc: equal output digests; ic: pseudo values within ``tolerance``."""
+def _check_agreement(runs, outputs, kind):
+    """rc: equal output digests; ic: pseudo values within ``DIGIT_UNITS``
+    units in the last printed digit of the largest value."""
     where = f"{kind} n={runs[0]['n']} seed={runs[0]['seed']}"
     if kind == "rc":
         for output in ("output_sha256", "regress_sha256"):
@@ -123,10 +131,14 @@ def _check_agreement(runs, outputs, kind, tolerance):
 
     values = [np.loadtxt(path, delimiter=",", skiprows=1, usecols=1) for path in outputs.values()]
     gap = max(float(np.max(np.abs(v - values[0]))) for v in values)
+    scale = max(float(np.max(np.abs(v))) for v in values)
+    units = gap / 10.0 ** (math.floor(math.log10(scale)) - (PRINTED_DIGITS - 1)) if gap else 0.0
     for r in runs:
         r["max_abs_diff"] = gap
-    if not gap <= tolerance:
-        raise SystemExit(f"{where}: pseudo values differ between trees by {gap:.3e}")
+        r["max_digit_units"] = units
+    if not units <= DIGIT_UNITS:
+        raise SystemExit(f"{where}: pseudo values differ between trees by {gap:.3e},"
+                         f" {units:.1f} units in the last printed digit of the largest")
 
 
 def _save_covariates(dataset, path):
