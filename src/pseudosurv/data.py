@@ -401,11 +401,12 @@ def _read_header(lines, kind):
     return header
 
 
-def _read_body(lines, parse_rows, width=None, accept=lambda table: True, **options):
+def _read_body(lines, parse_rows, width=None, accept=lambda t: True, converters=None, **options):
     """The body of a CSV, read off ``lines``, as one float table.
 
     Each batch of ``_READ_LINES`` lines is parsed by one np.loadtxt call with
-    ``options``. Its table is kept if every line gave a row of ``width``
+    ``options``; only a batch that numpy rejects is parsed again with
+    ``converters`` too. Its table is kept if every line gave a row of ``width``
     cells (by default the first table's), no cell is NaN, ``accept(table)``
     holds and the last line leaves no quote open. Any other batch goes alone
     to the caller's row rule ``parse_rows(records, start, width)``, which
@@ -416,13 +417,9 @@ def _read_body(lines, parse_rows, width=None, accept=lambda table: True, **optio
     tables = []
     lines_read = 0
     while batch := list(itertools.islice(lines, _READ_LINES)):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns when no line holds data
-                table = np.loadtxt(batch, dtype=float, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=2, **options)
-        except ValueError:
-            table = None
+        table = _loadtxt(batch, **options)
+        if table is None and converters:
+            table = _loadtxt(batch, converters=converters, **options)
         if (table is None or table.shape != (len(batch), width or table.shape[1])
                 or np.isnan(table).any() or not accept(table) or batch[-1].count('"') % 2):
             reader = csv.reader(itertools.chain(batch, lines))
@@ -435,6 +432,17 @@ def _read_body(lines, parse_rows, width=None, accept=lambda table: True, **optio
             tables.append(table)
             width = table.shape[1]
     return np.concatenate(tables) if tables else np.empty((0, width or 0))
+
+
+def _loadtxt(batch, **options):
+    """One np.loadtxt parse of ``batch``, or None if numpy rejects it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns when no line holds data
+            return np.loadtxt(batch, dtype=float, delimiter=",", comments=None,
+                              quotechar='"', ndmin=2, **options)
+    except ValueError:
+        return None
 
 
 def _records(reader, count, before):

@@ -451,9 +451,9 @@ def _initial_rates(dataset: Dataset, grid: CutGrid) -> np.ndarray:
     right = dataset.right
     finite = np.isfinite(right)
     imputed = np.where(finite, (left + right) / 2.0, left)
-    piece = np.asarray(grid.piece_index(imputed))
+    piece = grid.piece_index(imputed)
     K = grid.K
-    events = np.bincount(piece[finite], minlength=K)
+    events = np.bincount(piece, weights=finite, minlength=K)
     beyond = dataset.n - np.cumsum(np.bincount(piece, minlength=K))
     exposure = np.bincount(piece, weights=imputed - grid.lower[piece], minlength=K)
     exposure[:-1] += grid.widths[:-1] * beyond[:-1]

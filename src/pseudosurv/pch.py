@@ -75,8 +75,14 @@ class CutGrid:
         return self.upper - self.lower
 
     def piece_index(self, t):
-        """Index k of the piece (c_k, c_{k+1}] containing t; t = 0 maps to piece 0."""
-        return np.searchsorted(self.upper[:-1], t, side="left")
+        """Index k of the piece (c_k, c_{k+1}] containing t; t = 0 maps to piece 0.
+        It counts the cuts below t, one comparison per cut, in the smallest
+        unsigned type that holds K."""
+        t = np.asarray(t)
+        piece = np.zeros(t.shape, dtype=np.min_scalar_type(self.K))
+        for c in self.cuts:
+            piece += t > c
+        return piece[()]
 
     def exposure(self, t):
         """Per-piece time at risk up to t: (c_k ^ t - c_{k-1})+ for each piece.
@@ -390,12 +396,11 @@ def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
     left, right = dataset.left, dataset.right
     n, K = dataset.n, grid.K
     piece = grid.piece_index(left)
-    bracket = np.flatnonzero(np.isfinite(right) & (right != left))
-    # One stable sort by a small-int key puts the brackets first, class
-    # (jL, jR) after class, and then the other records piece by piece.
-    key = piece + K * K
-    key[bracket] = piece[bracket] * K + grid.piece_index(right[bracket])
-    key = key.astype(np.min_scalar_type(K * (K + 1)))
+    bracket = np.isfinite(right) & (right != left)
+    # One stable sort by a small-int key, widened to hold K (K + 1), puts the
+    # brackets first, class (jL, jR) after class, then the others piece by piece.
+    wide = piece.astype(np.min_scalar_type(K * (K + 1)))
+    key = np.where(bracket, wide * K + grid.piece_index(right), wide + K * K)
     order = np.argsort(key, kind="stable")
     sizes = np.bincount(key, minlength=K * (K + 1))
     groups = np.flatnonzero(sizes)
@@ -409,7 +414,7 @@ def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
     beyond = n - np.cumsum(np.bincount(group_piece, sizes[groups], K))
     expo_sum[:-1] += grid.widths[:-1] * beyond[:-1]
 
-    rows = order[:bracket.size]
+    rows = order[:np.count_nonzero(bracket)]
     classes = groups[groups < K * K]
     lo, hi = np.divmod(classes, K)
     first, last = piece[rows], np.repeat(hi, sizes[classes])
@@ -423,7 +428,6 @@ def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
     inner = np.arange(K - 1)
     basis[2, :, :-1] = ((inner > lo[:, None]) & (inner < hi[:, None])) * grid.widths[:-1]
     exact_rows = np.flatnonzero(left == right)
-    piece = piece.astype(np.min_scalar_type(K))
     exact_piece = piece[exact_rows]
     return PreparedLikelihood(
         grid=grid,
@@ -557,10 +561,10 @@ def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
     out += own
     del own
     np.negative(out, out=out)
-    first, last = np.repeat(prep.class_pieces.astype(np.intp), prep.class_sizes, axis=1)
-    bracket = np.take(cols, first, axis=1)
+    first, last = prep.class_pieces
+    bracket = np.repeat(cols[:, first], prep.class_sizes, axis=1)
     bracket *= prep.diff[0]
-    part = np.take(cols, last, axis=1)
+    part = np.repeat(cols[:, last], prep.class_sizes, axis=1)
     part *= prep.diff[1]
     bracket += part
     del part
@@ -588,9 +592,11 @@ def _increments(alpha, prep: PreparedLikelihood, check=False) -> np.ndarray:
     bracket has no mass."""
     K, Q = prep.K, prep.class_starts.size
     per_class = (prep.classes.reshape(3 * Q, K) @ alpha.T).reshape(3, Q, alpha.shape[0])
-    parts = np.repeat(per_class, prep.class_sizes, axis=1)
-    parts[:2] *= prep.diff[:, :, None]
-    dlam = parts.sum(axis=0)
+    own, other, between = (np.repeat(p, prep.class_sizes, axis=0) for p in per_class)
+    own *= prep.diff[0][:, None]
+    other *= prep.diff[1][:, None]
+    dlam = np.add(own, other, out=own)
+    dlam += between
     if check and (dlam <= 0.0).any():
         bad = prep.interval_rows[int(np.argmin(dlam)) // dlam.shape[1]]
         raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")

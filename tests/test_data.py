@@ -526,6 +526,33 @@ def test_batches_resume_after_one_parsed_row_by_row(source, tmp_path, monkeypatc
     np.testing.assert_array_equal(ds.covariates, expected.covariates)
 
 
+def test_empty_right_cell_in_a_later_batch_loads_as_inf(monkeypatch):
+    """Only the batch holding an empty right cell is parsed again, with the
+    cell converter; every batch loads without the row rule."""
+    monkeypatch.setattr(data, "_READ_LINES", 4)
+    rows = [f"{i / 7!r},{i / 3!r}" for i in range(1, 21)]
+    rows[9] = f"{10 / 7!r},"
+    parses = []
+    loadtxt = data._loadtxt
+
+    def counted(batch, **options):
+        parses.append("converters" in options)
+        return loadtxt(batch, **options)
+
+    def parse_rows(records, *args):
+        assert not list(records)
+        return np.empty((0, 2))
+
+    monkeypatch.setattr(data, "_loadtxt", counted)
+    monkeypatch.setattr(data, "_parse_rows", parse_rows)
+    ds = load_interval_dataset(io.StringIO("\n".join(["left,right"] + rows) + "\n"))
+    assert parses == [False, False, False, True, False, False]
+    expected = np.arange(1, 21) / 3
+    expected[9] = math.inf
+    np.testing.assert_array_equal(ds.left, np.arange(1, 21) / 7)
+    np.testing.assert_array_equal(ds.right, expected)
+
+
 @pytest.mark.parametrize("read_lines", [1, 2, 3, None], ids=["1", "2", "3", "default"])
 def test_rows_after_a_row_by_row_batch_keep_their_numbers(read_lines, monkeypatch):
     """A bad row after a batch holding a line break is named by its record
