@@ -405,7 +405,7 @@ def _read_body(lines, parse_rows, width=None, accept=lambda t: True, converters=
     """The body of a CSV, read off ``lines``, as one float table.
 
     Each batch of ``_READ_LINES`` lines is parsed by one np.loadtxt call with
-    ``options``; only a batch that numpy rejects is parsed again with
+    ``options``, and from the first batch numpy rejects on (parsed twice) with
     ``converters`` too. Its table is kept if every line gave a row of ``width``
     cells (by default the first table's), no cell is NaN, ``accept(table)``
     holds and the last line leaves no quote open. Any other batch goes alone
@@ -419,7 +419,8 @@ def _read_body(lines, parse_rows, width=None, accept=lambda t: True, converters=
     while batch := list(itertools.islice(lines, _READ_LINES)):
         table = _loadtxt(batch, **options)
         if table is None and converters:
-            table = _loadtxt(batch, converters=converters, **options)
+            options["converters"], converters = converters, None
+            table = _loadtxt(batch, **options)
         if (table is None or table.shape != (len(batch), width or table.shape[1])
                 or np.isnan(table).any() or not accept(table) or batch[-1].count('"') % 2):
             reader = csv.reader(itertools.chain(batch, lines))

@@ -77,12 +77,12 @@ class CutGrid:
     def piece_index(self, t):
         """Index k of the piece (c_k, c_{k+1}] containing t; t = 0 maps to piece 0.
         It counts the cuts below t, one comparison per cut, in the smallest
-        unsigned type that holds K."""
+        unsigned type that holds K, and returns intp, as np.searchsorted does."""
         t = np.asarray(t)
         piece = np.zeros(t.shape, dtype=np.min_scalar_type(self.K))
         for c in self.cuts:
             piece += t > c
-        return piece[()]
+        return piece.astype(np.intp)[()]
 
     def exposure(self, t):
         """Per-piece time at risk up to t: (c_k ^ t - c_{k-1})+ for each piece.
@@ -395,12 +395,12 @@ def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
         raise EmptyInput("cannot prepare an empty dataset")
     left, right = dataset.left, dataset.right
     n, K = dataset.n, grid.K
-    piece = grid.piece_index(left)
+    piece = grid.piece_index(left).astype(np.min_scalar_type(K))
     bracket = np.isfinite(right) & (right != left)
     # One stable sort by a small-int key, widened to hold K (K + 1), puts the
     # brackets first, class (jL, jR) after class, then the others piece by piece.
     wide = piece.astype(np.min_scalar_type(K * (K + 1)))
-    key = np.where(bracket, wide * K + grid.piece_index(right), wide + K * K)
+    key = np.where(bracket, wide * K + grid.piece_index(right).astype(wide.dtype), wide + K * K)
     order = np.argsort(key, kind="stable")
     sizes = np.bincount(key, minlength=K * (K + 1))
     groups = np.flatnonzero(sizes)

@@ -527,8 +527,9 @@ def test_batches_resume_after_one_parsed_row_by_row(source, tmp_path, monkeypatc
 
 
 def test_empty_right_cell_in_a_later_batch_loads_as_inf(monkeypatch):
-    """Only the batch holding an empty right cell is parsed again, with the
-    cell converter; every batch loads without the row rule."""
+    """The batch holding an empty right cell is parsed again with the cell
+    converter, and later batches with it at once; every batch loads without
+    the row rule."""
     monkeypatch.setattr(data, "_READ_LINES", 4)
     rows = [f"{i / 7!r},{i / 3!r}" for i in range(1, 21)]
     rows[9] = f"{10 / 7!r},"
@@ -546,7 +547,7 @@ def test_empty_right_cell_in_a_later_batch_loads_as_inf(monkeypatch):
     monkeypatch.setattr(data, "_loadtxt", counted)
     monkeypatch.setattr(data, "_parse_rows", parse_rows)
     ds = load_interval_dataset(io.StringIO("\n".join(["left,right"] + rows) + "\n"))
-    assert parses == [False, False, False, True, False, False]
+    assert parses == [False, False, False, True, True, True]
     expected = np.arange(1, 21) / 3
     expected[9] = math.inf
     np.testing.assert_array_equal(ds.left, np.arange(1, 21) / 7)

@@ -500,7 +500,7 @@ def _kernel_sample(rng, K, n=240):
     return interval_dataset(left, right), CutGrid(tuple(cuts))
 
 
-@pytest.mark.parametrize("K", [1, 5, 50])
+@pytest.mark.parametrize("K", [1, 5, 16, 50])
 def test_kernel_matches_dense_exposure_formulas(K):
     rng = np.random.default_rng(60 + K)
     ds, grid = _kernel_sample(rng, K)
@@ -520,7 +520,7 @@ def test_kernel_matches_dense_exposure_formulas(K):
                                rtol=1e-12, atol=1e-12 * np.abs(scores @ D[:, 0]).max())
 
 
-@pytest.mark.parametrize("K", [1, 5, 50])
+@pytest.mark.parametrize("K", [1, 5, 16, 50])
 def test_leave_out_stack_matches_dense_exposure_formulas(K):
     rng = np.random.default_rng(70 + K)
     ds, grid = _kernel_sample(rng, K)

@@ -48,7 +48,6 @@ from pseudosurv import (
 from pseudosurv import cli, data
 from pseudosurv.fitting import _initial_rates
 from pseudosurv.pch import loglik_parts, prepare_likelihood, rmst_closed_form, score_matrix
-from test_pch import _dense_parts
 
 examples = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -235,47 +234,11 @@ def grids_and_times(draw):
 def test_piece_index_counts_the_cuts_below(sample):
     grid, times = sample
     expected = np.searchsorted(grid.upper[:-1], times, side="left")
-    np.testing.assert_array_equal(grid.piece_index(np.array(times)), expected)
+    pieces = grid.piece_index(np.array(times))
+    assert pieces.dtype == expected.dtype
+    np.testing.assert_array_equal(pieces, expected)
     for t, k in zip(times, expected):
         assert grid.piece_index(t) == k
-
-
-@st.composite
-def many_piece_samples(draw):
-    """(dataset, grid, rates) on 16 or 50 pieces, more than a byte's worth of
-    (first piece, last piece) classes, endpoints often on cuts and at 0.
-    Other endpoints are at least 0.01, since a bracket narrower than about
-    1e-154 squares its increment to zero in the dense curvature."""
-    K = draw(st.sampled_from((16, 50)))
-    grid = CutGrid(tuple(np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=K - 1,
-                                                  max_size=K - 1)))))
-    point = st.one_of(st.sampled_from((0.0,) + grid.cuts), st.floats(0.01, grid.cuts[-1] + 1.0))
-    left, right = [], []
-    for kind, p, q in draw(st.lists(st.tuples(st.integers(0, 3), point, point),
-                                    min_size=1, max_size=60)):
-        lo, hi = min(p, q), max(p, q)
-        lo, hi = ((lo, hi if hi > lo else lo + 0.5), (p, math.inf), (p, p), (0.0, q or 0.5))[kind]
-        left.append(lo)
-        right.append(hi)
-    rates = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=K, max_size=K)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # exact records at time 0
-        return interval_dataset(left, right), grid, rates
-
-
-@examples
-@given(many_piece_samples())
-def test_many_piece_likelihood_matches_the_dense_formulas(sample):
-    """The prepared likelihood at 16 and 50 pieces against the n x K
-    exposure formulas."""
-    ds, grid, alpha = sample
-    prep = prepare_likelihood(ds, grid)
-    loglik, grad, hess, scores = _dense_parts(alpha, ds, grid)
-    ll, g, h = loglik_parts(alpha, prep)
-    assert ll == pytest.approx(loglik, rel=1e-13, abs=1e-13)
-    np.testing.assert_allclose(g, grad, rtol=0, atol=1e-13 * np.abs(scores).sum(axis=0).max())
-    np.testing.assert_allclose(h, hess, rtol=1e-12, atol=1e-13 * np.abs(hess).max())
-    np.testing.assert_allclose(score_matrix(alpha, prep), scores, rtol=1e-12, atol=1e-12)
 
 
 # Times on a grid of step 0.5 up to 4, and horizons on the same grid or off
