@@ -478,14 +478,16 @@ def _parse_rows(records, header, kind, start):
             b = _parse_float(row[1], i, "status")
             if b not in (0.0, 1.0):
                 raise ParseError(f"row {i}: status must be 0 or 1, got {row[1]!r}", row=i)
-            RightCensoredRecord(a, int(b))
         else:
             a = _parse_float(row[0], i, "left")
             b = math.inf if row[1].strip() == "" else _parse_float(row[1], i, "right")
-            try:
+        try:
+            if kind == KIND_RIGHT:
+                RightCensoredRecord(a, int(b))
+            else:
                 IntervalRecord(a, b)
-            except MalformedInterval as exc:
-                raise MalformedInterval(f"row {i}: {exc}") from exc
+        except MalformedInterval as exc:
+            raise MalformedInterval(f"row {i}: {exc}") from exc
         table.append([a, b] + [_parse_float(c, i, name) for c, name in zip(row[2:], header[2:])])
     return np.array(table, dtype=float).reshape(-1, len(header))
 

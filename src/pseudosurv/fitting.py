@@ -43,9 +43,6 @@ from .pch import (
 RATE_UPPER_BOUND = 1e6
 RATE_LOWER_BOUND = 1e-10
 MAX_HALVINGS = 30
-# A trial point may fall this many units in the last place of the
-# log-likelihood below the current one and still be accepted.
-SLACK_ULPS = 4
 # Predicted gains below this many units in the last place of
 # max(|loglik|, n) are rounding noise.
 FLOOR_ULPS = 8
@@ -81,10 +78,9 @@ class PchFit:
         pseudo-observation maps and ``jackknife_pch(fit=)`` accept.
     loglik_trace : tuple
         Log-likelihood values, starting at the initial point; one per
-        iteration after it. Each is at least the one before, less a few
-        units in the last place, except the last: the step that ends the
-        fit is taken without comparison.
-    likelihood : PreparedLikelihood, optional
+        iteration after it. Each is at least the one before, except the
+        last: the step that ends the fit is taken without comparison.
+    likelihood : PreparedLikelihood
         The prepared likelihood of ``dataset`` that the fit ran on, which
         ``prepared`` hands to the fast maps and the jackknife.
     """
@@ -97,7 +93,7 @@ class PchFit:
     condition_report: ConditionReport
     dataset: Dataset
     loglik_trace: tuple
-    likelihood: PreparedLikelihood | None = None
+    likelihood: PreparedLikelihood
 
     def check_sample(self, dataset: Dataset) -> None:
         """Raise ValueError unless ``dataset`` is the fitted sample: the
@@ -118,7 +114,7 @@ class PchFit:
         fit's own for the fitted object itself, a new one for the fitted
         records in another order."""
         self.check_sample(dataset)
-        if dataset is self.dataset and self.likelihood is not None:
+        if dataset is self.dataset:
             return self.likelihood
         return prepare_likelihood(dataset, self.model.grid)
 
@@ -194,8 +190,9 @@ def fit_pch(
     Raises
     ------
     DidNotConverge
-        If the iteration budget runs out or no step-halving keeps the
-        log-likelihood within its rounding slack; carries the last iterate.
+        If the iteration budget runs out or no step-halving finds a trial
+        whose log-likelihood is finite and does not fall; carries the last
+        iterate.
     NonIdentifiable
         If some rate escapes its bounds, naming the empirically violated
         per-piece condition.
@@ -280,13 +277,15 @@ def newton_prepared(
     ``prep``: a stack from ``PreparedLikelihood.leave_out``, or B = 1 with
     one unstacked likelihood. The rows iterate in lockstep, each by the
     rule ``fit_pch`` documents for ``tol`` and with its own step, floor,
-    slack, step-halvings and rate bounds; one kernel call evaluates all the
-    rows still searching. A row that stops or fails leaves the active set;
-    a failure is recorded in the result, not raised. A row's last step is
-    taken without a kernel call, so a caller that needs the log-likelihood
-    or the information at the fitted rates evaluates the kernel there once;
-    the leave-one-out oracle, which needs only the rates, calls this
-    directly with warm starts, skipping dataset re-validation.
+    step-halvings and rate bounds. A trial is taken iff its log-likelihood
+    is finite and does not fall; one kernel call evaluates the trials of
+    all the rows still searching. A row that stops or fails leaves the
+    active set; a failure is recorded in the result, not raised. A row's
+    last step is taken without a kernel call, so a caller that needs the
+    log-likelihood or the information at the fitted rates evaluates the
+    kernel there once; the leave-one-out oracle, which needs only the
+    rates, calls this directly with warm starts, skipping dataset
+    re-validation.
     """
     init_alpha = np.asarray(init_alpha, dtype=float)
     B, K = init_alpha.shape
@@ -314,35 +313,23 @@ def newton_prepared(
         done = (np.abs(step).max(axis=1) <= tol) | (_rowdot(grad_b, step) <= floor)
 
         # Each row not done halves its own step until its log-likelihood is
-        # within rounding slack of its current one; the rows halve in
-        # lockstep, and a row's accepted point replaces its current one in
-        # place.
-        worst = loglik - SLACK_ULPS * np.spacing(np.abs(loglik))
+        # finite and does not fall; the rows halve in lockstep, and a row's
+        # accepted point replaces its current one in place. Rates that
+        # overflow or underflow, and brackets left without mass, give the
+        # kernel a log-likelihood that is nan or -inf.
         factor = np.ones(act.size)
         searching = ~done
         for _ in range(MAX_HALVINGS + 1):
-            pending = np.flatnonzero(searching)
-            if not pending.size:
+            rows = np.flatnonzero(searching)
+            if not rows.size:
                 break
-            with np.errstate(over="ignore"):
-                trial = np.exp(beta[pending] + factor[pending, None] * step[pending])
-            # Rates that overflow or underflow, and brackets whose mass
-            # underflows, are rejected without a kernel call.
-            ok = np.flatnonzero((np.isfinite(trial) & (trial > 0)).all(axis=1))
-            trial = trial[ok]
-            dlam = _increments(trial, prep)
-            has_mass = (dlam > 0.0).all(axis=0)
-            if not has_mass.all():
-                ok, trial, dlam = ok[has_mass], trial[has_mass], dlam[:, has_mass]
-            if ok.size:
-                rows = pending[ok]
-                cand = (trial,) + _kernel(trial, dlam, prep.take(act[rows]))
-                won = np.isfinite(cand[1]) & (cand[1] >= worst[rows])
-                for current, value in zip((alpha, loglik, grad, hess), cand):
-                    current[rows[won]] = value[won]
-                searching[rows[won]] = False
-                if not searching.any():
-                    break
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = np.exp(beta[rows] + factor[rows, None] * step[rows])
+                cand = (trial,) + _kernel(trial, _increments(trial, prep), prep.take(act[rows]))
+            won = np.isfinite(cand[1]) & (cand[1] >= loglik[rows])
+            for current, value in zip((alpha, loglik, grad, hess), cand):
+                current[rows[won]] = value[won]
+            searching[rows[won]] = False
             factor[searching] /= 2.0
         beta = beta + factor[:, None] * step
         moved = ~(done | searching)

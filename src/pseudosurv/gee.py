@@ -121,8 +121,10 @@ def fit_gee(
     cov = sandwich_variance(y, Z, beta, link)
     # A sandwich is positive semi-definite: a diagonal rounded below 0 is 0.
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    # With a zero SE, z is +-inf, or 0 (p = 1) for a zero estimate, as
+    # all-zero pseudo values give.
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, beta / se, np.inf * np.sign(beta))
+        z = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
     pvals = special.erfc(np.abs(z) / math.sqrt(2.0))
     return GeeFit(beta=beta, cov=cov, se=se, z=z, p=pvals, iterations=iterations)
 

@@ -477,7 +477,8 @@ def loglik_parts(alpha, prep: PreparedLikelihood):
 
 def _kernel(alpha, dlam, prep: PreparedLikelihood):
     """``loglik_parts`` of R rate rows, alpha (R, K), at known bracket
-    increments dlam (brackets, R), all of them positive."""
+    increments dlam (brackets, R). A rate of 0 or inf, or a bracket without
+    mass, gives a log-likelihood that is nan or -inf."""
     R, K = alpha.shape
     Q = prep.class_starts.size
     lengths = prep.diff[:, :, None]

@@ -448,6 +448,13 @@ def test_regress_zero_variance_coefficient_gets_an_infinite_z(tmp_path, capsys):
     assert capsys.readouterr().out.split("\n")[1] == "intercept,0.1,0,inf,0"
 
 
+def test_regress_zero_estimate_with_zero_variance_gets_z_0_and_p_1(tmp_path, capsys):
+    """All-zero pseudo values, as survival past the last event gives, fit
+    zero coefficients with zero SEs: 0/0 is reported as z = 0, p = 1."""
+    assert _regress(tmp_path, "id,pseudo\n1,0\n2,0\n3,0\n4,0\n", "z\n1\n0\n1\n0\n") == 0
+    assert capsys.readouterr().out.split("\n")[1:3] == ["intercept,0,0,0,1", "z,0,0,0,1"]
+
+
 def test_simulate_is_deterministic(tmp_path, capsys):
     outs = []
     for name in ("s1.csv", "s2.csv"):

@@ -404,7 +404,7 @@ _LOADER_CASES = {
     ),
     "negative_time": (
         load_right_censored_dataset, "time,status\n1,1\n-1,0\n",
-        (MalformedInterval, "time must be nonnegative, got -1.0", None),
+        (MalformedInterval, "row 2: time must be nonnegative, got -1.0", None),
     ),
     "inverted_bracket": (
         load_interval_dataset, "left,right\n1,2\n5,3\n",

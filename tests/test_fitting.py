@@ -19,8 +19,9 @@ from pseudosurv import (
     interval_dataset,
     right_censored_dataset,
 )
-from pseudosurv.fitting import PchFit, _ascent_steps, observed_information
-from pseudosurv.pch import loglik_parts, prepare_likelihood
+from pseudosurv import fitting
+from pseudosurv.fitting import PchFit, _ascent_steps, _initial_rates, observed_information
+from pseudosurv.pch import _kernel, loglik_parts, prepare_likelihood
 from pseudosurv.simulate import ScenarioConfig, generate
 
 IC_CUTS = CutGrid((4.0, 5.0, 6.0, 7.0))
@@ -111,8 +112,52 @@ def test_trace_is_monotone_and_counts_iterations():
     fit = fit_pch(ds, IC_CUTS)
     trace = np.array(fit.loglik_trace)
     assert len(trace) == fit.iterations + 1
-    assert np.all(np.diff(trace) >= -1e-9)
+    assert np.all(np.diff(trace[:-1]) >= 0)
     assert trace[-1] == fit.loglik
+
+
+def test_an_overflowing_trial_is_rejected_by_the_kernel(monkeypatch):
+    """A first step 2^12 times too long overflows the trial rates, which the
+    kernel rejects without a warning; twelve halvings give back the unscaled
+    step exactly, so the fit is the unpatched one bit for bit."""
+    ds = generate(ScenarioConfig("ic1", n=200, seed=2))
+    plain = fit_pch(ds, IC_CUTS)
+    steps, overflowed = [], []
+
+    def long_first_step(hess_b, grad_b):
+        steps.append(_ascent_steps(hess_b, grad_b))
+        return steps[-1] * (2.0**12 if len(steps) == 1 else 1.0)
+
+    def watched_kernel(alpha, dlam, prep):
+        overflowed.append(np.isinf(alpha).any())
+        return _kernel(alpha, dlam, prep)
+
+    monkeypatch.setattr(fitting, "_ascent_steps", long_first_step)
+    monkeypatch.setattr(fitting, "_kernel", watched_kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = fit_pch(ds, IC_CUTS)
+    assert overflowed[0]
+    assert fit.iterations == plain.iterations
+    np.testing.assert_array_equal(fit.model.rates, plain.model.rates)
+    np.testing.assert_array_equal(fit.info, plain.info)
+    assert fit.loglik_trace == plain.loglik_trace
+
+
+def test_no_improving_trial_ends_the_fit_at_its_start(monkeypatch):
+    """A fit whose every trial has a log-likelihood of -inf halves its first
+    step to the limit and fails there, at the starting rates."""
+    ds = generate(ScenarioConfig("ic1", n=200, seed=2))
+
+    def rejecting_kernel(alpha, dlam, prep):
+        loglik, grad, hess = _kernel(alpha, dlam, prep)
+        return np.full_like(loglik, -np.inf), grad, hess
+
+    monkeypatch.setattr(fitting, "_kernel", rejecting_kernel)
+    with pytest.raises(DidNotConverge, match="^step-halving found no improving step") as excinfo:
+        fit_pch(ds, IC_CUTS)
+    assert excinfo.value.iterations == 1
+    np.testing.assert_array_equal(excinfo.value.last_iterate, _initial_rates(ds, IC_CUTS))
 
 
 def test_init_validation():
@@ -194,6 +239,7 @@ def test_a_singular_row_takes_ascent_and_the_others_keep_their_newton_step():
 def _manual_fit(info):
     model = PchModel(CutGrid((1.0,)), [1.0, 1.0])
     report = None
+    dataset = interval_dataset([0.5] * 10, [2.0] * 10)
     return PchFit(
         model=model,
         info=np.asarray(info, float),
@@ -201,8 +247,9 @@ def _manual_fit(info):
         grad_norm=0.0,
         iterations=1,
         condition_report=report,
-        dataset=interval_dataset([0.5] * 10, [2.0] * 10),
+        dataset=dataset,
         loglik_trace=(-2.0, -1.0),
+        likelihood=prepare_likelihood(dataset, model.grid),
     )
 
 

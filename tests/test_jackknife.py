@@ -6,6 +6,7 @@ agreement with the packaged implementations.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,22 @@ def test_failed_subfit_is_flagged_not_fatal():
     assert pv.flagged.sum() == 1
     assert math.isnan(pv.values[6])
     assert np.all(np.isfinite(np.delete(pv.values, 6)))
+
+
+@pytest.mark.parametrize("replication", [24, 85])
+def test_refits_whose_trials_must_not_fall_converge(replication):
+    """One refit of each of these ic2 replications (subjects 196 and 163)
+    ran to the 200-iteration cap when trials a few units in the last place
+    below the current log-likelihood were also taken; with no trial allowed
+    to fall, they converge in 71 and 57 iterations."""
+    config = ScenarioConfig("ic2", n=300, seed=7)
+    ds = generate(config, seed=np.random.SeedSequence(7).spawn(200)[replication])
+    grid = CutGrid(config.cuts)
+    with warnings.catch_warnings():
+        # replication 24 has no left endpoint beyond the last cut
+        warnings.simplefilter("ignore", UserWarning)
+        fit = fit_pch(ds, grid)
+    assert jackknife_pch(ds, grid, "rmst", config.tau, fit=fit).flagged is None
 
 
 def _by_single_subjects(monkeypatch, run):

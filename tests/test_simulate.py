@@ -154,6 +154,19 @@ def test_monte_carlo_is_reproducible():
     np.testing.assert_array_equal(first.estimates, second.estimates)
 
 
+@pytest.mark.parametrize("method", ["fast", "jackknife"])
+def test_monte_carlo_excludes_failed_replications(method):
+    """No record reaches the last piece (50, inf), whose rate therefore
+    leaves the likelihood, so every replication's information is singular;
+    with fewer than two replications used, bias, SE and MSE are NaN."""
+    config = ScenarioConfig("ic1", n=50, seed=1, cuts=(4.0, 50.0))
+    report = monte_carlo(config, method, reps=3)
+    assert (report.used, report.excluded) == (0, 3)
+    assert report.estimates.shape == (0, 4)
+    for column in (report.bias, report.se, report.mse):
+        assert np.isnan(column).all()
+
+
 def test_monte_carlo_validation():
     config = ScenarioConfig("rc", n=60)
     with pytest.raises(ValueError):
