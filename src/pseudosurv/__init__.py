@@ -14,8 +14,6 @@ from .data import (
     RIGHT_CENSORED,
     STRICT_INTERVAL,
     Dataset,
-    IntervalRecord,
-    RightCensoredRecord,
     censoring_summary,
     interval_dataset,
     interval_width_summary,

@@ -287,8 +287,9 @@ def _pch_curve_csv(model, horizon, points: int = 201):
 def _read_csv(path, usecols=None):
     """Header (the first non-empty CSV row) and float body of a ``regress``
     input, read once, so a pipe works; ``usecols=1`` reads the pseudo column
-    of an ``id,pseudo`` file. The body's row rule is `_parse_rows`."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    of an ``id,pseudo`` file, a byte-order mark dropped. The body's row
+    rule is `_parse_rows`."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = csv.reader(handle)
         header = next((row for row in rows if row), [])
         if usecols is not None and len(header) <= usecols:

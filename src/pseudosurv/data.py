@@ -5,13 +5,15 @@ observed time and an event indicator. Interval observations carry a bracket
 [left, right] that contains the event time, with ``right = inf`` meaning
 right-censored, ``left = 0`` (with finite right) meaning left-censored, and
 ``left == right`` meaning an exactly observed event. A `Dataset` holds one
-kind as validated arrays plus an optional covariate matrix aligned row by
-row; the record classes check and classify a single observation.
+kind as arrays plus an optional covariate matrix aligned row by row. One
+record rule, the check table `_faults`, validates the arrays of `Dataset`
+and the rows that the CSV loaders parse one by one.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import warnings
@@ -45,69 +47,6 @@ _WRITE_ROWS = 1 << 16
 _READ_LINES = 1 << 14
 
 
-@dataclass(frozen=True)
-class RightCensoredRecord:
-    """One subject observed under right-censoring.
-
-    Parameters
-    ----------
-    time : float
-        Observed time, the minimum of the event and censoring times.
-    status : int
-        Event indicator, 1 if the event was observed and 0 if censored.
-    """
-
-    time: float
-    status: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.time):
-            raise MalformedInterval(f"time must be finite, got {self.time}")
-        if self.time < 0:
-            raise MalformedInterval(f"time must be nonnegative, got {self.time}")
-        if self.status not in (0, 1):
-            raise ParseError(f"status must be 0 or 1, got {self.status!r}")
-
-
-@dataclass(frozen=True)
-class IntervalRecord:
-    """One subject observed under mixed interval-censoring.
-
-    The bracket [left, right] contains the event time. The censoring class
-    is derived from the endpoints and never stored separately.
-    """
-
-    left: float
-    right: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.left):
-            raise MalformedInterval(f"left endpoint must be finite, got {self.left}")
-        if self.left < 0:
-            raise MalformedInterval(f"left endpoint must be nonnegative, got {self.left}")
-        if math.isnan(self.right):
-            raise MalformedInterval("right endpoint is NaN")
-        if self.right < self.left:
-            raise MalformedInterval(
-                f"right endpoint {self.right} is smaller than left endpoint {self.left}"
-            )
-        if self.left == self.right == 0.0:
-            # Defined (the density degenerates to the hazard at 0) but unusual
-            # enough that silent acceptance would hide data errors.
-            warnings.warn("exact observation at time 0", stacklevel=2)
-
-    @property
-    def censoring_class(self) -> str:
-        """The unique censoring class implied by the endpoints."""
-        if math.isinf(self.right):
-            return RIGHT_CENSORED
-        if self.left == self.right:
-            return EXACT
-        if self.left == 0.0:
-            return LEFT_CENSORED
-        return STRICT_INTERVAL
-
-
 def _column(kind, index, doc):
     def get(self):
         self._require(kind)
@@ -122,9 +61,10 @@ class Dataset:
 
     Row order is significant: pseudo-observation l must stay aligned with
     covariate row l, so no operation in this package ever reorders rows.
-    Construction checks every row as `RightCensoredRecord` or
-    `IntervalRecord` would, and raises that record's error for the first
-    bad row.
+    Construction checks the record rule on every row: the time (or left
+    endpoint) is finite and nonnegative, the status 0 or 1 (or the right
+    endpoint not NaN and not below the left one). The first bad row raises
+    the error of its first failing check.
 
     Parameters
     ----------
@@ -154,13 +94,7 @@ class Dataset:
         second = raw.astype(float)
         if first.ndim != 1 or first.shape != second.shape:
             raise ValueError("the two columns must be 1-D and of equal length")
-        bad = _bad_rows(self.kind, first, second)
-        if bad.any():
-            i = bad.argmax()
-            if self.kind == KIND_RIGHT:
-                RightCensoredRecord(float(first[i]), raw[i].item())
-            else:
-                IntervalRecord(float(first[i]), float(second[i]))
+        _check_rows(self.kind, first, second, raw)
         if self.kind == KIND_RIGHT:
             second = second.astype(int)
         else:
@@ -196,8 +130,7 @@ class Dataset:
     def class_codes(self) -> np.ndarray:
         """Censoring class per record as an int8 index into
         ``INTERVAL_CLASSES``, interval datasets only. Later assignments
-        take precedence, as earlier returns do in
-        `IntervalRecord.censoring_class`."""
+        take precedence."""
         self._require(KIND_INTERVAL)
         left, right = self.columns
         codes = np.full(left.shape, _STRICT_CODE, dtype=np.int8)
@@ -371,12 +304,10 @@ def interval_width_summary(dataset: Dataset) -> dict:
 
 def _load(source, kind):
     """Read ``source`` once: a path is opened, anything else is iterated as
-    lines. The header comes first, then the body, `_parse_rows` its row rule."""
+    lines, a path's byte-order mark dropped. The header comes first, then
+    the body, `_parse_rows` its row rule."""
     is_path = isinstance(source, (str, Path))
-    with (open(source, newline="", encoding="utf-8") if is_path else nullcontext(iter(source)) as lines,
-          warnings.catch_warnings()):
-        # Dataset warns once, with the count of exact records at time 0.
-        warnings.filterwarnings("ignore", "exact observation at time 0")
+    with open(source, newline="", encoding="utf-8-sig") if is_path else nullcontext(iter(source)) as lines:
         header = _read_header(lines, kind)
         table = _read_body(
             lines, lambda records, start, _: _parse_rows(records, header, kind, start),
@@ -453,13 +384,41 @@ def _records(reader, count, before):
         yield before + reader.line_num, next(reader)
 
 
-def _bad_rows(kind, first, second):
-    """Mask of the rows that `RightCensoredRecord` or `IntervalRecord`
-    would reject, given the two columns as floats."""
-    bad = ~np.isfinite(first) | (first < 0)
+def _faults(kind, first, second):
+    """The record rule: one (error type, mask of the failing rows, message)
+    per check on the two columns as floats, in the order in which a record's
+    error names them. A message formats the row's cells as ``{a}`` and
+    ``{b}``, and its raw second cell as ``{raw!r}``. Masks are made one at
+    a time, as they are taken."""
+    name = "time" if kind == KIND_RIGHT else "left endpoint"
+    yield MalformedInterval, ~np.isfinite(first), name + " must be finite, got {a}"
+    yield MalformedInterval, first < 0, name + " must be nonnegative, got {a}"
     if kind == KIND_RIGHT:
-        return bad | ((second != 0) & (second != 1))
-    return bad | np.isnan(second) | (second < first)
+        yield ParseError, (second != 0) & (second != 1), "status must be 0 or 1, got {raw!r}"
+    else:
+        yield MalformedInterval, np.isnan(second), "right endpoint is NaN"
+        yield MalformedInterval, second < first, "right endpoint {b} is smaller than left endpoint {a}"
+
+
+def _bad_rows(kind, first, second):
+    """Mask of the rows that break the record rule `_faults`."""
+    return functools.reduce(np.logical_or, (mask for _, mask, _ in _faults(kind, first, second)))
+
+
+def _check_rows(kind, first, second, raw, row=None):
+    """Raise the error of the first row that breaks the record rule, given
+    the two columns as floats and the raw second column. With ``row``, rows
+    are numbered from it in the message and in `ParseError.row`."""
+    bad = _bad_rows(kind, first, second)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    a, b = float(first[i]), float(second[i])
+    error, _, message = next(f for f in _faults(kind, np.array([a]), np.array([b])) if f[1][0])
+    message = message.format(a=a, b=b, raw=np.asarray(raw[i]).item())
+    if row is not None:
+        message, row = f"row {row + i}: {message}", row + i
+    raise ParseError(message, row=row) if error is ParseError else error(message)
 
 
 def _right_cell(cell):
@@ -468,33 +427,35 @@ def _right_cell(cell):
 
 def _parse_rows(records, header, kind, start):
     """The row rule of ``--data``: records numbered from ``start`` as an
-    (m, width) float table; raises the error of the first bad row."""
-    table = []
+    (m, width) float table, their cells parsed one by one. The records whose
+    time and status (or endpoints) parsed are checked against the record
+    rule before a later cell's fault is raised, so the first bad row's
+    error is raised."""
+    names = _HEADERS[kind] + tuple(header[2:])
+    parse_second = _right_cell if kind == KIND_INTERVAL else float
+    pairs, raw, covariates, fault = [], [], [], None
     for i, (_, row) in enumerate(records, start=start):
-        if len(row) != len(header):
-            raise ParseError(f"row {i}: expected {len(header)} cells, got {len(row)}", row=i)
-        if kind == KIND_RIGHT:
-            a = _parse_float(row[0], i, "time")
-            b = _parse_float(row[1], i, "status")
-            if b not in (0.0, 1.0):
-                raise ParseError(f"row {i}: status must be 0 or 1, got {row[1]!r}", row=i)
-        else:
-            a = _parse_float(row[0], i, "left")
-            b = math.inf if row[1].strip() == "" else _parse_float(row[1], i, "right")
         try:
-            if kind == KIND_RIGHT:
-                RightCensoredRecord(a, int(b))
-            else:
-                IntervalRecord(a, b)
-        except MalformedInterval as exc:
-            raise MalformedInterval(f"row {i}: {exc}") from exc
-        table.append([a, b] + [_parse_float(c, i, name) for c, name in zip(row[2:], header[2:])])
-    return np.array(table, dtype=float).reshape(-1, len(header))
+            if len(row) != len(names):
+                raise ParseError(f"row {i}: expected {len(names)} cells, got {len(row)}", row=i)
+            pairs.append((_parse_float(row[0], i, names[0]),
+                          _parse_float(row[1], i, names[1], parse_second)))
+            raw.append(row[1])
+            covariates.append([_parse_float(c, i, name) for c, name in zip(row[2:], names[2:])])
+        except ParseError as exc:
+            fault = exc
+            break
+    first, second = np.array(pairs, dtype=float).reshape(-1, 2).T
+    _check_rows(kind, first, second, raw, row=start)
+    if fault is not None:
+        raise fault
+    covariates = np.array(covariates, dtype=float).reshape(len(pairs), len(names) - 2)
+    return np.column_stack((first, second, covariates))
 
 
-def _parse_float(cell, row, name):
+def _parse_float(cell, row, name, parse=float):
     try:
-        value = float(cell)
+        value = parse(cell)
     except ValueError:
         raise ParseError(f"row {row}: cannot parse {name}={cell!r} as a number", row=row) from None
     if math.isnan(value):

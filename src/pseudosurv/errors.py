@@ -9,11 +9,10 @@ class PseudosurvError(Exception):
 
 
 class MalformedInterval(PseudosurvError):
-    """An observation violates the censoring-interval invariants.
-
-    Raised for a negative left endpoint, a right endpoint smaller than the
-    left one, a non-finite left endpoint, or a negative observation time.
-    """
+    """An observation breaks the record rule of `pseudosurv.data`: its
+    time or left endpoint is not finite and nonnegative, or its right
+    endpoint is NaN or smaller than the left one. A bad status is a
+    `ParseError`."""
 
 
 class ParseError(PseudosurvError):

@@ -241,13 +241,12 @@ class MonteCarloReport:
     se: np.ndarray
     mse: np.ndarray
     total_seconds: float
-    se_convention: str = SE_CONVENTION
 
     def to_csv(self) -> str:
         """Deterministic per-coefficient table (no timing columns)."""
         lines = [f"# scenario={self.scenario} method={self.method} reps={self.reps}"
                  f" used={self.used} excluded={self.excluded}",
-                 f"# SE convention: {self.se_convention}",
+                 f"# SE convention: {SE_CONVENTION}",
                  "coefficient,true,bias,se,mse"]
         for name, b0, bias, se, mse in zip(
             self.coef_names, self.beta0, self.bias, self.se, self.mse

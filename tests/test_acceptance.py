@@ -19,7 +19,6 @@ from scipy import integrate
 
 from pseudosurv import (
     CutGrid,
-    IntervalRecord,
     NonIdentifiable,
     PchModel,
     PseudosurvError,
@@ -178,15 +177,15 @@ def test_criterion_6_derivative_and_quadrature_oracles(verdict):
         a = float(rng.uniform(0.0, span))
         kind = rng.integers(4)
         if kind == 0:
-            record = IntervalRecord(a, a + float(rng.uniform(0.05, 2.0)))
+            left, right = a, a + float(rng.uniform(0.05, 2.0))
         elif kind == 1:
-            record = IntervalRecord(a, math.inf)
+            left, right = a, math.inf
         elif kind == 2:
-            record = IntervalRecord(0.0, a + 0.05)
+            left, right = 0.0, a + 0.05
         else:
-            record = IntervalRecord(a, a)
+            left, right = a, a
 
-        prep = prepare_likelihood(interval_dataset([record.left], [record.right]), model.grid)
+        prep = prepare_likelihood(interval_dataset([left], [right]), model.grid)
 
         def log_density(rates):
             return loglik_parts(rates, prep)[0]

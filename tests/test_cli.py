@@ -338,7 +338,9 @@ def _regress(tmp_path, pseudo_text, cov_text):
     ("\n" + _PV.replace("\n", "\n\n"), "\n\n" + _COV.replace("\n", "\r\n\r\n")),
     ("id,pseudo\na,0.5\nb,1.25\n\"c, d\",2\nd,3.5\ne,1000\nf,-0.75\n", _COV),
     (_PV.replace("1000", "1_000"), _COV.replace("0.5", "0.5_0")),
-], ids=["plain", "quoted", "spaces", "crlf", "cr", "blank-lines", "text-id", "underscore"])
+    ("\ufeff" + _PV, "\ufeff" + _COV),
+], ids=["plain", "quoted", "spaces", "crlf", "cr", "blank-lines", "text-id", "underscore",
+        "byte-order-mark"])
 def test_regress_reads_each_cell_as_float(pseudo_text, cov_text, tmp_path, capsys):
     assert _regress(tmp_path, pseudo_text, cov_text) == 0
     y = np.array([0.5, 1.25, 2.0, 3.5, 1000.0, -0.75])

@@ -1,4 +1,5 @@
-"""Record validation, censoring classification, and CSV round-trips."""
+"""The record rule on datasets and loaded rows, censoring classification,
+and CSV round-trips."""
 
 import csv
 import io
@@ -15,10 +16,8 @@ from pseudosurv import (
     km_fit,
     km_pseudo_rmst,
     EmptyInput,
-    IntervalRecord,
     MalformedInterval,
     ParseError,
-    RightCensoredRecord,
     censoring_summary,
     interval_dataset,
     interval_width_summary,
@@ -40,21 +39,26 @@ from pseudosurv.data import (
 )
 
 
-def test_right_censored_record_accepts_event_and_censoring():
-    assert RightCensoredRecord(2.5, 1).status == 1
-    assert RightCensoredRecord(0.0, 0).time == 0.0
+def test_right_censored_dataset_accepts_event_and_censoring():
+    ds = right_censored_dataset([2.5, 0.0], [1, 0])
+    assert ds.status.tolist() == [1, 0]
+    assert ds.times.tolist() == [2.5, 0.0]
 
 
+@pytest.mark.parametrize("status", [1, 2])
 @pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan, -0.5])
-def test_right_censored_record_rejects_bad_times(time):
-    with pytest.raises(MalformedInterval):
-        RightCensoredRecord(time, 1)
+def test_right_censored_dataset_rejects_bad_times(time, status):
+    """A bad time is named before a bad status."""
+    with pytest.raises(MalformedInterval, match="^time must be"):
+        right_censored_dataset([time], [status])
 
 
-@pytest.mark.parametrize("status", [2, -1, 0.5, "yes"])
-def test_right_censored_record_rejects_bad_status(status):
-    with pytest.raises(ParseError):
-        RightCensoredRecord(1.0, status)
+@pytest.mark.parametrize("status, error", [
+    (2, ParseError), (-1, ParseError), (0.5, ParseError), ("yes", ValueError),
+])
+def test_right_censored_dataset_rejects_bad_status(status, error):
+    with pytest.raises(error):
+        right_censored_dataset([1.0], [status])
 
 
 @pytest.mark.parametrize(
@@ -67,26 +71,34 @@ def test_right_censored_record_rejects_bad_status(status):
         (0.0, math.inf, RIGHT_CENSORED),
     ],
 )
-def test_interval_record_classification(left, right, expected):
-    assert IntervalRecord(left, right).censoring_class == expected
+def test_interval_dataset_classification(left, right, expected):
+    assert interval_dataset([left], [right]).classes == (expected,)
 
 
-def test_interval_record_rejects_inverted_bracket():
+def test_interval_dataset_rejects_inverted_bracket():
     with pytest.raises(MalformedInterval):
-        IntervalRecord(3.0, 2.0)
+        interval_dataset([3.0], [2.0])
 
 
-def test_interval_record_rejects_nonfinite_left():
+def test_interval_dataset_rejects_nonfinite_left():
     with pytest.raises(MalformedInterval):
-        IntervalRecord(math.inf, math.inf)
+        interval_dataset([math.inf], [math.inf])
     with pytest.raises(MalformedInterval):
-        IntervalRecord(-1.0, 2.0)
+        interval_dataset([-1.0], [2.0])
 
 
 def test_exact_record_at_zero_warns_but_is_allowed():
     with pytest.warns(UserWarning):
-        rec = IntervalRecord(0.0, 0.0)
-    assert rec.censoring_class == EXACT
+        ds = interval_dataset([0.0], [0.0])
+    assert ds.classes == (EXACT,)
+
+
+def test_loader_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("time,status,z\n1.5,1,2\n", encoding="utf-8-sig")
+    ds = load_right_censored_dataset(path)
+    assert ds.covariate_names == ("z",)
+    np.testing.assert_array_equal(ds.times, [1.5])
 
 
 @pytest.mark.parametrize("cell", ["10", "1_0"], ids=["vectorized", "row-wise"])
@@ -405,6 +417,15 @@ _LOADER_CASES = {
     "negative_time": (
         load_right_censored_dataset, "time,status\n1,1\n-1,0\n",
         (MalformedInterval, "row 2: time must be nonnegative, got -1.0", None),
+    ),
+    "bad_time_named_before_bad_status": (
+        load_right_censored_dataset, "time,status\n1,1\n-1,2\n",
+        (MalformedInterval, "row 2: time must be nonnegative, got -1.0", None),
+    ),
+    # 1_0 is a number to Python's float, not to np.loadtxt: row by row
+    "bad_time_named_before_bad_status_row_by_row": (
+        load_right_censored_dataset, "time,status\n1_0,1\n1,1\n-1,2\n",
+        (MalformedInterval, "row 3: time must be nonnegative, got -1.0", None),
     ),
     "inverted_bracket": (
         load_interval_dataset, "left,right\n1,2\n5,3\n",

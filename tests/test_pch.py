@@ -17,7 +17,6 @@ from scipy import integrate
 from pseudosurv import (
     CutGrid,
     DegenerateInterval,
-    IntervalRecord,
     InvalidTau,
     InvalidTime,
     PchModel,
@@ -48,16 +47,21 @@ def _random_model(rng, max_pieces=5):
 
 
 def _random_record(rng, model):
+    """A random (left, right) bracket of one of the four censoring classes."""
     kind = rng.integers(4)
     span = (model.grid.cuts[-1] if model.grid.cuts else 2.0) + 1.0
     a = float(rng.uniform(0.0, span))
     if kind == 0:
-        return IntervalRecord(a, a + float(rng.uniform(0.05, 2.0)))
+        return a, a + float(rng.uniform(0.05, 2.0))
     if kind == 1:
-        return IntervalRecord(a, math.inf)
+        return a, math.inf
     if kind == 2:
-        return IntervalRecord(0.0, a + 0.05)
-    return IntervalRecord(a, a)
+        return 0.0, a + 0.05
+    return a, a
+
+
+def _dataset(records):
+    return interval_dataset([a for a, _ in records], [b for _, b in records])
 
 
 def _one_record(model, record):
@@ -66,8 +70,7 @@ def _one_record(model, record):
     The log-density and Hessian come from ``loglik_parts``, the score from
     ``score_matrix``.
     """
-    ds = interval_dataset([record.left], [record.right])
-    prep = prepare_likelihood(ds, model.grid)
+    prep = prepare_likelihood(_dataset([record]), model.grid)
     ll, _, hess = loglik_parts(model.rates, prep)
     return ll, score_matrix(model.rates, prep)[0], hess
 
@@ -290,12 +293,12 @@ def test_stacked_rows_match_the_scalar_model(K):
 
 def test_log_density_hand_values():
     m = PchModel(CutGrid(()), [1.0])
-    assert _log_density(m, IntervalRecord(1.0, 2.0)) == pytest.approx(
+    assert _log_density(m, (1.0, 2.0)) == pytest.approx(
         math.log(math.exp(-1) - math.exp(-2)), abs=1e-12
     )
-    assert _log_density(m, IntervalRecord(3.0, math.inf)) == pytest.approx(-3.0)
+    assert _log_density(m, (3.0, math.inf)) == pytest.approx(-3.0)
     half = PchModel(CutGrid(()), [0.5])
-    assert _log_density(half, IntervalRecord(2.0, 2.0)) == pytest.approx(
+    assert _log_density(half, (2.0, 2.0)) == pytest.approx(
         math.log(0.5) - 1.0, abs=1e-12
     )
 
@@ -303,20 +306,20 @@ def test_log_density_hand_values():
 def test_score_hand_values():
     m = PchModel(CutGrid((1.5,)), [1.0, 1.0])
     np.testing.assert_allclose(
-        _score(m, IntervalRecord(1.0, 2.0)),
+        _score(m, (1.0, 2.0)),
         [-1 + 0.5 / (math.e - 1), 0.5 / (math.e - 1)],
         atol=1e-12,
     )
     one = PchModel(CutGrid(()), [2.0])
-    np.testing.assert_allclose(_score(one, IntervalRecord(3.0, math.inf)), [-3.0])
+    np.testing.assert_allclose(_score(one, (3.0, math.inf)), [-3.0])
 
 
 def test_hessian_hand_values():
     one = PchModel(CutGrid(()), [0.5])
-    np.testing.assert_allclose(_hessian(one, IntervalRecord(2.0, 2.0)), [[-4.0]])
+    np.testing.assert_allclose(_hessian(one, (2.0, 2.0)), [[-4.0]])
     m = PchModel(CutGrid((1.0,)), [1.0, 2.0])
     np.testing.assert_array_equal(
-        _hessian(m, IntervalRecord(3.0, math.inf)), np.zeros((2, 2))
+        _hessian(m, (3.0, math.inf)), np.zeros((2, 2))
     )
 
 
@@ -363,8 +366,7 @@ def test_hessian_matches_finite_differences():
 def test_degenerate_interval_raises():
     # the bracket is so deep in the tail that its mass underflows to zero
     m = PchModel(CutGrid(()), [1e-308])
-    record = IntervalRecord(1.0, float(np.nextafter(1.0, 2.0)))
-    prep = prepare_likelihood(interval_dataset([record.left], [record.right]), m.grid)
+    prep = prepare_likelihood(interval_dataset([1.0], [float(np.nextafter(1.0, 2.0))]), m.grid)
     with pytest.raises(DegenerateInterval):
         loglik_parts(m.rates, prep)
     with pytest.raises(DegenerateInterval):
@@ -404,15 +406,16 @@ def test_loglik_parts_matches_per_record_sums():
     rng = np.random.default_rng(6)
     model = _random_model(rng, max_pieces=4)
     records = [_random_record(rng, model) for _ in range(40)]
+    classes = _dataset(records).classes
     # the mixed sample, then samples missing whole censoring classes
     samples = [
         records,
-        [r for r in records if r.censoring_class == RIGHT_CENSORED],
-        [r for r in records if r.censoring_class == EXACT],
-        [r for r in records if r.censoring_class != EXACT],
+        [r for r, c in zip(records, classes) if c == RIGHT_CENSORED],
+        [r for r, c in zip(records, classes) if c == EXACT],
+        [r for r, c in zip(records, classes) if c != EXACT],
     ]
     for sample in samples:
-        ds = interval_dataset([r.left for r in sample], [r.right for r in sample])
+        ds = _dataset(sample)
         prep = prepare_likelihood(ds, model.grid)
         ll, grad, hess = loglik_parts(model.rates, prep)
         singles = [_one_record(model, r) for r in sample]
@@ -434,9 +437,9 @@ def test_leave_out_by_weight_matches_subset_dataset():
     rng = np.random.default_rng(7)
     model = _random_model(rng, max_pieces=3)
     records = [_random_record(rng, model) for _ in range(15)]
-    ds = interval_dataset([r.left for r in records], [r.right for r in records])
+    ds = _dataset(records)
     prep = prepare_likelihood(ds, model.grid)
-    classes = [r.censoring_class for r in records]
+    classes = ds.classes
     # one left-out subject of every censoring class, each against its own rates
     block = [classes.index(c) for c in (STRICT_INTERVAL, RIGHT_CENSORED, EXACT, LEFT_CENSORED)]
     rates = model.rates * rng.uniform(0.5, 2.0, (len(block), model.grid.K))
@@ -446,7 +449,7 @@ def test_leave_out_by_weight_matches_subset_dataset():
     stacked = loglik_parts(rates, stack)
     for b, l in enumerate(block):
         kept = [r for i, r in enumerate(records) if i != l]
-        sub = interval_dataset([r.left for r in kept], [r.right for r in kept])
+        sub = _dataset(kept)
         direct = prepare_likelihood(sub, model.grid)
         for a, rows in zip(loglik_parts(rates[b], direct), stacked):
             np.testing.assert_allclose(a, rows[b], rtol=0, atol=1e-12)

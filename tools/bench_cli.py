@@ -19,8 +19,7 @@ Each tree then runs, in a fresh process and trees alternating, the stages of
 - ic: ``prepare``, ``prepare_likelihood`` on the grid, then ``fit``,
   ``fit_pch``, then ``pseudo_map``, ``pseudo_rmst``;
 - ``format``: the ``id,pseudo`` text, made by the tree's bulk writer
-  (``data._csv``, or ``cli._csv`` in older trees), or row by row in trees
-  that have neither;
+  ``data._csv``;
 - ``write``: writing that text to a file;
 - ``cli``: the whole command through ``cli.main``, for reference;
 - rc only, ``regress``: ``cli.main`` running ``regress --intercept`` on that
@@ -161,15 +160,8 @@ def _run_stages(src, kind, csv_path, covariates_path, out_path, repeat):
     tau = TAU[kind]
     regress_path = str(Path(out_path).with_suffix(".regress.csv"))
 
-    # The bulk writer is data._csv; older trees have it as cli._csv.
-    writer = getattr(data, "_csv", None) or getattr(cli, "_csv", None)
-
     def format_text(values):
-        if writer is not None:
-            return list(writer("id,pseudo\n", "%d,%.12g\n", np.arange(1, values.size + 1), values))
-        # The row-by-row formatting of earlier versions of the CLI.
-        rows = enumerate(values.tolist(), start=1)
-        return ["id,pseudo\n" + "".join([f"{i},{v:.12g}\n" for i, v in rows])]
+        return list(data._csv("id,pseudo\n", "%d,%.12g\n", np.arange(1, values.size + 1), values))
 
     def write(pieces):
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
