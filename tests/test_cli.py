@@ -17,7 +17,7 @@ import pytest
 from pseudosurv import cli, data, fit_pch, interval_dataset, km_fit, km_pseudo_survival, save_dataset
 from pseudosurv.cli import main
 from pseudosurv.gee import fit_gee, wald_table
-from pseudosurv.jackknife import jackknife_pch
+from pseudosurv.jackknife import jackknife_km, jackknife_pch
 from pseudosurv.pch import CutGrid, evaluate
 from pseudosurv.simulate import ScenarioConfig, generate
 
@@ -106,6 +106,12 @@ def test_pseudo_rc_outputs_are_byte_identical_to_row_by_row_formatting(
     km = km_fit(ds)
     assert out.read_bytes() == _pseudo_reference(km_pseudo_survival(km, 4.0).values).encode()
     assert curve.read_bytes() == _curve_reference("t,survival", *km.survival_curve()).encode()
+    for target, flags, horizon in (("survival", ["surv", "--t"], 4.0),
+                                   ("rmst", ["rmst", "--tau"], 5.0)):
+        assert main(["pseudo", "--data", str(path), "--kind", "rc", "--method", "jackknife",
+                     "--target", *flags, str(horizon), "--out", str(out)]) == 0
+        expected = jackknife_km(ds, target, horizon).values
+        assert out.read_bytes() == _pseudo_reference(expected).encode()
 
 
 def test_pseudo_jackknife_output_writes_a_flagged_nan(tmp_path, capsys, monkeypatch):
@@ -158,26 +164,42 @@ def test_pseudo_ic_unrestricted_mean_allowed(ic_csv, capsys):
 def test_usage_errors_exit_2(rc_csv, ic_csv, capsys, tmp_path):
     rc_path, _ = rc_csv
     ic_path, _ = ic_csv
+    rc = ["pseudo", "--data", str(rc_path), "--kind", "rc"]
+    ic_rmst = ["pseudo", "--data", str(ic_path), "--kind", "ic", "--target", "rmst", "--tau", "6"]
     cases = [
         # survival target without an evaluation time
-        ["pseudo", "--data", str(rc_path), "--kind", "rc", "--target", "surv"],
+        (rc + ["--target", "surv"], "--target surv requires --t"),
+        # evaluation time negative or not a number
+        (rc + ["--target", "surv", "--t", "-1"], "--t must be finite and nonnegative"),
+        (rc + ["--target", "surv", "--t", "nan"], "--t must be finite and nonnegative"),
         # interval kind without cuts
-        ["pseudo", "--data", str(ic_path), "--kind", "ic",
-         "--target", "surv", "--t", "5.0"],
+        (["pseudo", "--data", str(ic_path), "--kind", "ic", "--target", "surv", "--t", "5.0"],
+         "--kind ic requires --cuts"),
+        # restricted mean without a restriction time
+        (rc + ["--target", "rmst"], "--target rmst requires --tau"),
         # unrestricted mean unsupported for the product-limit estimator
-        ["pseudo", "--data", str(rc_path), "--kind", "rc",
-         "--target", "rmst", "--tau", "inf"],
-        # unparseable tau
-        ["pseudo", "--data", str(rc_path), "--kind", "rc",
-         "--target", "rmst", "--tau", "soon"],
+        (rc + ["--target", "rmst", "--tau", "inf"], "--tau must be finite for --kind rc"),
+        # unparseable, zero or not-a-number tau
+        (rc + ["--target", "rmst", "--tau", "soon"], "cannot parse tau 'soon'"),
+        (rc + ["--target", "rmst", "--tau", "0"], "tau must be positive"),
+        (rc + ["--target", "rmst", "--tau", "nan"], "tau must be positive"),
+        # unparseable, empty or unordered cuts
+        (ic_rmst + ["--cuts", "x"], "cannot parse cuts 'x'"),
+        (ic_rmst + ["--cuts", ","], "cuts must list at least one point"),
+        (ic_rmst + ["--cuts", "5,4"], "cut points must be strictly increasing"),
         # missing input file
-        ["pseudo", "--data", str(tmp_path / "nope.csv"), "--kind", "rc",
-         "--target", "surv", "--t", "1.0"],
+        (["pseudo", "--data", str(tmp_path / "nope.csv"), "--kind", "rc",
+          "--target", "surv", "--t", "1.0"], "No such file or directory"),
+        # a scenario too small, too few replications
+        (["simulate", "--scenario", "rc", "--n", "1", "--reps", "3"], "scenario needs n >= 2"),
+        (["simulate", "--scenario", "rc", "--n", "20", "--reps", "1"],
+         "need at least two replications"),
     ]
-    for args in cases:
+    for args, message in cases:
         assert main(args) == 2, args
         err = capsys.readouterr().err
-        assert err.startswith("error:usage:"), args
+        assert err.startswith("error:usage:") and err.count("\n") == 1, (args, err)
+        assert message in err, (args, err)
 
 
 def test_unknown_choice_exits_2(rc_csv):

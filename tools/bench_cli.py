@@ -1,57 +1,61 @@
 """Seconds per stage of the ``pseudo`` command, for one or more source trees.
 
-Run from the repository root, for example to compare a checkout of the
-parent commit with this one:
+Run from the repository root, for example to time this tree, or to compare
+a checkout of the parent commit with it:
 
-    python tools/bench_cli.py --kind rc --tree parent=../parent/src --tree change=src \
-        --n 1000 10000 100000 1000000 --seeds 1 2 3 --out BENCH_rc_cli.json
-    python tools/bench_cli.py --kind ic1 ic2 --tree parent=../parent/src --tree change=src \
-        --n 1000 10000 100000 1000000 --seeds 1 2 3 --out BENCH_ic_cli.json
+    python tools/bench_cli.py --kind rc ic1 ic2 --tree head=src
+    python tools/bench_cli.py --kind rc --tree parent=../parent/src --tree change=src
 
 For each kind, n and seed, the scenario is generated once and saved as CSV
 (for rc, with its covariates less the intercept column as a second CSV).
-Each tree then runs, in a fresh process and trees alternating, the stages of
-``pseudosurv pseudo --target rmst --method fast`` at the scenario's tau
-(rc and ic1: 6, ic2: inf; ic at the scenario's cuts):
+Each tree then runs, in a fresh process and trees alternating,
+``pseudosurv pseudo --target rmst --method fast`` at the scenario's tau and
+cuts through ``cli.main``, ``--repeat`` times, with each call in ``CALLS``
+wrapped so that ``simulate._timed`` times it where the command makes it:
+``load``, then rc ``km_fit`` or ic ``fit`` (with ``prepare`` inside it),
+``pseudo_map``, and ``output``, formatting and writing the ``id,pseudo``
+text, which interleave. ``other`` is the rest of ``cli``, the whole
+command: argument parsing and set-up. A call that does not run exactly
+once per command ends the tool nonzero, naming its stage. For rc,
+``regress`` is ``cli.main`` running ``regress --intercept`` on that output
+and the covariates.
 
-- ``load``: ``load_right_censored_dataset`` or ``load_interval_dataset``;
-- rc: ``km_fit``, then ``pseudo_map``, ``km_pseudo_rmst``;
-- ic: ``prepare``, ``prepare_likelihood`` on the grid, then ``fit``,
-  ``fit_pch``, then ``pseudo_map``, ``pseudo_rmst``;
-- ``format``: the ``id,pseudo`` text, made by the tree's bulk writer
-  ``data._csv``;
-- ``write``: writing that text to a file;
-- ``cli``: the whole command through ``cli.main``, for reference;
-- rc only, ``regress``: ``cli.main`` running ``regress --intercept`` on that
-  command's ``id,pseudo`` output and the covariates CSV.
-
-Every stage is timed with ``simulate._timed``; a run repeats the stages
-``--repeat`` times and keeps each stage's median. The trees' outputs must
+A run keeps each stage's median over the repeats. The trees' outputs must
 agree: for rc the digests of the ``id,pseudo`` and ``regress`` outputs are
-equal; for ic the pseudo values of the command's output differ between the
-trees by at most ``DIGIT_UNITS`` units in the last printed digit (the 12th
-significant one) of the largest value. The JSON records the largest
-difference, ``max_abs_diff``, and the same in those units,
-``max_digit_units``.
+equal; for ic the pseudo values differ between the trees by at most
+``DIGIT_UNITS`` units in the last printed digit (the 12th significant one)
+of the largest value. The JSON records the largest difference,
+``max_abs_diff``, and the same in those units, ``max_digit_units``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
+import pkgutil
 import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
-STAGES = {"rc": ("load", "km_fit", "pseudo_map", "format", "write", "cli", "regress"),
-          "ic": ("load", "prepare", "fit", "pseudo_map", "format", "write", "cli")}
-TAU = {"rc": 6.0, "ic1": 6.0, "ic2": math.inf}
+# Each timed stage of `pseudo` and the call that makes it, by the module of
+# pseudosurv that looks it up. The calls looked up in `cli` are the
+# command's own and do not overlap; `prepare` runs inside `fit`.
+CALLS = {
+    "rc": {"load": "cli.load_right_censored_dataset", "km_fit": "cli.km_fit",
+           "pseudo_map": "cli.km_pseudo_rmst", "output": "cli._emit"},
+    "ic": {"load": "cli.load_interval_dataset", "prepare": "fitting.prepare_likelihood",
+           "fit": "cli.fit_pch", "pseudo_map": "cli.pseudo_rmst", "output": "cli._emit"},
+}
+STAGES = {"rc": (*CALLS["rc"], "other", "cli", "regress"), "ic": (*CALLS["ic"], "other", "cli")}
 # The command writes pseudo values with %.12g. Trees whose fits agree to
 # rounding print the same digits up to a few units in the last one of the
 # largest value; a value near zero, a difference of larger terms, shares
@@ -62,14 +66,15 @@ DIGIT_UNITS = 4
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--kind", nargs="+", choices=sorted(TAU), default=["rc"])
+    parser.add_argument("--kind", nargs="+", choices=["rc", "ic1", "ic2"], default=["rc"])
     parser.add_argument("--tree", action="append",
                         help="LABEL=SRC: a label and the src directory holding its pseudosurv")
     parser.add_argument("--n", type=int, nargs="+", default=[1000, 10_000, 100_000, 1_000_000])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", default="BENCH_cli.json")
-    parser.add_argument("--worker", nargs=5, metavar=("SRC", "KIND", "CSV", "COVARIATES", "OUT"),
+    parser.add_argument("--worker", nargs=6,
+                        metavar=("SRC", "KIND", "N", "CSV", "COVARIATES", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
@@ -99,9 +104,9 @@ def main() -> int:
                         outputs[label] = Path(work) / f"pseudo-{len(outputs)}.csv"
                         out = subprocess.run(
                             [sys.executable, __file__, "--repeat", str(args.repeat), "--worker",
-                             os.path.abspath(src), kind, str(data), str(covariates),
+                             os.path.abspath(src), kind, str(n), str(data), str(covariates),
                              str(outputs[label])],
-                            check=True, capture_output=True, text=True,
+                            check=True, stdout=subprocess.PIPE, text=True,
                         ).stdout
                         record = json.loads(out.strip().splitlines()[-1])
                         runs.append({"tree": label, "kind": kind, "n": n, "seed": seed, **record})
@@ -149,74 +154,48 @@ def _save_covariates(dataset, path):
                comments="")
 
 
-def _run_stages(src, kind, csv_path, covariates_path, out_path, repeat):
+def _run_stages(src, kind, n, csv_path, covariates_path, out_path, repeat):
     sys.path.insert(0, src)
-    import numpy as np
-
-    from pseudosurv import CutGrid, ScenarioConfig, cli, data
+    from pseudosurv import ScenarioConfig, cli
     from pseudosurv.simulate import _timed
 
     family = "rc" if kind == "rc" else "ic"
-    tau = TAU[kind]
+    config = ScenarioConfig(kind, int(n))
+    cuts = ["--cuts", ",".join(f"{c:g}" for c in config.cuts)] if config.cuts else []
+    pseudo = ["pseudo", "--data", csv_path, "--kind", family, *cuts, "--target", "rmst",
+              "--tau", str(config.tau), "--out", out_path]
     regress_path = str(Path(out_path).with_suffix(".regress.csv"))
+    regress = ["regress", "--pseudo", out_path, "--covariates", covariates_path, "--intercept",
+               "--out", regress_path]
 
-    def format_text(values):
-        return list(data._csv("id,pseudo\n", "%d,%.12g\n", np.arange(1, values.size + 1), values))
-
-    def write(pieces):
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(pieces)
-
-    if family == "rc":
-        from pseudosurv import km_fit, km_pseudo_rmst, load_right_censored_dataset
-
-        def estimate(samples):
-            dataset, seconds = _timed(load_right_censored_dataset, csv_path)
-            samples["load"].append(seconds)
-            km, seconds = _timed(km_fit, dataset)
-            samples["km_fit"].append(seconds)
-            pv, seconds = _timed(km_pseudo_rmst, km, tau)
-            samples["pseudo_map"].append(seconds)
-            return pv
-        flags = ["--kind", "rc"]
-    else:
-        from pseudosurv import fit_pch, load_interval_dataset, pseudo_rmst
-        from pseudosurv.pch import prepare_likelihood
-
-        cuts = ScenarioConfig(kind, 1000).cuts
-        grid = CutGrid(cuts)
-
-        def estimate(samples):
-            dataset, seconds = _timed(load_interval_dataset, csv_path)
-            samples["load"].append(seconds)
-            samples["prepare"].append(_timed(prepare_likelihood, dataset, grid)[1])
-            fit, seconds = _timed(fit_pch, dataset, grid)
-            samples["fit"].append(seconds)
-            pv, seconds = _timed(pseudo_rmst, fit, dataset, tau)
-            samples["pseudo_map"].append(seconds)
-            return pv
-        flags = ["--kind", "ic", "--cuts", ",".join(f"{c:g}" for c in cuts)]
-
-    samples = {stage: [] for stage in STAGES[family]}
-    for _ in range(repeat):
-        pv = estimate(samples)
-        pieces, seconds = _timed(format_text, pv.values)
-        samples["format"].append(seconds)
-        samples["write"].append(_timed(write, pieces)[1])
-        del pv, pieces
-        argv = ["pseudo", "--data", csv_path, *flags, "--target", "rmst", "--tau", str(tau),
-                "--out", out_path]
+    def run(argv):
         code, seconds = _timed(cli.main, argv)
         if code != 0:
-            raise SystemExit(f"pseudo exited with {code}")
-        samples["cli"].append(seconds)
-        if family == "rc":
-            argv = ["regress", "--pseudo", out_path, "--covariates", covariates_path,
-                    "--intercept", "--out", regress_path]
-            code, seconds = _timed(cli.main, argv)
-            if code != 0:
-                raise SystemExit(f"regress exited with {code}")
-            samples["regress"].append(seconds)
+            raise SystemExit(f"{argv[0]} exited with {code}")
+        return seconds
+
+    def timing(call, into):
+        def timed(*args, **kwargs):
+            result, seconds = _timed(functools.partial(call, *args, **kwargs))
+            into.append(seconds)
+            return result
+        return timed
+
+    samples = {stage: [] for stage in STAGES[family]}
+    own = [stage for stage, call in CALLS[family].items() if call.startswith("cli.")]
+    with ExitStack() as patches:
+        for stage, call in CALLS[family].items():
+            target = f"pseudosurv.{call}"
+            patches.enter_context(
+                mock.patch(target, timing(pkgutil.resolve_name(target), samples[stage])))
+        for _ in range(repeat):
+            samples["cli"].append(run(pseudo))
+            for stage in CALLS[family]:
+                if len(samples[stage]) != len(samples["cli"]):
+                    raise SystemExit(f"stage {stage} did not run exactly once in a pseudo command")
+            samples["other"].append(samples["cli"][-1] - sum(samples[s][-1] for s in own))
+    if family == "rc":
+        samples["regress"] = [run(regress) for _ in range(repeat)]
     record = {"seconds": {k: statistics.median(v) for k, v in samples.items()},
               "output_sha256": hashlib.sha256(Path(out_path).read_bytes()).hexdigest()}
     if family == "rc":
@@ -240,9 +219,10 @@ def _report(args, labels, runs):
                     for stage in stages
                 }
     return {
-        "what": "seconds per stage of `pseudosurv pseudo --target rmst --method fast` at the "
-                "scenario's tau (rc and ic1: 6, ic2: inf), and for rc of `regress --intercept` "
-                "on its output and the covariates, per scenario and source tree",
+        "what": "seconds per stage of one `pseudosurv pseudo --target rmst --method fast` run "
+                "through cli.main, each stage timed where the command calls it (`output`: "
+                "formatting and writing, which interleave; `other`: `cli` less the command's own "
+                "stages), and for rc of `regress --intercept` on its output, per scenario and tree",
         "stages": {kind: list(STAGES["rc" if kind == "rc" else "ic"]) for kind in args.kind},
         "timer": "pseudosurv.simulate._timed",
         "repeat": args.repeat,
