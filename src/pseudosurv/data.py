@@ -7,7 +7,10 @@ right-censored, ``left = 0`` (with finite right) meaning left-censored, and
 ``left == right`` meaning an exactly observed event. A `Dataset` holds one
 kind as arrays plus an optional covariate matrix aligned row by row. One
 record rule, the check table `_faults`, validates the arrays of `Dataset`
-and the rows that the CSV loaders parse one by one.
+and the rows that the CSV loaders parse one by one. One CSV writer, `_csv`,
+formats ``%d`` and ``%.12g`` cells in numpy, byte for byte as Python's
+``%`` does, and leaves the few values it cannot print exactly, and the
+``repr`` cells of `save_dataset`, to Python's ``%``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import csv
 import functools
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 from contextlib import nullcontext
@@ -40,8 +44,19 @@ KIND_RIGHT = "right-censored"
 KIND_INTERVAL = "interval"
 
 _HEADERS = {KIND_RIGHT: ("time", "status"), KIND_INTERVAL: ("left", "right")}
-# Rows formatted per piece by _csv, which bounds the text held at once.
-_WRITE_ROWS = 1 << 16
+# Rows formatted per piece by _csv, which bounds the text held at once. At
+# 2^14 rows the byte table of an id,pseudo piece (about 0.7 MB) stays in
+# cache; 2^16-row pieces formatted 10^6 rows about a third slower.
+_WRITE_ROWS = 1 << 14
+# Conversions that _csv formats in numpy.
+_CONVERSION = re.compile(r"%d|%\.12g")
+# "0000" to "9999" as 4-byte words, indexed by their value.
+_QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), np.uint32)
+_UINT_POWERS = 10 ** np.arange(20, dtype=np.uint64)
+_FLOAT_POWERS = 10.0 ** np.arange(16)  # each exact in float64
+# A scaled value, below 10^12 < 2^40, is within half a unit in its last
+# place (at most 2^-14) of the exact product; the margin is four times that.
+_TIE_MARGIN = 2.0 ** -12
 # Lines parsed per np.loadtxt call. This bounds the text a reader holds, and
 # the lines that one cell np.loadtxt cannot read sends to the row rule.
 _READ_LINES = 1 << 14
@@ -239,18 +254,144 @@ def save_dataset(dataset: Dataset, target) -> None:
 def _csv(header, row_format, *columns):
     """Pieces of the CSV text of the array ``columns`` under ``header``.
 
-    Each piece after the header is one ``%`` of ``row_format`` repeated over
-    up to ``_WRITE_ROWS`` rows of cells: ``"%.12g" % x`` gives the bytes of
-    ``f"{x:.12g}"``, ``"%r"`` those of ``repr(x)``, ``"%d"`` an integer's.
+    Each piece after the header is ``row_format`` applied to up to
+    ``_WRITE_ROWS`` rows of cells, with the bytes of Python's ``%``. A row
+    format whose only conversions are ``%d`` (integer columns) and ``%.12g``
+    is formatted in numpy by `_numpy_rows`; any other, such as ``"%r"``
+    (``repr(x)``) or ``"%s"``, by one ``%`` of the repeated row format.
     """
     yield header
+    literals, conversions = _CONVERSION.split(row_format), _CONVERSION.findall(row_format)
+    in_numpy = "%" not in "".join(literals)
     width = len(columns)
     for start in range(0, len(columns[0]), _WRITE_ROWS):
-        parts = [column[start:start + _WRITE_ROWS].tolist() for column in columns]
+        parts = [column[start:start + _WRITE_ROWS] for column in columns]
+        if in_numpy:
+            yield _numpy_rows(literals, conversions, parts).decode("ascii")
+            continue
         cells = [None] * (width * len(parts[0]))
         for j, part in enumerate(parts):
-            cells[j::width] = part
+            cells[j::width] = part.tolist()
         yield (row_format * len(parts[0])) % tuple(cells)
+
+
+def _numpy_rows(literals, conversions, columns):
+    """The rows of ``columns`` as bytes: each row its cells, formatted by
+    ``conversions``, between ``literals``. Each literal and each cell fills
+    a fixed-width block of one uint8 table with a row per row, and the same
+    block of its mask of the bytes to keep; the kept bytes, row by row, are
+    the text."""
+    cells = [(_int_cells if conversion == "%d" else _g12_cells)(column)
+             for conversion, column in zip(conversions, columns)]
+    width = len("".join(literals)) + sum(cell_width for cell_width, _ in cells)
+    chars = np.empty((len(columns[0]), width), np.uint8)
+    mask = np.empty(chars.shape, bool)
+    end = 0
+    for literal, cell in itertools.zip_longest(literals, cells):
+        start, end = end, end + len(literal)
+        chars[:, start:end] = np.frombuffer(literal.encode("ascii"), np.uint8)
+        mask[:, start:end] = True
+        if cell is not None:
+            cell_width, fill = cell
+            start, end = end, end + cell_width
+            fill(chars[:, start:end], mask[:, start:end])
+    return chars[mask].tobytes()
+
+
+def _int_cells(column):
+    """``"%d"`` of an integer column: the width of its cells (a sign byte,
+    then the digits right-aligned) and the function that writes them and
+    their mask into blocks of that width."""
+    value = np.asarray(column, dtype=np.int64)
+    negative = value < 0
+    magnitude = value.astype(np.uint64)
+    magnitude[negative] = ~magnitude[negative] + np.uint64(1)  # also right for -2**63
+    length = np.maximum(np.searchsorted(_UINT_POWERS, magnitude, side="right"), 1)
+    width = 4 * -(-int(length.max()) // 4)
+    masks = _INT_MASKS[:, :, [0, *range(21 - width, 21)]].reshape(-1, width + 1)
+
+    def fill(chars, mask):
+        chars[:, 0] = ord("-")
+        chars[:, 1:] = _digits(magnitude, width // 4)
+        mask[:] = np.take(masks, negative * 21 + length, axis=0)
+
+    return width + 1, fill
+
+
+def _g12_cells(column):
+    """``"%.12g"`` of a float column: the width of its cells and the function
+    that writes them and their mask into blocks of that width. Each cell is
+    laid out as `_fixed_mask` says, or holds the text of Python's ``%`` where
+    `_fixed` finds no mantissa that numpy may print."""
+
+    def fill(chars, mask):
+        value = np.asarray(column, dtype=float)
+        fast, exponent, mantissa = _fixed(value)
+        digits = _digits(mantissa, 3)
+        significant = 12 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+        chars[:, 0] = ord("-")
+        chars[:, 1:13] = chars[:, 18:] = digits
+        chars[:, 13:18] = np.frombuffer(b"0.000", np.uint8)
+        pattern = ((value < 0) * 16 + exponent + 4) * 12 + significant - 1  # a row of _FIXED_MASKS
+        mask[:] = np.take(_FIXED_MASKS.reshape(-1, 30), pattern, axis=0)
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            # The longest text, "-1.23456789012e-308", has 19 bytes.
+            text = np.array(["%.12g" % x for x in value[slow].tolist()], dtype="S19")
+            chars[slow, :19] = text.view(np.uint8).reshape(-1, 19)
+            mask[slow] = np.arange(30) < np.char.str_len(text)[:, None]
+
+    return 30, fill
+
+
+def _fixed(value):
+    """The mask of the float64 ``value`` whose ``"%.12g"`` numpy may print,
+    and their decimal exponents and 12-digit mantissas (filler elsewhere).
+
+    A finite nonzero value of decimal exponent e, -4 <= e <= 11, prints in
+    fixed notation. Its mantissa is rint(|x| 10^(11-e)), where the product
+    rounds once because 10^(11-e) is exact. The product is off by at most
+    half a unit in its last place, so a mantissa whose scaled value lies
+    within ``_TIE_MARGIN`` of a half-integer may be misrounded. Such values,
+    a mantissa that carries to 13 digits, and zero, non-finite values and
+    exponent notation are left to Python's ``%``, which rounds the exact
+    binary value correctly.
+    """
+    size = np.abs(value)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = np.floor(np.log10(size))
+    fast = (exponent >= -4) & (exponent <= 11)
+    exponent = np.where(fast, exponent, 0).astype(np.intp)
+    scaled = np.where(fast, size, 1.0) * _FLOAT_POWERS[11 - exponent]
+    mantissa = np.rint(scaled)
+    fast &= (scaled >= 1e11) & (mantissa < 1e12) & (np.abs(scaled - np.floor(scaled) - 0.5) > _TIE_MARGIN)
+    return fast, exponent, np.where(fast, mantissa, 1e11).astype(np.int64)
+
+
+def _fixed_mask(negative, exponent, significant):
+    """The bytes that spell a value in fixed notation, out of "-", its 12
+    digits, "0.000" and its 12 digits again: the sign if ``negative``, the
+    integer digits, then "0." and the leading zeros of a value below 1, the
+    point, and the fraction digits up to the last ``significant`` one."""
+    return ([negative] + [j <= exponent for j in range(12)] + [exponent < 0, significant > exponent + 1]
+            + [j >= exponent + 4 for j in range(3)] + [max(exponent, -1) < j < significant for j in range(12)])
+
+
+def _digits(value, words):
+    """The last ``4 * words`` decimal digits of the nonnegative integers ``value`` as uint8 rows."""
+    quads = np.empty((value.size, words), np.uint32)
+    for j in range(words - 1, -1, -1):
+        value, last = np.divmod(value, 10_000)
+        quads[:, j] = np.take(_QUADS, last)
+    return quads.view(np.uint8)
+
+
+# The "%d" masks over a sign byte and 20 digit places, for each sign and count of digits.
+_INT_MASKS = np.array([[[negative] + [place >= 20 - digits for place in range(20)] for digits in range(21)]
+                       for negative in (False, True)])
+# _fixed_mask for each sign, exponent -4..11 and count 1..12 of significant digits.
+_FIXED_MASKS = np.array([[[_fixed_mask(negative, e, k) for k in range(1, 13)] for e in range(-4, 12)]
+                         for negative in (False, True)])
 
 
 def _repr_distinct(column):
@@ -344,26 +485,33 @@ def _read_body(lines, parse_rows, width=None, accept=lambda t: True, converters=
     returns its table or raises the error of its first bad record, and
     batching resumes. ``records`` yields (body lines before it, cells) for
     each record starting in the batch; ``start`` is its first table row.
+    The batch tables fill one table, which doubles as it grows and is
+    trimmed to the rows read at the end.
     """
-    tables = []
-    lines_read = 0
+    table = np.empty((0, width or 0))
+    rows = lines_read = 0
     while batch := list(itertools.islice(lines, _READ_LINES)):
-        table = _loadtxt(batch, **options)
-        if table is None and converters:
+        part = _loadtxt(batch, **options)
+        if part is None and converters:
             options["converters"], converters = converters, None
-            table = _loadtxt(batch, **options)
-        if (table is None or table.shape != (len(batch), width or table.shape[1])
-                or np.isnan(table).any() or not accept(table) or batch[-1].count('"') % 2):
+            part = _loadtxt(batch, **options)
+        if (part is None or part.shape != (len(batch), width or part.shape[1])
+                or np.isnan(part).any() or not accept(part) or batch[-1].count('"') % 2):
             reader = csv.reader(itertools.chain(batch, lines))
             records = _records(reader, len(batch), lines_read)
-            table = parse_rows(records, sum(map(len, tables)) + 1, width)
+            part = parse_rows(records, rows + 1, width)
             lines_read += reader.line_num
         else:
             lines_read += len(batch)
-        if len(table):
-            tables.append(table)
-            width = table.shape[1]
-    return np.concatenate(tables) if tables else np.empty((0, width or 0))
+        if len(part):
+            width = part.shape[1]
+            if rows + len(part) > len(table):
+                # Grows in place; no view of the table exists to invalidate.
+                table.resize((max(2 * len(table), rows + len(part)), width), refcheck=False)
+            table[rows:rows + len(part)] = part
+            rows += len(part)
+    table.resize((rows, width or 0), refcheck=False)
+    return table
 
 
 def _loadtxt(batch, **options):

@@ -1,5 +1,6 @@
-"""End-to-end command-line checks, run in-process except for one
-subprocess test of the installed entry point."""
+"""End-to-end command-line checks, run in-process except for the
+subprocess tests of a pipe, of a redirected stdout and of the installed
+entry point."""
 
 import csv
 import filecmp
@@ -260,6 +261,25 @@ def test_pseudo_reads_a_pipe_once(text, code, message, rc_csv, capsys):
         warnings.simplefilter("ignore")
         assert main([*args, "--data", str(path)]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scenario", ["rc", "ic1"])
+def test_pseudo_stdout_is_the_out_file(scenario, tmp_path):
+    """Without --out, a new process writes to its stdout, redirected to a
+    file, the bytes that --out writes, over more than one formatted piece."""
+    config = ScenarioConfig(scenario, n=data._WRITE_ROWS + 100, seed=3)
+    path = tmp_path / "data.csv"
+    save_dataset(generate(config), path)
+    kind = ["--kind", "rc"] if scenario == "rc" else [
+        "--kind", "ic", "--cuts", ",".join(f"{c:g}" for c in config.cuts)]
+    args = ["pseudo", "--data", str(path), *kind, "--target", "rmst", "--tau", "6"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with open(tmp_path / "stdout.csv", "wb") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "pseudosurv.cli", *args], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert main([*args, "--out", str(tmp_path / "out.csv")]) == 0
+    assert (tmp_path / "stdout.csv").read_bytes() == (tmp_path / "out.csv").read_bytes()
 
 
 def test_warnings_reach_stderr_as_one_line_each(tmp_path, capsys):

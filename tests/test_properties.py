@@ -472,3 +472,60 @@ def test_regress_inputs_in_small_batches_match_one_batch(file):
         whole = _regress_outcome(path, usecols, 1 << 16)
         for read_lines in range(1, 6):
             assert _regress_outcome(path, usecols, read_lines) == whole
+
+
+def _float_from_bits(bits):
+    return float(np.array(bits, dtype=np.int64).view(float))
+
+
+def _bits(x):
+    return int(np.array(x).view(np.int64))
+
+
+# Each side of every place where "%.12g" changes notation, rounds into the
+# next decade or meets a special value.
+_G12_EDGES = [
+    edge
+    for x in (0.0, 5e-324, 2.2250738585072014e-308, 9.99999999999e-5, 9.999999999995e-5, 1e-4,
+              9.9999999999995, 10.0, 99999999999.95, 999999999999.5, 1e12, 1e16)
+    for edge in (x, float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf)))
+] + [math.inf, math.nan]
+
+g12_values = st.one_of(
+    # any float64, and those of fixed notation, from their bit patterns
+    st.integers(-(2**63), 2**63 - 1).map(_float_from_bits),
+    st.integers(_bits(1e-5), _bits(1e13)).map(_float_from_bits),
+    # exact binary values, many of them 12-digit ties
+    st.builds(lambda k, j: (k + 0.5) * 2.0**-j, st.integers(0, 2**52), st.integers(0, 60)),
+    # the nearest floats to 12-digit ties, which are not ties
+    st.builds(lambda k, p: (k + 0.5) / 10.0**p, st.integers(10**11, 10**12 - 1), st.integers(0, 15)),
+    st.sampled_from(_G12_EDGES),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+int64_values = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-99, 99),
+                         st.sampled_from([-(2**63), 2**63 - 1, 0, 9999, 10000, -10000]))
+
+
+def _numpy_csv(row_format, *columns, rows=3):
+    """`data._csv` of ``columns`` in pieces of ``rows`` rows."""
+    with mock.patch.object(data, "_WRITE_ROWS", rows):
+        return "".join(data._csv("", row_format, *columns))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(g12_values, min_size=1, max_size=40))
+def test_g12_cells_are_the_bytes_of_python_formatting(values):
+    """Formatted in numpy, every float64 gets the bytes of ``"%.12g" % x``."""
+    column = np.array(values)
+    assert _numpy_csv("%.12g\n", column) == "".join("%.12g\n" % x for x in values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(int64_values, g12_values), min_size=1, max_size=40))
+def test_int_cells_are_the_bytes_of_python_formatting(rows):
+    """Formatted in numpy, every int64 gets the bytes of ``"%d" % i``, also
+    where the digit count changes inside one piece and next to a float."""
+    ids = np.array([i for i, _ in rows], dtype=np.int64)
+    values = np.array([x for _, x in rows])
+    assert _numpy_csv("%d\n", ids) == "".join("%d\n" % i for i, _ in rows)
+    assert _numpy_csv("%d,%.12g\n", ids, values) == "".join("%d,%.12g\n" % row for row in rows)

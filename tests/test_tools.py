@@ -30,6 +30,7 @@ def test_bench_cli_times_the_stages_of_one_command(tmp_path):
         assert list(seconds) == report["stages"][run["kind"]]
         # the stages are disjoint parts of the one timed command
         assert seconds["other"] >= 0
+        assert 0 <= run["python_share"] < 0.1
         assert all(value > 0 for stage, value in seconds.items() if stage != "other")
         if run["kind"] == "rc":
             assert run["output_sha256"] and run["regress_sha256"]

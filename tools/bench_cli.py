@@ -14,18 +14,21 @@ cuts through ``cli.main``, ``--repeat`` times, with each call in ``CALLS``
 wrapped so that ``simulate._timed`` times it where the command makes it:
 ``load``, then rc ``km_fit`` or ic ``fit`` (with ``prepare`` inside it),
 ``pseudo_map``, and ``output``, formatting and writing the ``id,pseudo``
-text, which interleave. ``other`` is the rest of ``cli``, the whole
-command: argument parsing and set-up. A call that does not run exactly
-once per command ends the tool nonzero, naming its stage. For rc,
-``regress`` is ``cli.main`` running ``regress --intercept`` on that output
-and the covariates.
+text, which interleave (a lazy ``data._csv`` feeds ``cli._emit``).
+``other`` is the rest of ``cli``, the whole command: argument parsing and
+set-up. A call that does not run exactly once per command ends the tool
+nonzero, naming its stage. For rc, ``regress`` is ``cli.main`` running
+``regress --intercept`` on that output and the covariates.
 
-A run keeps each stage's median over the repeats. The trees' outputs must
-agree: for rc the digests of the ``id,pseudo`` and ``regress`` outputs are
-equal; for ic the pseudo values differ between the trees by at most
-``DIGIT_UNITS`` units in the last printed digit (the 12th significant one)
-of the largest value. The JSON records the largest difference,
-``max_abs_diff``, and the same in those units, ``max_digit_units``.
+A run keeps each stage's median over the repeats, and ``python_share``,
+the share of the pseudo values whose ``%.12g`` cell the tree leaves to
+Python's ``%`` rather than numpy (1 for a tree that formats every cell in
+Python). The trees' outputs must agree: for rc the digests of the
+``id,pseudo`` and ``regress`` outputs are equal; for ic the pseudo values
+differ between the trees by at most ``DIGIT_UNITS`` units in the last
+printed digit (the 12th significant one) of the largest value. The JSON
+records the largest difference, ``max_abs_diff``, and the same in those
+units, ``max_digit_units``.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def _save_covariates(dataset, path):
 
 def _run_stages(src, kind, n, csv_path, covariates_path, out_path, repeat):
     sys.path.insert(0, src)
-    from pseudosurv import ScenarioConfig, cli
+    from pseudosurv import ScenarioConfig, cli, data
     from pseudosurv.simulate import _timed
 
     family = "rc" if kind == "rc" else "ic"
@@ -174,20 +177,22 @@ def _run_stages(src, kind, n, csv_path, covariates_path, out_path, repeat):
             raise SystemExit(f"{argv[0]} exited with {code}")
         return seconds
 
-    def timing(call, into):
+    def timing(stage, call):
         def timed(*args, **kwargs):
             result, seconds = _timed(functools.partial(call, *args, **kwargs))
-            into.append(seconds)
+            samples[stage].append(seconds)
+            if stage == "pseudo_map":
+                pseudo_values[:] = [result.values]
             return result
         return timed
 
     samples = {stage: [] for stage in STAGES[family]}
+    pseudo_values = []
     own = [stage for stage, call in CALLS[family].items() if call.startswith("cli.")]
     with ExitStack() as patches:
         for stage, call in CALLS[family].items():
             target = f"pseudosurv.{call}"
-            patches.enter_context(
-                mock.patch(target, timing(pkgutil.resolve_name(target), samples[stage])))
+            patches.enter_context(mock.patch(target, timing(stage, pkgutil.resolve_name(target))))
         for _ in range(repeat):
             samples["cli"].append(run(pseudo))
             for stage in CALLS[family]:
@@ -196,8 +201,11 @@ def _run_stages(src, kind, n, csv_path, covariates_path, out_path, repeat):
             samples["other"].append(samples["cli"][-1] - sum(samples[s][-1] for s in own))
     if family == "rc":
         samples["regress"] = [run(regress) for _ in range(repeat)]
+    # A tree without data._fixed formats every pseudo value with Python's %.
+    fixed = getattr(data, "_fixed", None)
     record = {"seconds": {k: statistics.median(v) for k, v in samples.items()},
-              "output_sha256": hashlib.sha256(Path(out_path).read_bytes()).hexdigest()}
+              "output_sha256": hashlib.sha256(Path(out_path).read_bytes()).hexdigest(),
+              "python_share": 1.0 if fixed is None else float(1.0 - fixed(pseudo_values[0])[0].mean())}
     if family == "rc":
         record["regress_sha256"] = hashlib.sha256(Path(regress_path).read_bytes()).hexdigest()
         os.unlink(regress_path)
@@ -222,7 +230,9 @@ def _report(args, labels, runs):
         "what": "seconds per stage of one `pseudosurv pseudo --target rmst --method fast` run "
                 "through cli.main, each stage timed where the command calls it (`output`: "
                 "formatting and writing, which interleave; `other`: `cli` less the command's own "
-                "stages), and for rc of `regress --intercept` on its output, per scenario and tree",
+                "stages), and for rc of `regress --intercept` on its output, per scenario and tree; "
+                "`python_share`: the share of pseudo values whose %.12g cell the tree formats with "
+                "Python's % rather than numpy",
         "stages": {kind: list(STAGES["rc" if kind == "rc" else "ic"]) for kind in args.kind},
         "timer": "pseudosurv.simulate._timed",
         "repeat": args.repeat,
