@@ -284,8 +284,8 @@ def newton_prepared(
     last step is taken without a kernel call, so a caller that needs the
     log-likelihood or the information at the fitted rates evaluates the
     kernel there once; the leave-one-out oracle, which needs only the
-    rates, calls this directly with warm starts, skipping dataset
-    re-validation.
+    rates, calls this directly from its first-order starts, skipping
+    dataset re-validation.
     """
     init_alpha = np.asarray(init_alpha, dtype=float)
     B, K = init_alpha.shape

@@ -5,8 +5,9 @@ with subject l removed, the jackknife pseudo-observation is
 n * theta - (n - 1) * theta_(-l). This module recomputes theta_(-l)
 honestly for every subject: by rebuilding the product-limit curve for the
 Kaplan-Meier targets, and for the piecewise-hazard targets by a full
-(warm-started) refit of the fit's own likelihood kernel with subject l's
-weight set to zero. The subjects are taken in blocks, and a block's
+refit of the fit's own likelihood kernel with subject l's weight set to
+zero, started at the first-order estimate of its rates that the fast
+formulas imply. The subjects are taken in blocks, and a block's
 curves, or its refits, are computed together in numpy calls: one
 cumulative product for the block's curves, one Newton loop whose rows
 iterate in lockstep for its refits. Every refit still runs to its own
@@ -21,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .errors import NoEvents, check_tau, check_time
-from .fitting import PchFit, fit_pch, newton_prepared
+from .errors import NoEvents, SingularInformation, check_tau, check_time
+from .fitting import PchFit, _out_of_bounds, fit_pch, newton_prepared
 from .km import (
     JACKKNIFE,
     RMST,
@@ -33,7 +34,7 @@ from .km import (
     _step_value,
     km_fit,
 )
-from .pch import CutGrid, rmst_rows, survival_rows
+from .pch import CutGrid, rmst_rows, score_products, survival_rows
 
 # A block of left-out subjects holds at most this many elements per
 # block-by-column array: subjects times event times for the product-limit
@@ -103,10 +104,13 @@ def jackknife_pch(
 ) -> PseudoVector:
     """Exact jackknife pseudo-observations under the piecewise-hazard model.
 
-    Runs n leave-one-out refits, each warm-started at the full-sample
-    rates, which is both the fairest slow baseline and the most stable one.
-    A subfit that fails to converge or loses identifiability does not abort
-    the whole vector: its entry is NaN and flagged.
+    Runs n leave-one-out refits. Refit l starts at the first-order
+    estimate alpha * exp(-info^-1 s_l / ((n - 1) alpha)), the fast
+    pseudo-observations' shift taken in log-rates, and at the full-sample
+    rates when the information is singular or that start lies outside the
+    rate bounds; each still runs to its own convergence. A subfit that
+    fails to converge or loses identifiability does not abort the whole
+    vector: its entry is NaN and flagged.
 
     Parameters
     ----------
@@ -124,12 +128,18 @@ def jackknife_pch(
     full = float(_pch_statistic(grid, alpha_full, target, horizon))
 
     n = dataset.n
+    try:
+        # alpha_(-l) = alpha - info^-1 s_l / (n - 1) + O(n^-2), stepped in log-rates
+        shift = score_products(alpha_full, prep, fit.solve_information(np.eye(grid.K)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            start = alpha_full * np.exp(-shift / ((n - 1) * alpha_full))
+    except SingularInformation:
+        start = np.tile(alpha_full, (n, 1))
+    start[_out_of_bounds(start)] = alpha_full
     rates = np.empty((n, grid.K))
     flagged = np.zeros(n, dtype=bool)
     for rows in _blocks(n, prep.interval_rows.size):
-        out = newton_prepared(
-            prep.leave_out(rows), np.tile(alpha_full, (rows.size, 1)), tol, max_iter
-        )
+        out = newton_prepared(prep.leave_out(rows), start[rows], tol, max_iter)
         rates[rows] = out.rates
         flagged[rows] = [error is not None for error in out.errors]
     loo = _pch_statistic(grid, rates, target, horizon)

@@ -15,6 +15,7 @@ from pseudosurv import (
     CutGrid,
     InvalidTau,
     NoEvents,
+    SingularInformation,
     fit_pch,
     interval_dataset,
     jackknife_km,
@@ -23,6 +24,7 @@ from pseudosurv import (
     right_censored_dataset,
 )
 from pseudosurv import jackknife
+from pseudosurv.fitting import newton_prepared
 from pseudosurv.pch import rmst_closed_form
 from pseudosurv.simulate import ScenarioConfig, generate
 
@@ -190,7 +192,9 @@ def test_refits_whose_trials_must_not_fall_converge(replication):
     """One refit of each of these ic2 replications (subjects 196 and 163)
     ran to the 200-iteration cap when trials a few units in the last place
     below the current log-likelihood were also taken; with no trial allowed
-    to fall, they converge in 71 and 57 iterations."""
+    to fall, they converge in 71 and 22 iterations (71 and 57 when every
+    refit started at the full-sample rates; replication 24's information is
+    singular, so its refits still start there)."""
     config = ScenarioConfig("ic2", n=300, seed=7)
     ds = generate(config, seed=np.random.SeedSequence(7).spawn(200)[replication])
     grid = CutGrid(config.cuts)
@@ -249,3 +253,89 @@ def test_pch_jackknife_does_not_depend_on_the_block_size(
     if scenario == "ic2":
         assert default.flagged is not None and default.flagged.sum() == 5
     _assert_same_pseudo(default, single)
+
+
+def _sim_small_ic1(seed, replications):
+    """ic1 n = 200 replications drawn as ``monte_carlo`` draws them, with
+    their fits; the last one named per seed has a flagged refit."""
+    config = ScenarioConfig("ic1", n=200, seed=seed)
+    streams = np.random.SeedSequence(seed).spawn(120)
+    grid = CutGrid(config.cuts)
+    for r in replications:
+        ds = generate(config, seed=streams[r])
+        yield ds, grid, config.tau, fit_pch(ds, grid)
+
+
+FIRST_ORDER_SAMPLES = {1: (0, 1, 14), 2: (0, 1, 47), 3: (0, 1, 71)}
+
+
+def _refits_from_the_full_rates(ds, grid, tau, fit):
+    """The RMST oracle with every refit started at the full-sample rates:
+    its values, its flags and the refits' total Newton iterations."""
+    prep, alpha = fit.likelihood, fit.model.rates
+    rates = np.empty((ds.n, grid.K))
+    flagged = np.zeros(ds.n, dtype=bool)
+    iterations = 0
+    for rows in jackknife._blocks(ds.n, prep.interval_rows.size):
+        out = newton_prepared(prep.leave_out(rows), np.tile(alpha, (rows.size, 1)), 1e-8, 200)
+        rates[rows] = out.rates
+        flagged[rows] = [error is not None for error in out.errors]
+        iterations += int(out.iterations.sum())
+    full = float(jackknife._pch_statistic(grid, alpha, "rmst", tau))
+    values = ds.n * full - (ds.n - 1) * jackknife._pch_statistic(grid, rates, "rmst", tau)
+    return values, flagged, iterations
+
+
+def _counting_refits(monkeypatch):
+    """Patch the oracle's Newton loop to add up its refits' iterations."""
+    counted = []
+
+    def newton(*args):
+        out = newton_prepared(*args)
+        counted.append(int(out.iterations.sum()))
+        return out
+
+    monkeypatch.setattr(jackknife, "newton_prepared", newton)
+    return counted
+
+
+def _flags(pv):
+    return np.zeros(pv.values.size, dtype=bool) if pv.flagged is None else pv.flagged
+
+
+@pytest.mark.parametrize("seed", sorted(FIRST_ORDER_SAMPLES))
+def test_first_order_starts_reach_the_refits_from_the_full_rates(seed):
+    for ds, grid, tau, fit in _sim_small_ic1(seed, FIRST_ORDER_SAMPLES[seed]):
+        pv = jackknife_pch(ds, grid, "rmst", tau, fit=fit)
+        values, flagged, _ = _refits_from_the_full_rates(ds, grid, tau, fit)
+        np.testing.assert_array_equal(_flags(pv), flagged)
+        np.testing.assert_allclose(pv.values, values, rtol=1e-9, atol=0)
+    assert flagged.any()
+
+
+def test_first_order_starts_save_newton_iterations(monkeypatch):
+    counted = _counting_refits(monkeypatch)
+    from_full = 0
+    for seed, replications in FIRST_ORDER_SAMPLES.items():
+        for ds, grid, tau, fit in _sim_small_ic1(seed, replications):
+            jackknife_pch(ds, grid, "rmst", tau, fit=fit)
+            from_full += _refits_from_the_full_rates(ds, grid, tau, fit)[2]
+    assert sum(counted) <= 0.7 * from_full
+
+
+def test_singular_information_starts_every_refit_at_the_full_rates(monkeypatch):
+    config = ScenarioConfig("ic1", n=50, seed=1, cuts=(4.0, 50.0))
+    ds = generate(config, seed=np.random.SeedSequence(1).spawn(1)[0])
+    grid = CutGrid(config.cuts)
+    with warnings.catch_warnings():
+        # no record reaches the last piece
+        warnings.simplefilter("ignore", UserWarning)
+        fit = fit_pch(ds, grid)
+    with pytest.raises(SingularInformation):
+        fit.info_factor
+    counted = _counting_refits(monkeypatch)
+    pv = jackknife_pch(ds, grid, "rmst", config.tau, fit=fit)
+    values, flagged, iterations = _refits_from_the_full_rates(ds, grid, config.tau, fit)
+    assert pv.values.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(_flags(pv), flagged)
+    assert sum(counted) == iterations

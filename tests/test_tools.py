@@ -38,6 +38,14 @@ def test_bench_cli_times_the_stages_of_one_command(tmp_path):
             assert seconds["prepare"] <= seconds["fit"]
 
 
+def test_bench_cli_alternates_the_tree_order(tmp_path):
+    proc = _bench_cli(tmp_path, "--kind", "rc", "--seeds", "1", "2",
+                      "--tree", "a=src", "--tree", "b=src")
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads((tmp_path / "bench.json").read_text())["runs"]
+    assert [(run["tree"], run["seed"]) for run in runs] == [("a", 1), ("b", 1), ("b", 2), ("a", 2)]
+
+
 def test_bench_cli_shows_a_failing_worker_error(tmp_path):
     broken = tmp_path / "broken" / "pseudosurv"
     broken.mkdir(parents=True)

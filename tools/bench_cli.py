@@ -8,7 +8,8 @@ a checkout of the parent commit with it:
 
 For each kind, n and seed, the scenario is generated once and saved as CSV
 (for rc, with its covariates less the intercept column as a second CSV).
-Each tree then runs, in a fresh process and trees alternating,
+Each tree then runs, in a fresh process and in the order of ``--tree``,
+reversed on every other (kind, n, seed) cell,
 ``pseudosurv pseudo --target rmst --method fast`` at the scenario's tau and
 cuts through ``cli.main``, ``--repeat`` times, with each call in ``CALLS``
 wrapped so that ``simulate._timed`` times it where the command makes it:
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -92,33 +94,37 @@ def main() -> int:
     from pseudosurv import ScenarioConfig, generate, save_dataset
 
     runs = []
+    cells = itertools.product(args.kind, args.n, args.seeds)
     with tempfile.TemporaryDirectory() as work:
-        for kind in args.kind:
-            for n in args.n:
-                for seed in args.seeds:
-                    data, covariates = Path(work) / "data.csv", Path(work) / "covariates.csv"
-                    dataset = generate(ScenarioConfig(kind, n, seed=seed))
-                    save_dataset(dataset, data)
-                    if kind == "rc":
-                        _save_covariates(dataset, covariates)
-                    del dataset
-                    outputs = {}
-                    for label, src in trees.items():
-                        outputs[label] = Path(work) / f"pseudo-{len(outputs)}.csv"
-                        out = subprocess.run(
-                            [sys.executable, __file__, "--repeat", str(args.repeat), "--worker",
-                             os.path.abspath(src), kind, str(n), str(data), str(covariates),
-                             str(outputs[label])],
-                            check=True, stdout=subprocess.PIPE, text=True,
-                        ).stdout
-                        record = json.loads(out.strip().splitlines()[-1])
-                        runs.append({"tree": label, "kind": kind, "n": n, "seed": seed, **record})
-                        print(kind, label, n, seed,
-                              {k: round(v, 4) for k, v in record["seconds"].items()},
-                              file=sys.stderr)
-                    _check_agreement(runs[-len(trees):], outputs, kind)
-                    for path in outputs.values():
-                        path.unlink()
+        for cell, (kind, n, seed) in enumerate(cells):
+            data, covariates = Path(work) / "data.csv", Path(work) / "covariates.csv"
+            dataset = generate(ScenarioConfig(kind, n, seed=seed))
+            save_dataset(dataset, data)
+            if kind == "rc":
+                _save_covariates(dataset, covariates)
+            del dataset
+            outputs = {}
+            order = list(trees.items())
+            if cell % 2:
+                # every other cell runs the trees last to first, so that an
+                # order effect falls on every tree alike
+                order.reverse()
+            for label, src in order:
+                outputs[label] = Path(work) / f"pseudo-{len(outputs)}.csv"
+                out = subprocess.run(
+                    [sys.executable, __file__, "--repeat", str(args.repeat), "--worker",
+                     os.path.abspath(src), kind, str(n), str(data), str(covariates),
+                     str(outputs[label])],
+                    check=True, stdout=subprocess.PIPE, text=True,
+                ).stdout
+                record = json.loads(out.strip().splitlines()[-1])
+                runs.append({"tree": label, "kind": kind, "n": n, "seed": seed, **record})
+                print(kind, label, n, seed,
+                      {k: round(v, 4) for k, v in record["seconds"].items()},
+                      file=sys.stderr)
+            _check_agreement(runs[-len(trees):], outputs, kind)
+            for path in outputs.values():
+                path.unlink()
 
     Path(args.out).write_text(json.dumps(_report(args, list(trees), runs), indent=1) + "\n")
     return 0
