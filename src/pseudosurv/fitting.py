@@ -2,8 +2,10 @@
 
 Newton-Raphson runs in log-rate space, which keeps every iterate strictly
 positive without projections, with step-halving as the safeguard. It starts
-from per-piece occurrence/exposure rates and stops on the Newton step, by a
-rule that does not grow with n (see ``fit_pch``'s ``tol``). The step at the
+from per-piece occurrence/exposure rates or, on a large sample, from a
+guarded pilot fit of a strided subsample, which leaves Newton only its
+quadratic phase (see ``fit_pch``'s ``init``). It stops on the Newton step, by
+a rule that does not grow with n (see ``fit_pch``'s ``tol``). The step at the
 fitted rates is also the gap between the mean of the fast
 pseudo-observations of the rates and the rates themselves. The observed
 information reported afterwards is the rate-space one, as the downstream
@@ -13,6 +15,7 @@ pseudo-observation formulas require.
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -20,11 +23,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy import linalg
 
-from .data import KIND_INTERVAL, Dataset
+from .data import KIND_INTERVAL, Dataset, interval_dataset
 from .errors import (
     DidNotConverge,
     EmptyInput,
     NonIdentifiable,
+    PseudosurvError,
     SingularInformation,
 )
 from .pch import (
@@ -49,6 +53,11 @@ FLOOR_ULPS = 8
 # Relative condition number beyond which the information matrix counts as
 # singular.
 INFO_CONDITION_LIMIT = 1e12
+# The pilot start of large fits; see fit_pch's init.
+PILOT_MIN_N = 2**17
+PILOT_RECORDS = 2**14
+PILOT_MAX_ITER = 20
+PILOT_MAX_RSE = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,16 +79,17 @@ class PchFit:
         it is not the stopping criterion, and at large n it stays at the
         rounding level of a sum of n scores.
     iterations : int
-        Newton iterations taken.
+        Newton iterations taken from the start; a pilot's own are not counted.
     condition_report : ConditionReport
         Per-piece identifiability diagnostics of the training data.
     dataset : Dataset
         The sample fitted, the only one (in any record order) that the fast
         pseudo-observation maps and ``jackknife_pch(fit=)`` accept.
     loglik_trace : tuple
-        Log-likelihood values, starting at the initial point; one per
-        iteration after it. Each is at least the one before, except the
-        last: the step that ends the fit is taken without comparison.
+        Log-likelihood values, starting at the initial point (the pilot's
+        rates, when ``fit_pch`` started there); one per iteration after it.
+        Each is at least the one before, except the last: the step that
+        ends the fit is taken without comparison.
     likelihood : PreparedLikelihood
         The prepared likelihood of ``dataset`` that the fit ran on, which
         ``prepared`` hands to the fast maps and the jackknife.
@@ -172,10 +182,16 @@ def fit_pch(
         Interval-censored records.
     grid : CutGrid
     init : array-like or None
-        Starting rates. The default treats every record as an exact
-        observation at its bracket midpoint (at the left endpoint when
-        right-censored) and starts each piece at its own
-        (events + 0.5) / exposure under that imputation.
+        Starting rates, each within [RATE_LOWER_BOUND, RATE_UPPER_BOUND].
+        The default treats every record as an exact observation at its
+        bracket midpoint (at the left endpoint when right-censored) and
+        starts each piece at its own (events + 0.5) / exposure under that
+        imputation. From PILOT_MIN_N (2^17) records on, it first fits every
+        (n // PILOT_RECORDS)-th record, silently, with at most
+        min(max_iter, PILOT_MAX_ITER) iterations, and starts at that pilot's
+        rates if it converged with every rate's relative standard error (from
+        its own information and records) at most PILOT_MAX_RSE; from a loose
+        pilot Newton can crawl, so a pilot that fails or raises is dropped.
     tol : float
         Convergence threshold on the Newton step: the fit ends with a step
         whose sup-norm in log-rates (the largest relative rate change) is
@@ -215,9 +231,13 @@ def fit_pch(
             "fitting anyway",
             stacklevel=2,
         )
-    init_alpha = _initial_rates(dataset, grid) if init is None else np.asarray(init, float)
-    if init_alpha.shape != (grid.K,) or not np.all(np.isfinite(init_alpha) & (init_alpha > 0)):
-        raise ValueError("init must hold one positive rate per piece")
+    if init is None:
+        init_alpha = _default_start(dataset, grid, max_iter)
+    else:
+        init_alpha = np.asarray(init, float)
+        if init_alpha.shape != (grid.K,) or _out_of_bounds(init_alpha[None])[0]:
+            raise ValueError(f"init must hold one rate per piece within"
+                             f" [{RATE_LOWER_BOUND:g}, {RATE_UPPER_BOUND:g}]")
     out = newton_prepared(prep, init_alpha[None], tol, max_iter, report)
     if out.errors[0] is not None:
         raise out.errors[0]
@@ -422,6 +442,21 @@ def _no_convergence(alpha, grad, it, why):
         grad_norm=grad_norm,
         iterations=it,
     )
+
+
+def _default_start(dataset: Dataset, grid: CutGrid, max_iter: int) -> np.ndarray:
+    """The rates of the pilot fit that ``fit_pch``'s ``init`` describes, if
+    there is one and it passes both guards; else ``_initial_rates``."""
+    if dataset.n >= PILOT_MIN_N:
+        stride = dataset.n // PILOT_RECORDS
+        with suppress(PseudosurvError), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pilot = interval_dataset(dataset.left[::stride], dataset.right[::stride])
+            fit = fit_pch(pilot, grid, max_iter=min(max_iter, PILOT_MAX_ITER))
+            se = np.sqrt(np.diag(fit.solve_information(np.eye(grid.K))) / pilot.n)
+            if np.all(se <= PILOT_MAX_RSE * fit.model.rates):
+                return fit.model.rates
+    return _initial_rates(dataset, grid)
 
 
 def _initial_rates(dataset: Dataset, grid: CutGrid) -> np.ndarray:

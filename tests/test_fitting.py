@@ -84,7 +84,11 @@ def test_start_at_the_optimum_takes_one_step():
 @pytest.mark.parametrize("scenario", ["ic1", "ic2"])
 def test_record_order_changes_neither_iterations_nor_rates(scenario):
     """Summation order moves the log-likelihood by a few ulps; the stopping
-    rule must not turn that into a different path."""
+    rule must not turn that into a different path. At n = 10^5 the fit
+    starts at the midpoint rates; from PILOT_MIN_N records on, the pilot
+    takes every stride-th record in record order, so there the iteration
+    count may change with the order (see
+    test_record_order_moves_pilot_started_rates_by_rounding)."""
     for seed in range(1, 6):
         config = ScenarioConfig(scenario, n=100_000, seed=seed)
         ds = generate(config)
@@ -95,6 +99,99 @@ def test_record_order_changes_neither_iterations_nor_rates(scenario):
             other = fit_pch(interval_dataset(ds.left[order], ds.right[order]), grid)
             assert other.iterations == fit.iterations
             np.testing.assert_allclose(other.model.rates, fit.model.rates, rtol=1e-13, atol=0)
+
+
+PILOT_N = fitting.PILOT_MIN_N
+
+
+def _quantile_grid(ds, K):
+    """K pieces cut at the k/K quantiles of the finite right endpoints."""
+    return CutGrid(tuple(np.quantile(ds.right[np.isfinite(ds.right)], np.arange(1, K) / K)))
+
+
+def _strided_fit(ds, grid):
+    """The pilot fit that fit_pch makes of ds: every (n // PILOT_RECORDS)-th record."""
+    stride = ds.n // fitting.PILOT_RECORDS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fit_pch(interval_dataset(ds.left[::stride], ds.right[::stride]), grid,
+                       max_iter=fitting.PILOT_MAX_ITER)
+
+
+def _default_and_midpoint_fits(ds, grid):
+    return fit_pch(ds, grid), fit_pch(ds, grid, init=_initial_rates(ds, grid))
+
+
+def _assert_same_fit(fit, other):
+    assert fit.iterations == other.iterations
+    assert fit.loglik_trace == other.loglik_trace
+    np.testing.assert_array_equal(fit.model.rates, other.model.rates)
+    np.testing.assert_array_equal(fit.info, other.info)
+
+
+@pytest.mark.parametrize("scenario", ["ic1", "ic2"])
+def test_pilot_start_saves_iterations_at_the_same_rates(scenario):
+    for seed in (1, 2, 3):
+        config = ScenarioConfig(scenario, n=PILOT_N, seed=seed)
+        ds = generate(config)
+        fit, midpoint = _default_and_midpoint_fits(ds, CutGrid(config.cuts))
+        assert fit.iterations < midpoint.iterations
+        np.testing.assert_allclose(fit.model.rates, midpoint.model.rates, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scenario", ["ic1", "ic2"])
+def test_below_the_pilot_threshold_the_fit_starts_at_the_midpoint_rates(scenario):
+    config = ScenarioConfig(scenario, n=PILOT_N - 1, seed=1)
+    _assert_same_fit(*_default_and_midpoint_fits(generate(config), CutGrid(config.cuts)))
+
+
+def test_a_pilot_with_a_loose_rate_falls_back_to_the_midpoint_start():
+    """With 20 quantile pieces the pilot converges, but some rate's relative
+    standard error exceeds PILOT_MAX_RSE; from such a start the full fit
+    can crawl, so it starts at the midpoint rates."""
+    ds = generate(ScenarioConfig("ic1", n=PILOT_N, seed=1))
+    grid = _quantile_grid(ds, 20)
+    pilot = _strided_fit(ds, grid)
+    se = np.sqrt(np.diag(pilot.solve_information(np.eye(grid.K))) / pilot.dataset.n)
+    assert np.max(se / pilot.model.rates) > fitting.PILOT_MAX_RSE
+    _assert_same_fit(*_default_and_midpoint_fits(ds, grid))
+
+
+def test_a_failing_pilot_falls_back_to_the_midpoint_start():
+    """A last piece that the left endpoints of 3 records reach, fewer than
+    the stride of 8: the pilot holds none of them and its rate diverges,
+    while the full sample fits."""
+    config = ScenarioConfig("ic2", n=PILOT_N, seed=3)
+    ds = generate(config)
+    grid = CutGrid(config.cuts + (float(np.sort(ds.left)[-4]),))
+    with pytest.raises(NonIdentifiable):
+        _strided_fit(ds, grid)
+    _assert_same_fit(*_default_and_midpoint_fits(ds, grid))
+
+
+@pytest.mark.parametrize("scenario", ["ic1", "ic2"])
+def test_scaling_time_by_a_power_of_two_scales_the_pilot_started_fit(scenario):
+    config = ScenarioConfig(scenario, n=PILOT_N, seed=1)
+    ds = generate(config)
+    fit = fit_pch(ds, CutGrid(config.cuts))
+    for c in (0.25, 8.0):
+        scaled = fit_pch(interval_dataset(ds.left * c, ds.right * c),
+                         CutGrid(tuple(np.array(config.cuts) * c)))
+        assert scaled.iterations == fit.iterations
+        np.testing.assert_allclose(scaled.model.rates * c, fit.model.rates, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("scenario", ["ic1", "ic2"])
+def test_record_order_moves_pilot_started_rates_by_rounding(scenario):
+    """Another record order gives another pilot, and perhaps another
+    iteration count, but the same optimum."""
+    config = ScenarioConfig(scenario, n=PILOT_N, seed=1)
+    ds = generate(config)
+    grid = CutGrid(config.cuts)
+    fit = fit_pch(ds, grid)
+    for order in (np.arange(ds.n)[::-1], np.random.default_rng(1).permutation(ds.n)):
+        other = fit_pch(interval_dataset(ds.left[order], ds.right[order]), grid)
+        np.testing.assert_allclose(other.model.rates, fit.model.rates, rtol=1e-13, atol=0)
 
 
 def test_ic2_replication_that_walked_to_the_cap_converges():
@@ -165,6 +262,19 @@ def test_init_validation():
     for bad in ([1.0, 1.0], [-1.0], [math.nan], [math.inf]):
         with pytest.raises(ValueError):
             fit_pch(ds, CutGrid(()), init=bad)
+    # A start beyond the rate bounds is the caller's error, not the data's:
+    # 1e-12 used to end at once in NonIdentifiable, 2e6 to walk back.
+    config = ScenarioConfig("ic1", 200, seed=1)
+    ds = generate(config)
+    grid = CutGrid(config.cuts)
+    for rate in (1e-12, 2e6):
+        init = _initial_rates(ds, grid)
+        init[0] = rate
+        with pytest.raises(ValueError, match=r"\[1e-10, 1e\+06\]"):
+            fit_pch(ds, grid, init=init)
+    for rate in (fitting.RATE_LOWER_BOUND, fitting.RATE_UPPER_BOUND):
+        init[0] = rate
+        fit_pch(ds, grid, init=init)
 
 
 def test_empty_and_wrong_kind_inputs():

@@ -53,3 +53,12 @@ def test_bench_cli_shows_a_failing_worker_error(tmp_path):
     proc = _bench_cli(tmp_path, "--kind", "rc", "--tree", f"broken={broken.parent}")
     assert proc.returncode != 0
     assert "RuntimeError: broken tree" in proc.stderr
+
+
+def test_bench_cli_times_prepare_of_the_full_sample_only(tmp_path):
+    """From 2^17 records fit_pch also prepares its pilot's likelihood; that
+    call counts in `fit` alone, so `prepare` still runs once per command."""
+    proc = _bench_cli(tmp_path, "--kind", "ic1", "--n", "131072", "--tree", "head=src")
+    assert proc.returncode == 0, proc.stderr
+    (run,) = json.loads((tmp_path / "bench.json").read_text())["runs"]
+    assert 0 < run["seconds"]["prepare"] <= run["seconds"]["fit"]

@@ -13,7 +13,8 @@ reversed on every other (kind, n, seed) cell,
 ``pseudosurv pseudo --target rmst --method fast`` at the scenario's tau and
 cuts through ``cli.main``, ``--repeat`` times, with each call in ``CALLS``
 wrapped so that ``simulate._timed`` times it where the command makes it:
-``load``, then rc ``km_fit`` or ic ``fit`` (with ``prepare`` inside it),
+``load``, then rc ``km_fit`` or ic ``fit`` (with ``prepare`` of the full
+sample inside it; a pilot fit's prepare counts in ``fit`` alone),
 ``pseudo_map``, and ``output``, formatting and writing the ``id,pseudo``
 text, which interleave (a lazy ``data._csv`` feeds ``cli._emit``).
 ``other`` is the rest of ``cli``, the whole command: argument parsing and
@@ -185,6 +186,9 @@ def _run_stages(src, kind, n, csv_path, covariates_path, out_path, repeat):
 
     def timing(stage, call):
         def timed(*args, **kwargs):
+            if stage == "prepare" and args[0].n != int(n):
+                # a pilot fit's own prepare, timed inside `fit` only
+                return call(*args, **kwargs)
             result, seconds = _timed(functools.partial(call, *args, **kwargs))
             samples[stage].append(seconds)
             if stage == "pseudo_map":

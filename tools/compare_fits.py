@@ -6,14 +6,22 @@ checkout of its parent commit:
     python tools/compare_fits.py --tree parent=../parent/src --tree change=src
 
 The cases are the interval-censored data of the benchmark and of the known
-hard replications, each scenario at its default cuts and tau:
+hard replications, each scenario at its tau and, but for the last case, its
+default cuts:
 
 - sim-small: ic1 at n = 200 and ic2 at n = 1000, seeds 1-3, replications
   0-119 (replication r from the r-th stream of ``SeedSequence(seed).spawn``,
   as ``monte_carlo`` draws it), with the jackknife for ic1 only;
 - ic2 at n = 300, seed 7, replications 0-199, with the jackknife;
 - ic1 and ic2 at n = 10^6, seeds 1-2 (``generate`` at the seed, as the
-  ic-fit workload draws them), without the jackknife.
+  ic-fit workload draws them), without the jackknife;
+- at the threshold of ``fit_pch``'s pilot start, ic1 and ic2 at
+  n = 2^17 (the first size that fits a pilot) and n = 2^17 - 1 (the last
+  that does not), seed 1, without the jackknife;
+- ic1 at n = 10^6, seed 2, cut into 20 pieces at the k/20 quantiles of the
+  finite right endpoints (named ``K=20``), without the jackknife: its pilot
+  pins some rate only loosely, so ``fit_pch`` must drop it for the midpoint
+  start.
 
 The data are generated once, by the pseudosurv next to this script. Each
 tree then runs every case in a fresh process and dumps, per case, the fit's
@@ -78,10 +86,17 @@ def _write_cases(work: Path) -> list:
     plan.append((ScenarioConfig("ic2", 300, seed=7), np.random.SeedSequence(7).spawn(200), True))
     plan += [(ScenarioConfig(kind, 10**6, seed=seed), [None], False)
              for kind in ("ic1", "ic2") for seed in (1, 2)]
+    plan += [(ScenarioConfig(kind, n, seed=1), [None], False)
+             for kind in ("ic1", "ic2") for n in (2**17, 2**17 - 1)]
+    right = generate(ScenarioConfig("ic1", 10**6, seed=2)).right
+    cuts = np.quantile(right[np.isfinite(right)], np.arange(1, 20) / 20)
+    plan.append((ScenarioConfig("ic1", 10**6, seed=2, cuts=cuts), [None], False))
     cases = []
     for config, streams, jackknife in plan:
         for r, stream in enumerate(streams):
             name = f"{config.scenario} n={config.n} seed={config.seed}"
+            if config.cuts != ScenarioConfig(config.scenario, config.n).cuts:
+                name += f" K={len(config.cuts) + 1}"
             if stream is not None:
                 name += f" rep={r}"
             dataset = generate(config, seed=stream)
