@@ -68,9 +68,6 @@ from .simulate import (
     MonteCarloReport,
     ScenarioConfig,
     benchmark,
-    gen_ic1,
-    gen_ic2,
-    gen_rc,
     generate,
     monte_carlo,
     true_rmst_beta,

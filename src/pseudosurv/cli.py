@@ -27,7 +27,7 @@ from .jackknife import jackknife_km, jackknife_pch
 from .km import FAST, RMST, SURVIVAL, km_fit, km_pseudo_rmst, km_pseudo_survival
 from .parametric import pseudo_rmst, pseudo_survival
 from .pch import CutGrid, evaluate
-from .simulate import ScenarioConfig, benchmark, monte_carlo
+from .simulate import _SCENARIOS, ScenarioConfig, benchmark, monte_carlo
 
 _TOL_HELP = "Newton stops after a full step that moves no log-rate by more than this"
 
@@ -107,25 +107,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_regress)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo comparison on a built-in scenario")
-    p.add_argument("--scenario", required=True, choices=["rc", "ic1", "ic2"])
-    p.add_argument("--n", type=int, required=True)
+    # the flags of ScenarioConfig, shared by simulate and bench
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True, choices=list(_SCENARIOS))
+    scenario.add_argument("--n", type=int, required=True)
+    scenario.add_argument("--seed", type=int, default=0)
+    scenario.add_argument("--tau", default=None)
+    scenario.add_argument("--cuts", default=None)
+
+    p = sub.add_parser("simulate", parents=[scenario],
+                       help="Monte-Carlo comparison on a built-in scenario")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--method", choices=["fast", "jackknife", "both"], default="both")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau", default=None)
-    p.add_argument("--cuts", default=None)
     p.add_argument("--out", default=None,
                    help="write the deterministic report CSV here (timing stays on stdout)")
     p.set_defaults(run=_cmd_simulate)
 
-    p = sub.add_parser("bench", help="time fast vs jackknife pseudo-observations")
-    p.add_argument("--scenario", required=True, choices=["rc", "ic1", "ic2"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("bench", parents=[scenario],
+                       help="time fast vs jackknife pseudo-observations")
     p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--tau", default=None)
-    p.add_argument("--cuts", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_bench)
 

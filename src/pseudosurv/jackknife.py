@@ -34,7 +34,8 @@ from .km import (
     _step_value,
     km_fit,
 )
-from .pch import CutGrid, rmst_rows, score_products, survival_rows
+from .parametric import _score_solves
+from .pch import CutGrid, rmst_rows, survival_rows
 
 # A block of left-out subjects holds at most this many elements per
 # block-by-column array: subjects times event times for the product-limit
@@ -130,7 +131,7 @@ def jackknife_pch(
     n = dataset.n
     try:
         # alpha_(-l) = alpha - info^-1 s_l / (n - 1) + O(n^-2), stepped in log-rates
-        shift = score_products(alpha_full, prep, fit.solve_information(np.eye(grid.K)))
+        shift = _score_solves(fit, dataset, np.eye(grid.K))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             start = alpha_full * np.exp(-shift / ((n - 1) * alpha_full))
     except SingularInformation:

@@ -1,6 +1,7 @@
 """Simulation scenarios, Monte-Carlo comparisons, and timing benchmarks.
 
-Three data-generating scenarios are built in:
+Three data-generating scenarios are built in, each one entry of the
+``_SCENARIOS`` table:
 
 ``rc``
     Right-censored. The latent time is 5.5 + 0.25 z1 + 0.25 z2 plus a
@@ -18,6 +19,8 @@ Three data-generating scenarios are built in:
     default cuts 6, 8, 10, 12, 14, and unrestricted mean (tau = inf) on
     the design (1, z).
 
+Any other tau may be given; the regression truth is always the
+least-squares projection of E[min(T, tau) | covariates] on the design.
 Replications draw from independent spawned generator streams, so reports
 are reproducible bit for bit from the scenario seed, and the fast and
 jackknife arms of a comparison see identical datasets.
@@ -29,10 +32,12 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy import special
 
-from .data import Dataset, right_censored_dataset, interval_dataset
+from .data import KIND_RIGHT, Dataset, right_censored_dataset, interval_dataset
 from .errors import (
     DidNotConverge,
     NoEvents,
@@ -49,7 +54,20 @@ from .pch import CutGrid
 
 SE_CONVENTION = "sample standard deviation of replication estimates (ddof=1)"
 
-_SATURATED_NAMES = ("intercept", "z1_only", "z2_only", "z1_and_z2")
+
+@dataclass(frozen=True)
+class _Scenario:
+    """A built-in scenario: its latent draw, observation scheme, defaults and truth."""
+
+    draw: Callable  # (rng, n) -> (latent times, tuple of covariate arrays)
+    design: Callable  # (*covariates) -> design matrix
+    coef_names: tuple
+    tau: float
+    cuts: tuple | None
+    truth: Callable  # tau -> the regression truth in closed form
+    estimate: Callable  # (min(T, tau), design) -> the truth from latent draws
+    censor_rate: float | None = None  # right-censoring: the exponential rate
+    visits: tuple | None = None  # interval-censoring: _visit_bracket's two scales
 
 
 @dataclass(frozen=True)
@@ -67,31 +85,88 @@ class ScenarioConfig:
     cuts: tuple | None = None
 
     def __post_init__(self):
-        if self.scenario not in ("rc", "ic1", "ic2"):
+        if self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.n < 2:
             raise ValueError("scenario needs n >= 2")
+        spec = _SCENARIOS[self.scenario]
         if self.tau is None:
-            object.__setattr__(self, "tau", math.inf if self.scenario == "ic2" else 6.0)
-        if self.cuts is None and self.scenario != "rc":
-            default = (4.0, 5.0, 6.0, 7.0) if self.scenario == "ic1" else (6.0, 8.0, 10.0, 12.0, 14.0)
-            object.__setattr__(self, "cuts", default)
-        if self.cuts is not None:
-            object.__setattr__(self, "cuts", tuple(float(c) for c in self.cuts))
+            object.__setattr__(self, "tau", spec.tau)
+        cuts = spec.cuts if self.cuts is None else self.cuts
+        if cuts is not None:
+            object.__setattr__(self, "cuts", tuple(float(c) for c in cuts))
 
     @property
     def beta0(self) -> np.ndarray:
         """Closed-form regression truth for the scenario's target."""
-        if self.scenario == "ic2":
-            return np.array([6.0, 4.0])
-        cells = [_uniform_cell_rmst(m, self.tau) for m in (5.5, 5.75, 5.75, 6.0)]
-        return np.array(
-            [cells[0], cells[1] - cells[0], cells[2] - cells[0], cells[3] - cells[0]]
-        )
+        return _SCENARIOS[self.scenario].truth(self.tau)
 
     @property
     def coef_names(self) -> tuple:
-        return ("intercept", "z") if self.scenario == "ic2" else _SATURATED_NAMES
+        return _SCENARIOS[self.scenario].coef_names
+
+
+def generate(config: ScenarioConfig, seed=None, with_latent: bool = False):
+    """Generate one dataset for a scenario config (seed override optional);
+    ``with_latent`` adds a dict of the latent ``tstar`` (and ``censor``) times."""
+    spec = _SCENARIOS[config.scenario]
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    tstar, covariates = spec.draw(rng, config.n)
+    latent = {"tstar": tstar}
+    # Building the design before the observation step leaves glibc's heap so
+    # that later large allocations fault their pages in again: an ic1 fit and
+    # its pseudo maps at n = 10^6 then took 10-20% longer, with about 7000
+    # more page faults.
+    if spec.visits is None:
+        censor = latent["censor"] = rng.exponential(1.0 / spec.censor_rate, config.n)
+        dataset = right_censored_dataset(np.minimum(tstar, censor), (tstar <= censor).astype(int),
+                                         spec.design(*covariates), spec.coef_names)
+    else:
+        left, right = _visit_bracket(rng, tstar, *spec.visits)
+        dataset = interval_dataset(left, right, spec.design(*covariates), spec.coef_names)
+    return (dataset, latent) if with_latent else dataset
+
+
+def true_rmst_beta(scenario: str, draws: int = 10_000_000, seed=0) -> np.ndarray:
+    """Monte-Carlo regression truth at the scenario's default tau, from
+    uncensored latent draws.
+
+    Complements the closed-form ``ScenarioConfig.beta0``; the two agree to
+    Monte-Carlo accuracy and the simulation tests check both.
+    """
+    if scenario not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    spec = _SCENARIOS[scenario]
+    tstar, covariates = spec.draw(np.random.default_rng(seed), draws)
+    return spec.estimate(np.minimum(tstar, spec.tau), spec.design(*covariates))
+
+
+def _draw_saturated(rng, n):
+    """z1, z2 Bernoulli(1/2); T uniform on 5.5 + 0.25 (z1 + z2) -/+ 3."""
+    z1 = rng.binomial(1, 0.5, n)
+    z2 = rng.binomial(1, 0.5, n)
+    tstar = 5.5 + 0.25 * z1 + 0.25 * z2 + rng.uniform(-3.0, 3.0, n)
+    return tstar, (z1, z2)
+
+
+def _saturated_design(z1, z2):
+    return np.column_stack(
+        [np.ones(z1.size), z1 * (1 - z2), z2 * (1 - z1), z1 * z2]
+    ).astype(float)
+
+
+def _saturated_truth(tau: float) -> np.ndarray:
+    """E[min(T, tau)] in the cell z1 = z2 = 0, and the other cells' differences from it."""
+    base = _uniform_cell_rmst(5.5, tau)
+    return np.array([base] + [_uniform_cell_rmst(m, tau) - base for m in (5.75, 5.75, 6.0)])
+
+
+def _cell_contrasts(y, design) -> np.ndarray:
+    """The mean of y in the cell with no indicator set, and the other cells'
+    differences from it: the least-squares fit on a saturated design."""
+    indicators = design[:, 1:]
+    base = y[~indicators.any(axis=1)].mean()
+    return np.array([base] + [y[column == 1].mean() - base for column in indicators.T])
 
 
 def _uniform_cell_rmst(m: float, tau: float, half: float = 3.0) -> float:
@@ -105,63 +180,44 @@ def _uniform_cell_rmst(m: float, tau: float, half: float = 3.0) -> float:
     return (tau**2 - lo**2) / (2 * width) + tau * (hi - tau) / width
 
 
-def gen_rc(n: int, seed, with_latent: bool = False):
-    """Right-censored scenario data; see the module docstring for the design."""
-    rng = np.random.default_rng(seed)
-    z1 = rng.binomial(1, 0.5, n)
-    z2 = rng.binomial(1, 0.5, n)
-    tstar = 5.5 + 0.25 * z1 + 0.25 * z2 + rng.uniform(-3.0, 3.0, n)
-    censor = rng.exponential(1.0 / 0.07, n)
-    times = np.minimum(tstar, censor)
-    status = (tstar <= censor).astype(int)
-    dataset = right_censored_dataset(
-        times, status, _saturated_design(z1, z2), _SATURATED_NAMES
-    )
-    if with_latent:
-        return dataset, {"tstar": tstar, "censor": censor}
-    return dataset
-
-
-def gen_ic1(n: int, seed, with_latent: bool = False):
-    """First interval-censored scenario: five visits over a uniform latent time."""
-    rng = np.random.default_rng(seed)
-    z1 = rng.binomial(1, 0.5, n)
-    z2 = rng.binomial(1, 0.5, n)
-    tstar = 5.5 + 0.25 * z1 + 0.25 * z2 + rng.uniform(-3.0, 3.0, n)
-    left, right = _visit_bracket(rng, tstar, first_scale=6.0, gap_scale=2.0)
-    dataset = interval_dataset(left, right, _saturated_design(z1, z2), _SATURATED_NAMES)
-    if with_latent:
-        return dataset, {"tstar": tstar}
-    return dataset
-
-
-def gen_ic2(n: int, seed, with_latent: bool = False):
-    """Second interval-censored scenario: linear model with a continuous covariate."""
-    rng = np.random.default_rng(seed)
+def _draw_linear(rng, n):
+    """z uniform on [0, 2]; T = 6 + 4 z + standard normal noise."""
     z = rng.uniform(0.0, 2.0, n)
     tstar = 6.0 + 4.0 * z + rng.normal(0.0, 1.0, n)
-    left, right = _visit_bracket(rng, tstar, first_scale=10.0, gap_scale=4.0)
-    design = np.column_stack([np.ones(n), z])
-    dataset = interval_dataset(left, right, design, ("intercept", "z"))
-    if with_latent:
-        return dataset, {"tstar": tstar}
-    return dataset
+    return tstar, (z,)
 
 
-def generate(config: ScenarioConfig, seed=None, with_latent: bool = False):
-    """Generate one dataset for a scenario config (seed override optional)."""
-    use = config.seed if seed is None else seed
-    if config.scenario == "rc":
-        return gen_rc(config.n, use, with_latent)
-    if config.scenario == "ic1":
-        return gen_ic1(config.n, use, with_latent)
-    return gen_ic2(config.n, use, with_latent)
+def _linear_design(z):
+    return np.column_stack([np.ones(z.size), z])
 
 
-def _saturated_design(z1, z2):
-    return np.column_stack(
-        [np.ones(z1.size), z1 * (1 - z2), z2 * (1 - z1), z1 * z2]
-    ).astype(float)
+def _linear_truth(tau: float) -> np.ndarray:
+    """Projection of E[min(T, tau) | z] = tau - g Phi(g) - phi(g), g = tau - 6 - 4 z,
+    on (1, z) over z uniform on [0, 2], by 40-node Gauss-Legendre sums; (6, 4) at tau = inf."""
+    if math.isinf(tau):
+        return np.array([6.0, 4.0])
+    x, weights = np.polynomial.legendre.leggauss(40)
+    design = np.column_stack([np.ones(x.size), 1.0 + x])  # nodes mapped onto [0, 2]
+    gap = tau - design @ (6.0, 4.0)
+    mean = tau - gap * special.ndtr(gap) - np.exp(-0.5 * gap**2) / math.sqrt(2 * math.pi)
+    # the uniform density's constant cancels between the two sides
+    return np.linalg.solve(design.T @ (weights[:, None] * design), design.T @ (weights * mean))
+
+
+def _least_squares(y, design) -> np.ndarray:
+    return np.linalg.lstsq(design, y, rcond=None)[0]
+
+
+_SATURATED_NAMES = ("intercept", "z1_only", "z2_only", "z1_and_z2")
+_SCENARIOS = {
+    "rc": _Scenario(_draw_saturated, _saturated_design, _SATURATED_NAMES, 6.0, None,
+                    _saturated_truth, _cell_contrasts, censor_rate=0.07),
+    "ic1": _Scenario(_draw_saturated, _saturated_design, _SATURATED_NAMES, 6.0,
+                     (4.0, 5.0, 6.0, 7.0), _saturated_truth, _cell_contrasts, visits=(6.0, 2.0)),
+    "ic2": _Scenario(_draw_linear, _linear_design, ("intercept", "z"), math.inf,
+                     (6.0, 8.0, 10.0, 12.0, 14.0), _linear_truth, _least_squares,
+                     visits=(10.0, 4.0)),
+}
 
 
 def _visit_bracket(rng, tstar, first_scale, gap_scale, visits: int = 5):
@@ -189,34 +245,6 @@ def _visit_bracket(rng, tstar, first_scale, gap_scale, visits: int = 5):
     right = np.where(right_censored, np.inf, v[rows, first_after])
     right = np.where(left_censored, v[:, 0], right)
     return left, right
-
-
-def true_rmst_beta(scenario: str, draws: int = 10_000_000, seed=0) -> np.ndarray:
-    """Monte-Carlo regression truth from uncensored latent draws.
-
-    Complements the closed-form ``ScenarioConfig.beta0``; the two agree to
-    Monte-Carlo accuracy and the simulation tests check both.
-    """
-    rng = np.random.default_rng(seed)
-    if scenario in ("rc", "ic1"):
-        z1 = rng.binomial(1, 0.5, draws)
-        z2 = rng.binomial(1, 0.5, draws)
-        tstar = 5.5 + 0.25 * z1 + 0.25 * z2 + rng.uniform(-3.0, 3.0, draws)
-        y = np.minimum(tstar, 6.0)
-        cells = [
-            y[(z1 == a) & (z2 == b)].mean()
-            for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))
-        ]
-        return np.array(
-            [cells[0], cells[1] - cells[0], cells[2] - cells[0], cells[3] - cells[0]]
-        )
-    if scenario == "ic2":
-        z = rng.uniform(0.0, 2.0, draws)
-        tstar = 6.0 + 4.0 * z + rng.normal(0.0, 1.0, draws)
-        design = np.column_stack([np.ones(draws), z])
-        coef, *_ = np.linalg.lstsq(design, tstar, rcond=None)
-        return coef
-    raise ValueError(f"unknown scenario {scenario!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,9 +354,9 @@ def _estimate_once(config: ScenarioConfig, dataset: Dataset, method: str):
 
 
 def _fit_step(config: ScenarioConfig, dataset: Dataset):
-    """The untimed estimator fit: the product-limit pass for rc; for ic the
-    hazard fit and its information factor."""
-    if config.scenario == "rc":
+    """The untimed estimator fit: the product-limit pass for right-censored
+    data; for interval-censored data the hazard fit and its information factor."""
+    if dataset.kind == KIND_RIGHT:
         return km_fit(dataset)
     pfit = fit_pch(dataset, CutGrid(config.cuts))
     pfit.info_factor
@@ -341,7 +369,7 @@ def _pseudo_gee_step(config: ScenarioConfig, dataset: Dataset, fit, method: str)
     A jackknife vector with failed leave-one-out refits raises
     DidNotConverge instead of reaching the regression as NaN.
     """
-    if config.scenario == "rc":
+    if dataset.kind == KIND_RIGHT:
         pv = (km_pseudo_rmst(fit, config.tau) if method == FAST
               else jackknife_km(dataset, RMST, config.tau))
     elif method == FAST:

@@ -17,7 +17,6 @@ from pseudosurv.simulate import (
     ScenarioConfig,
     _visit_bracket,
     benchmark,
-    gen_rc,
     generate,
     monte_carlo,
     true_rmst_beta,
@@ -66,13 +65,32 @@ def test_regression_truth_agrees_with_latent_draws():
         true_rmst_beta("nope", draws=10)
 
 
+def test_ic2_truth_at_a_finite_tau_agrees_with_latent_draws():
+    """The closed-form truth against the least-squares fit of min(T, tau)
+    on (1, z) over 2^25 draws of the ic2 latent model, whose standard
+    error is at most about 5e-4 at these tau."""
+    taus = np.array([7.0, 8.0, 12.0])
+    rng = np.random.default_rng(5)
+    gram, cross = np.zeros((2, 2)), np.zeros((taus.size, 2))
+    for _ in range(32):
+        z = rng.uniform(0.0, 2.0, 1 << 20)
+        tstar = 6.0 + 4.0 * z + rng.normal(0.0, 1.0, z.size)
+        design = np.column_stack([np.ones(z.size), z])
+        gram += design.T @ design
+        cross += np.minimum(tstar, taus[:, None]) @ design
+    for tau, drawn in zip(taus, np.linalg.solve(gram, cross.T).T):
+        np.testing.assert_allclose(ScenarioConfig("ic2", n=10, tau=tau).beta0, drawn, atol=2e-3)
+    np.testing.assert_allclose(ScenarioConfig("ic2", n=10, tau=8.0).beta0,
+                               [6.970, 0.718], atol=1e-3)
+
+
 def test_rc_censoring_rate():
     ds = generate(ScenarioConfig("rc", n=100_000, seed=0))
     assert censoring_summary(ds)["censored"] == pytest.approx(0.326, abs=0.01)
 
 
 def test_rc_latent_consistency():
-    ds, latent = gen_rc(500, seed=3, with_latent=True)
+    ds, latent = generate(ScenarioConfig("rc", 500, seed=3), with_latent=True)
     np.testing.assert_allclose(
         ds.times, np.minimum(latent["tstar"], latent["censor"]), atol=1e-12
     )
