@@ -113,7 +113,7 @@ def _build_parser() -> _Parser:
     scenario.add_argument("--n", type=int, required=True)
     scenario.add_argument("--seed", type=int, default=0)
     scenario.add_argument("--tau", default=None)
-    scenario.add_argument("--cuts", default=None)
+    scenario.add_argument("--cuts", default=None, help="comma-separated cut points (ic1 and ic2 only)")
 
     p = sub.add_parser("simulate", parents=[scenario],
                        help="Monte-Carlo comparison on a built-in scenario")
@@ -139,7 +139,7 @@ def _cmd_pseudo(args):
     target = SURVIVAL if args.target == "surv" else RMST
 
     if args.kind == "rc":
-        dataset = load_right_censored_dataset(args.data)
+        dataset = load_right_censored_dataset(args.data, covariates=False)
         km = km_fit(dataset)
         if args.method == FAST:
             pv = (km_pseudo_survival(km, horizon) if target == SURVIVAL
@@ -149,7 +149,7 @@ def _cmd_pseudo(args):
         if args.curve_out:
             _emit(_csv("t,survival\n", "%.12g,%.12g\n", *km.survival_curve()), args.curve_out)
     else:
-        dataset = load_interval_dataset(args.data)
+        dataset = load_interval_dataset(args.data, covariates=False)
         grid = _make_grid(args.cuts)
         pfit = fit_pch(dataset, grid, tol=args.tol, max_iter=args.max_iter)
         if args.method == FAST:
@@ -167,7 +167,7 @@ def _cmd_pseudo(args):
 
 
 def _cmd_fit(args):
-    dataset = load_interval_dataset(args.data)
+    dataset = load_interval_dataset(args.data, covariates=False)
     grid = _make_grid(args.cuts)
     pfit = fit_pch(dataset, grid, tol=args.tol, max_iter=args.max_iter,
                    strict=args.strict)

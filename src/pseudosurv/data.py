@@ -200,7 +200,7 @@ def recode_right_censored_as_interval(dataset: Dataset) -> Dataset:
     return interval_dataset(left, right, dataset.covariates, dataset.covariate_names)
 
 
-def load_right_censored_dataset(source) -> Dataset:
+def load_right_censored_dataset(source, covariates=True) -> Dataset:
     """Load a right-censored dataset from CSV.
 
     The file must have a header row naming at least ``time,status``; any
@@ -212,24 +212,29 @@ def load_right_censored_dataset(source) -> Dataset:
     source : path-like, file-like, or iterable of lines
         Read once, one batch of lines at a time, so a pipe such as
         ``/dev/stdin`` works as well as a file.
+    covariates : bool
+        If False, only the first two cells of each row are parsed and
+        checked: a row needs at least two cells, and any further cells may
+        hold any text. The dataset then has no covariates.
 
     Returns
     -------
     Dataset
     """
-    return _load(source, KIND_RIGHT)
+    return _load(source, KIND_RIGHT, covariates)
 
 
-def load_interval_dataset(source) -> Dataset:
+def load_interval_dataset(source, covariates=True) -> Dataset:
     """Load an interval-censored dataset from CSV.
 
     The header must name at least ``left,right``. The right endpoint
     accepts ``inf`` in any capitalization, ``+inf``, or an empty cell for
     an infinite endpoint; the emitted form on save is always ``inf``.
     Classification into censoring classes is derived per record. The
-    source is read as `load_right_censored_dataset` reads it.
+    source and ``covariates`` are read as `load_right_censored_dataset`
+    reads them.
     """
-    return _load(source, KIND_INTERVAL)
+    return _load(source, KIND_INTERVAL, covariates)
 
 
 def save_dataset(dataset: Dataset, target) -> None:
@@ -443,21 +448,24 @@ def interval_width_summary(dataset: Dataset) -> dict:
     }
 
 
-def _load(source, kind):
+def _load(source, kind, covariates):
     """Read ``source`` once: a path is opened, anything else is iterated as
     lines, a path's byte-order mark dropped. The header comes first, then
-    the body, `_parse_rows` its row rule."""
+    the body, `_parse_rows` its row rule; without ``covariates``, only the
+    first two cells of each row."""
     is_path = isinstance(source, (str, Path))
     with open(source, newline="", encoding="utf-8-sig") if is_path else nullcontext(iter(source)) as lines:
         header = _read_header(lines, kind)
+        names = _HEADERS[kind] + tuple(header[2:] if covariates else ())
         table = _read_body(
-            lines, lambda records, start, _: _parse_rows(records, header, kind, start),
-            width=len(header), accept=lambda t: not _bad_rows(kind, t[:, 0], t[:, 1]).any(),
+            lines, lambda records, start, _: _parse_rows(records, names, kind, start, covariates),
+            width=len(names), accept=lambda t: not _bad_rows(kind, t[:, 0], t[:, 1]).any(),
             converters={1: _right_cell} if kind == KIND_INTERVAL else None,
+            usecols=None if covariates else (0, 1),
         )
-    names = _as_names(header[2:]) if len(header) > 2 else None
-    covariates = np.ascontiguousarray(table[:, 2:]) if names else None
-    return Dataset(kind, (table[:, 0], table[:, 1]), covariates, names)
+    names = names[2:] or None
+    matrix = np.ascontiguousarray(table[:, 2:]) if names else None
+    return Dataset(kind, (table[:, 0], table[:, 1]), matrix, names)
 
 
 def _read_header(lines, kind):
@@ -573,23 +581,24 @@ def _right_cell(cell):
     return math.inf if cell.strip() == "" else float(cell)
 
 
-def _parse_rows(records, header, kind, start):
+def _parse_rows(records, names, kind, start, covariates):
     """The row rule of ``--data``: records numbered from ``start`` as an
-    (m, width) float table, their cells parsed one by one. The records whose
-    time and status (or endpoints) parsed are checked against the record
-    rule before a later cell's fault is raised, so the first bad row's
-    error is raised."""
-    names = _HEADERS[kind] + tuple(header[2:])
+    (m, width) float table, their cells named ``names`` parsed one by one;
+    without ``covariates``, a record may hold further cells, not read. The
+    records whose time and status (or endpoints) parsed are checked against
+    the record rule before a later cell's fault is raised, so the first bad
+    row's error is raised."""
     parse_second = _right_cell if kind == KIND_INTERVAL else float
-    pairs, raw, covariates, fault = [], [], [], None
+    pairs, raw, cells, fault = [], [], [], None
     for i, (_, row) in enumerate(records, start=start):
         try:
-            if len(row) != len(names):
-                raise ParseError(f"row {i}: expected {len(names)} cells, got {len(row)}", row=i)
+            if len(row) < len(names) or covariates and len(row) > len(names):
+                at_least = "" if covariates else "at least "
+                raise ParseError(f"row {i}: expected {at_least}{len(names)} cells, got {len(row)}", row=i)
             pairs.append((_parse_float(row[0], i, names[0]),
                           _parse_float(row[1], i, names[1], parse_second)))
             raw.append(row[1])
-            covariates.append([_parse_float(c, i, name) for c, name in zip(row[2:], names[2:])])
+            cells.append([_parse_float(c, i, name) for c, name in zip(row[2:], names[2:])])
         except ParseError as exc:
             fault = exc
             break
@@ -597,8 +606,8 @@ def _parse_rows(records, header, kind, start):
     _check_rows(kind, first, second, raw, row=start)
     if fault is not None:
         raise fault
-    covariates = np.array(covariates, dtype=float).reshape(len(pairs), len(names) - 2)
-    return np.column_stack((first, second, covariates))
+    cells = np.array(cells, dtype=float).reshape(len(pairs), len(names) - 2)
+    return np.column_stack((first, second, cells))
 
 
 def _parse_float(cell, row, name, parse=float):

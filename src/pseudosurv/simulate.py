@@ -75,7 +75,8 @@ class ScenarioConfig:
     """One simulation scenario with its constants resolved.
 
     ``tau`` and ``cuts`` default per scenario (see the module docstring);
-    pass explicit values to override them.
+    pass explicit values to override them. The rc scenario fits no
+    piecewise hazard, so it refuses ``cuts``.
     """
 
     scenario: str
@@ -92,6 +93,8 @@ class ScenarioConfig:
         spec = _SCENARIOS[self.scenario]
         if self.tau is None:
             object.__setattr__(self, "tau", spec.tau)
+        if spec.cuts is None and self.cuts is not None:
+            raise ValueError(f"scenario {self.scenario} takes no cuts")
         cuts = spec.cuts if self.cuts is None else self.cuts
         if cuts is not None:
             object.__setattr__(self, "cuts", tuple(float(c) for c in cuts))

@@ -195,6 +195,10 @@ def test_usage_errors_exit_2(rc_csv, ic_csv, capsys, tmp_path):
         (["simulate", "--scenario", "rc", "--n", "1", "--reps", "3"], "scenario needs n >= 2"),
         (["simulate", "--scenario", "rc", "--n", "20", "--reps", "1"],
          "need at least two replications"),
+        # cuts for a scenario without a piecewise-hazard fit
+        (["simulate", "--scenario", "rc", "--n", "100", "--reps", "3", "--method", "fast",
+          "--seed", "2", "--cuts", "3,4"], "scenario rc takes no cuts"),
+        (["bench", "--scenario", "rc", "--n", "100", "--cuts", "3,4"], "scenario rc takes no cuts"),
     ]
     for args, message in cases:
         assert main(args) == 2, args
@@ -296,6 +300,35 @@ def test_warnings_reach_stderr_as_one_line_each(tmp_path, capsys):
         warnings.simplefilter("ignore")
         assert main(args) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def _with_extra_cells(text):
+    """``text``, a two-column CSV, with a header naming two more columns and
+    rows whose further cells are numeric, text, NaN, quoted or missing, or
+    more than the header names."""
+    extras = [",1.5,-2", ",a,b", ",nan,", "", ',"x, y","line\nbreak",3,4', ",,NaN"]
+    lines = text.splitlines()
+    rows = [line + extras[i % len(extras)] for i, line in enumerate(lines[1:])]
+    return "\n".join([lines[0] + ",z,group"] + rows) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["pseudo", "--kind", "rc", "--target", "rmst", "--tau", "5"],
+    ["pseudo", "--kind", "ic", "--target", "surv", "--t", "5", "--cuts", "4,5,6,7"],
+    ["fit", "--cuts", "4,5,6,7"],
+], ids=["pseudo-rc", "pseudo-ic", "fit"])
+def test_pseudo_and_fit_ignore_cells_past_the_first_two(command, tmp_path, capsys):
+    config = ScenarioConfig("rc" if "rc" in command else "ic1", n=60, seed=4)
+    ds = generate(config)
+    two = tmp_path / "two.csv"
+    save_dataset(data.Dataset(ds.kind, ds.columns), two)
+    wide = tmp_path / "wide.csv"
+    wide.write_text(_with_extra_cells(two.read_text()), newline="")
+    outputs = []
+    for path in (two, wide):
+        assert main([*command, "--data", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_fit_report_and_curve(ic_csv, tmp_path, capsys):

@@ -444,29 +444,32 @@ _LOADER_CASES = {
 
 
 def _check_loader_case(loader, text, expected, source, tmp_path, monkeypatch):
-    """Valid files load in vectorized parses, without the row-wise reading;
-    invalid ones raise that reading's first-row error."""
-    if source == "path":
-        src = tmp_path / "data.csv"
-        src.write_text(text if isinstance(text, str) else "\n".join(text) + "\n", newline="")
-    else:
-        src = io.StringIO(text) if isinstance(text, str) else text
+    """Valid files load in vectorized parses, without the row-wise reading,
+    and give the same two columns and no covariates with
+    ``covariates=False``; invalid ones raise that reading's first-row error."""
+    def src():
+        if source == "path":
+            path = tmp_path / "data.csv"
+            path.write_text(text if isinstance(text, str) else "\n".join(text) + "\n", newline="")
+            return path
+        return io.StringIO(text) if isinstance(text, str) else text
+
     if isinstance(expected[0], type):
         kind, message, row = expected
         with pytest.raises(kind) as err:
-            loader(src)
+            loader(src())
         assert str(err.value) == message
         assert getattr(err.value, "row", None) == row
         return
     monkeypatch.setattr(data, "_parse_rows", None)
-    ds = loader(src)
     first, second, covariates = expected
-    np.testing.assert_array_equal(ds.columns[0], first)
-    np.testing.assert_array_equal(ds.columns[1], second)
-    if covariates is None:
-        assert ds.covariates is None
-    else:
-        np.testing.assert_array_equal(ds.covariates, covariates)
+    for ds, expected_covariates in ((loader(src()), covariates), (loader(src(), covariates=False), None)):
+        np.testing.assert_array_equal(ds.columns[0], first)
+        np.testing.assert_array_equal(ds.columns[1], second)
+        if expected_covariates is None:
+            assert ds.covariates is None and ds.covariate_names is None
+        else:
+            np.testing.assert_array_equal(ds.covariates, expected_covariates)
 
 
 @pytest.mark.parametrize("source", ["buffer", "path"])
@@ -588,6 +591,59 @@ def test_rows_after_a_row_by_row_batch_keep_their_numbers(read_lines, monkeypatc
         load_right_censored_dataset(io.StringIO(text))
     assert str(err.value) == f"row {bad}: cannot parse status='x' as a number"
     assert err.value.row == bad
+
+
+# (loader, file text, expected) read with covariates=False, as _LOADER_CASES:
+# the row rule parses and counts only the first two cells of a row.
+_TWO_COLUMN_CASES = {
+    "text_cells_row_by_row": (
+        load_right_censored_dataset, "time,status,group\n1.5,1,a\n1_0,0,b\n",
+        ([1.5, 10.0], [1, 0]),
+    ),
+    "ragged_rows_row_by_row": (
+        load_right_censored_dataset, 'time,status,group\n1_0,1,a\n2,0\n3,1,x,"y\nz",nan\n',
+        ([10.0, 2.0, 3.0], [1, 0, 1]),
+    ),
+    "empty_right_row_by_row": (
+        load_interval_dataset, "left,right,z\n1_0,,a\n2,3\n4,inf,,,\n",
+        ([10.0, 2.0, 4.0], [math.inf, 3.0, math.inf]),
+    ),
+    "one_cell": (
+        load_right_censored_dataset, "time,status,group\n1,1,a\n2\n3,0,c\n",
+        (ParseError, "row 2: expected at least 2 cells, got 1", 2),
+    ),
+    "blank_line": (
+        load_interval_dataset, "left,right,z\n1,2,a\n\n3,4,c\n",
+        (ParseError, "row 2: expected at least 2 cells, got 0", 2),
+    ),
+    "bad_time_beside_text": (
+        load_right_censored_dataset, "time,status,group\n1,1,a\nx,0,b\n",
+        (ParseError, "row 2: cannot parse time='x' as a number", 2),
+    ),
+    "bad_status_beside_text": (
+        load_right_censored_dataset, "time,status,group\n1,1,a\n2,2,b\n",
+        (ParseError, "row 2: status must be 0 or 1, got '2'", 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("read_lines", [1, 2, None], ids=["1", "2", "default"])
+@pytest.mark.parametrize("case", sorted(_TWO_COLUMN_CASES))
+def test_two_column_loads_read_and_count_only_two_cells(case, read_lines, monkeypatch):
+    if read_lines is not None:
+        monkeypatch.setattr(data, "_READ_LINES", read_lines)
+    loader, text, expected = _TWO_COLUMN_CASES[case]
+    if isinstance(expected[0], type):
+        kind, message, row = expected
+        with pytest.raises(kind) as err:
+            loader(io.StringIO(text), covariates=False)
+        assert str(err.value) == message
+        assert getattr(err.value, "row", None) == row
+        return
+    ds = loader(io.StringIO(text), covariates=False)
+    np.testing.assert_array_equal(ds.columns[0], expected[0])
+    np.testing.assert_array_equal(ds.columns[1], expected[1])
+    assert ds.covariates is None and ds.covariate_names is None
 
 
 def _reference_csv(dataset):

@@ -39,6 +39,8 @@ def test_config_validation():
         ScenarioConfig("weird", n=100)
     with pytest.raises(ValueError):
         ScenarioConfig("rc", n=1)
+    with pytest.raises(ValueError, match="scenario rc takes no cuts"):
+        ScenarioConfig("rc", n=100, cuts=(3.0, 4.0))
 
 
 def test_regression_truth_closed_form():
