@@ -18,11 +18,21 @@ piece plus the part within it, and a bracket's cumulative hazard is its two
 own-piece lengths times those pieces' rates plus the full pieces between,
 which it shares with every bracket of its (first piece, last piece) class.
 So a likelihood evaluation reads O(n) numbers at any number of pieces.
+
+Passes over more than SPLIT_ELEMENTS elements (the kernel, the bracket
+increments, ``score_products``, the per-record sweeps of
+``prepare_likelihood``) run in one part per CPU of the process's affinity
+mask, which taskset and cpusets narrow. Kernel parts end at class bounds
+and the pairwise log-mass sum waits for them all, so no output depends on
+the number of parts. The calling thread allocates every large buffer, as
+memory a pool thread allocates stays in that thread's arena.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -35,6 +45,11 @@ from .errors import DegenerateInterval, EmptyInput, check_tau, check_time
 # Below this, the cancellation-prone factor in the restricted-mean gradient
 # switches to its power series.
 _SERIES_CUTOFF = 1e-3
+
+# A pass over more elements (brackets or records times rows or columns) runs
+# in parts; jackknife blocks (2^15 elements) and small-n simulations do not.
+SPLIT_ELEMENTS = 1 << 17
+_POOL = {}  # process id -> its thread pool
 
 
 @dataclass(frozen=True)
@@ -329,9 +344,10 @@ class PreparedLikelihood:
     b = 0 within one piece.
 
     The brackets are stored class by class: ``interval_rows`` gives their
-    records and ``diff`` (2, brackets) their a and b; ``class_starts``,
-    ``class_sizes`` and ``class_pieces`` (2, Q) give each of the Q classes'
-    first position, size and (jL, jR). ``classes`` (3, Q, K) holds the
+    records and ``diff`` (2, brackets) their a and b; ``class_bounds``
+    (Q + 1) holds each of the Q classes' first position and then the number
+    of brackets, and ``class_sizes`` and ``class_pieces`` (2, Q) give each
+    class's size and (jL, jR). ``classes`` (3, Q, K) holds the
     classes' bases, the unit vectors of jL and jR and the widths of the full
     pieces between, so the class's increments are its bases times the rates
     dotted with (a, b, 1). Exact records are ``exact_rows``, in pieces
@@ -348,7 +364,7 @@ class PreparedLikelihood:
     left_piece: np.ndarray
     diff: np.ndarray
     interval_rows: np.ndarray
-    class_starts: np.ndarray
+    class_bounds: np.ndarray
     class_sizes: np.ndarray
     class_pieces: np.ndarray
     classes: np.ndarray
@@ -395,47 +411,69 @@ def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
         raise EmptyInput("cannot prepare an empty dataset")
     left, right = dataset.left, dataset.right
     n, K = dataset.n, grid.K
-    piece = grid.piece_index(left).astype(np.min_scalar_type(K))
-    bracket = np.isfinite(right) & (right != left)
-    # One stable sort by a small-int key, widened to hold K (K + 1), puts the
-    # brackets first, class (jL, jR) after class, then the others piece by piece.
-    wide = piece.astype(np.min_scalar_type(K * (K + 1)))
-    key = np.where(bracket, wide * K + grid.piece_index(right).astype(wide.dtype), wide + K * K)
+    # A stable sort by small-int key puts the brackets first, class (jL, jR)
+    # after class (key jL K + jR), then the others by piece (key jL + K^2).
+    piece, index, own = np.zeros(n, np.min_scalar_type(K)), np.empty(n, np.intp), np.empty(n)
+    key, other = np.zeros((2, n), np.min_scalar_type(K * (K + 1)))
+    flag, exact = np.empty((2, n), bool)
+    def lookup(start, stop):
+        jL, j, o, k, d, f, e, L, R = (x[start:stop] for x in (
+            piece, index, own, key, other, flag, exact, left, right))
+        for c in grid.cuts:
+            jL += np.greater(L, c, out=f)
+            k += np.greater(R, c, out=f)
+        np.copyto(j, jL)
+        np.subtract(L, grid.lower.take(j, out=o, mode="clip"), out=o)
+        # k = jL K + jR, plus jL + K^2 - k for no bracket (exact wrapping sums)
+        k += np.multiply(jL, K, out=d, dtype=d.dtype)
+        np.add(jL, K * K, out=d, dtype=d.dtype)
+        d -= k
+        d *= np.logical_or(np.isinf(R, out=f), np.equal(L, R, out=e), out=f)
+        k += d
+
+    _split(lookup, n, n)
     order = np.argsort(key, kind="stable")
     sizes = np.bincount(key, minlength=K * (K + 1))
     groups = np.flatnonzero(sizes)
     starts = np.cumsum(sizes) - sizes
+    classes = groups[groups < K * K]
+    lo, hi = np.divmod(classes, K)
+    brackets = int(sizes[:K * K].sum())
+    # A class's brackets share the top of jL, the bottom of jR, and jL != jR.
+    top, bottom, apart = (x.repeat(sizes[classes])
+                          for x in (grid.upper[lo], grid.lower[hi], lo != hi))
+    by_key, diff = np.empty(n), np.empty((2, brackets))
+    def gather(start, stop):
+        own.take(order[start:stop], out=by_key[start:stop], mode="clip")
+        b = slice(start, min(stop, brackets))
+        a, d = (x.take(order[b], out=y, mode="clip") for x, y in zip((left, right), diff[:, b]))
+        np.subtract(np.minimum(top[b], d, out=top[b]), a, out=a)
+        d -= bottom[b]
+        d *= apart[b]
+
+    _split(gather, n, n)
     # numpy's pairwise sum of the own parts of each group, then at most K + 1
     # group sums per piece, and the full widths of the records beyond it; a
     # running sum over n records would round about n units in the last place.
     group_piece = np.where(groups < K * K, groups // K, groups - K * K)
-    own = np.add.reduceat((left - grid.lower[piece])[order], starts[groups])
-    expo_sum = np.bincount(group_piece, own, K)
+    expo_sum = np.bincount(group_piece, np.add.reduceat(by_key, starts[groups]), K)
     beyond = n - np.cumsum(np.bincount(group_piece, sizes[groups], K))
     expo_sum[:-1] += grid.widths[:-1] * beyond[:-1]
 
-    rows = order[:np.count_nonzero(bracket)]
-    classes = groups[groups < K * K]
-    lo, hi = np.divmod(classes, K)
-    first, last = piece[rows], np.repeat(hi, sizes[classes])
-    L, R = left[rows], right[rows]
-    diff = np.empty((2, rows.size))
-    np.subtract(np.minimum(grid.upper[first], R), L, out=diff[0])
-    np.multiply(R - grid.lower[last], first != last, out=diff[1])
     basis = np.zeros((3, classes.size, K))
     basis[0, np.arange(classes.size), lo] = 1.0
     basis[1, np.arange(classes.size), hi] = 1.0
     inner = np.arange(K - 1)
     basis[2, :, :-1] = ((inner > lo[:, None]) & (inner < hi[:, None])) * grid.widths[:-1]
-    exact_rows = np.flatnonzero(left == right)
+    exact_rows = np.flatnonzero(exact)
     exact_piece = piece[exact_rows]
     return PreparedLikelihood(
         grid=grid,
         expo_left=left,
         left_piece=piece,
         diff=diff,
-        interval_rows=rows.astype(np.min_scalar_type(n)),
-        class_starts=starts[classes],
+        interval_rows=order[:brackets].astype(np.min_scalar_type(n)),
+        class_bounds=np.append(starts[classes], brackets),
         class_sizes=sizes[classes],
         class_pieces=np.array([lo, hi], dtype=piece.dtype),
         classes=basis,
@@ -480,9 +518,7 @@ def _kernel(alpha, dlam, prep: PreparedLikelihood):
     increments dlam (brackets, R). A rate of 0 or inf, or a bracket without
     mass, gives a log-likelihood that is nan or -inf."""
     R, K = alpha.shape
-    Q = prep.class_starts.size
-    lengths = prep.diff[:, :, None]
-    starts = prep.class_starts
+    Q, bounds = prep.class_sizes.size, prep.class_bounds
     # Per bracket, g = 1 / expm1(dlam) is the score factor, c = g (1 + g)
     # the curvature and -log1p(g) the log of the bracket mass. They are
     # summed class by class, three bracket rows at a time in one buffer: g
@@ -491,29 +527,36 @@ def _kernel(alpha, dlam, prep: PreparedLikelihood):
     # a rate's square over- or underflows, the curvature is not finite; such
     # steps are rejected (their log-likelihood is far worse) or end the fit
     # at the rate bounds, so the noise is suppressed.
-    terms = np.empty((3,) + dlam.shape)
-    curvature = np.empty((6, Q, R))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = np.reciprocal(np.expm1(dlam, out=terms[2]), out=terms[2])
-        if prep.left_out is not None:
+    terms, masses = np.empty((3,) + dlam.shape), np.empty(dlam.shape[::-1])
+    score, curvature = np.empty((3, Q, R)), np.empty((6, Q, R))
+    def part(q0, q1):
+        b, q = slice(bounds[q0], bounds[q1]), slice(q0, q1)
+        t, lengths, starts = terms[:, b], prep.diff[:, b, None], bounds[q]
+        upto = terms[:, :b.stop]  # reduceat's last class ends where its input does
+        g = np.reciprocal(np.expm1(dlam[b], out=t[2]), out=t[2])
+        if prep.left_out is not None:  # a stack is one part
             stacked = np.flatnonzero(prep.left_out >= 0)
             g[prep.left_out[stacked], stacked] = 0.0
-        np.multiply(g, lengths, out=terms[:2])
-        score = np.add.reduceat(terms, starts, axis=1)
-        c = np.multiply(g, g, out=terms[0])
+        np.multiply(g, lengths, out=t[:2])
+        np.add.reduceat(upto, starts, axis=1, out=score[:, q])
+        c = np.multiply(g, g, out=t[0])
         c += g
+        np.log1p(g.T, out=masses[:, b])
+        np.multiply(c, lengths, out=t[1:])
+        np.add.reduceat(upto, starts, axis=1, out=curvature[3:, q])
+        np.multiply(t[2], lengths[1], out=t[0])
+        np.multiply(t[1], lengths[1], out=t[2])
+        np.multiply(t[1], lengths[0], out=t[1])
+        np.add.reduceat(upto, starts, axis=1, out=curvature[:3, q])
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _split(part, Q, dlam.size * (prep.left_out is None), bounds)
         # Each row's log masses, summed by numpy's pairwise sum rather than
         # a BLAS dot: near the maximum the line search compares
         # log-likelihoods that differ by less than their rounding, and a
         # dot over n terms rounds several units in the last place worse.
-        log_mass = np.log1p(g.T, out=terms[1].reshape(dlam.shape[::-1])).sum(axis=-1)
-        np.multiply(c, lengths, out=terms[1:])
-        np.add.reduceat(terms, starts, axis=1, out=curvature[3:])
-        np.multiply(terms[2], lengths[1], out=terms[0])
-        np.multiply(terms[1], lengths[1], out=terms[2])
-        np.multiply(terms[1], lengths[0], out=terms[1])
-        np.add.reduceat(terms, starts, axis=1, out=curvature[:3])
-        del terms, g, c
+        log_mass = masses.sum(axis=-1)
+        del terms, masses
         counts = prep.exact_counts
         loglik = _rowdot(counts, np.log(alpha)) - _rowdot(prep.expo_sum, alpha) - log_mass
         basis = prep.classes.reshape(3 * Q, K)
@@ -552,30 +595,37 @@ def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     D = np.asarray(D, dtype=float)
     dlam = _increments(alpha[None], prep, check=True)[:, 0]
-    grid, piece = prep.grid, prep.left_piece.astype(np.intp)
+    grid, n = prep.grid, prep.expo_left.size
     cols = D.reshape(prep.K, -1).T
     below = np.zeros_like(cols)
     np.cumsum(grid.widths[:-1] * cols[:, :-1], axis=1, out=below[:, 1:])
-    out = np.take(below, piece, axis=1)
-    own = np.take(cols, piece, axis=1)
-    own *= prep.expo_left - grid.lower[piece]
-    out += own
-    del own
-    np.negative(out, out=out)
+    out = np.empty((cols.shape[0], n))
+    piece, offset, own = prep.left_piece.astype(np.intp), np.empty(n), np.empty(n)
+    def records(start, stop):
+        p, o, w = piece[start:stop], offset[start:stop], own[start:stop]
+        np.subtract(prep.expo_left[start:stop], grid.lower.take(p, out=o, mode="clip"), out=o)
+        for column, b, c in zip(out, below, cols):
+            x = b.take(p, out=column[start:stop], mode="clip")
+            x += np.multiply(c.take(p, out=w, mode="clip"), o, out=w)
+            np.negative(x, out=x)
+
+    _split(records, n, out.size)
+    del piece, offset, own
     first, last = prep.class_pieces
-    bracket = np.repeat(cols[:, first], prep.class_sizes, axis=1)
-    bracket *= prep.diff[0]
-    part = np.repeat(cols[:, last], prep.class_sizes, axis=1)
-    part *= prep.diff[1]
-    bracket += part
-    del part
-    bracket += np.repeat(cols @ prep.classes[2].T, prep.class_sizes, axis=1)
-    bracket /= np.expm1(dlam)
-    # One column at a time: a scatter into a row is cheaper than into the
-    # strided rows of a matrix.
-    rows = prep.interval_rows.astype(np.intp)
-    for column, part in zip(out, bracket):
-        column[rows] += part
+    bracket, other, between = (x.repeat(prep.class_sizes, axis=1)
+                               for x in (cols[:, first], cols[:, last], cols @ prep.classes[2].T))
+    def brackets(start, stop):
+        x, y, (a, b) = bracket[:, start:stop], other[:, start:stop], prep.diff[:, start:stop]
+        x *= a
+        x += np.multiply(y, b, out=y)
+        x += between[:, start:stop]
+        x /= np.expm1(dlam[start:stop], out=dlam[start:stop])
+        # One column at a time: a scatter into a row is cheaper than into the
+        # strided rows of a matrix.
+        for column, part in zip(out, x):
+            np.add.at(column, prep.interval_rows[start:stop], part)
+
+    _split(brackets, dlam.size, bracket.size)
     out[:, prep.exact_rows] += cols[:, prep.exact_piece] / alpha[prep.exact_piece]
     return out.T.reshape(out.shape[1:] + D.shape[1:])
 
@@ -591,14 +641,44 @@ def _increments(alpha, prep: PreparedLikelihood, check=False) -> np.ndarray:
     plus the full pieces between, which is exactly alpha_j (R - L) for a
     bracket within piece j. With ``check``, raises DegenerateInterval if a
     bracket has no mass."""
-    K, Q = prep.K, prep.class_starts.size
+    K, Q = prep.K, prep.class_sizes.size
     per_class = (prep.classes.reshape(3 * Q, K) @ alpha.T).reshape(3, Q, alpha.shape[0])
-    own, other, between = (np.repeat(p, prep.class_sizes, axis=0) for p in per_class)
-    own *= prep.diff[0][:, None]
-    other *= prep.diff[1][:, None]
-    dlam = np.add(own, other, out=own)
-    dlam += between
+    dlam, other, between = [p.repeat(prep.class_sizes, axis=0) for p in per_class]
+    def part(start, stop):
+        x, y, (a, b) = dlam[start:stop], other[start:stop], prep.diff[:, start:stop, None]
+        x *= a
+        x += np.multiply(y, b, out=y)
+        x += between[start:stop]
+
+    _split(part, dlam.shape[0], dlam.size * (prep.left_out is None))  # a stack: one part
     if check and (dlam <= 0.0).any():
         bad = prep.interval_rows[int(np.argmin(dlam)) // dlam.shape[1]]
         raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")
     return dlam
+
+
+def _cpus() -> int:
+    """The CPUs in this process's affinity mask, where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split(part, size, elements, bounds=None):
+    """Run part(lo, hi) over ranges covering [0, size) rows, or size classes of
+    size + 1 row ``bounds``: the caller runs the first, this process's pool (a
+    forked child makes its own) the rest, in the caller's numpy error state."""
+    parts = _cpus() if elements > SPLIT_ELEMENTS else 1
+    if parts == 1:
+        return part(0, size)
+    rows = np.arange(parts + 1) * (size if bounds is None else bounds[-1]) // parts
+    edges = np.unique(rows if bounds is None else np.abs(bounds[:, None] - rows).argmin(axis=0))
+    pool = _POOL.get(os.getpid()) or _POOL.setdefault(os.getpid(), ThreadPoolExecutor(_cpus()))
+    def run(lo, hi, err=np.geterr()):
+        with np.errstate(**err):
+            part(lo, hi)
+
+    futures = [pool.submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        part(edges[0], edges[1])
+    finally:
+        for future in futures:
+            future.result()

@@ -17,7 +17,9 @@ default cuts:
   ic-fit workload draws them), without the jackknife;
 - at the threshold of ``fit_pch``'s pilot start, ic1 and ic2 at
   n = 2^17 (the first size that fits a pilot) and n = 2^17 - 1 (the last
-  that does not), seed 1, without the jackknife;
+  that does not), and at n = 2^17 + 1, the first whose per-record passes
+  exceed ``pch.SPLIT_ELEMENTS`` (2^17) and run in parts, while n = 2^17
+  runs every pass whole, seed 1, without the jackknife;
 - ic1 at n = 10^6, seed 2, cut into 20 pieces at the k/20 quantiles of the
   finite right endpoints (named ``K=20``), without the jackknife: its pilot
   pins some rate only loosely, so ``fit_pch`` must drop it for the midpoint
@@ -87,7 +89,7 @@ def _write_cases(work: Path) -> list:
     plan += [(ScenarioConfig(kind, 10**6, seed=seed), [None], False)
              for kind in ("ic1", "ic2") for seed in (1, 2)]
     plan += [(ScenarioConfig(kind, n, seed=1), [None], False)
-             for kind in ("ic1", "ic2") for n in (2**17, 2**17 - 1)]
+             for kind in ("ic1", "ic2") for n in (2**17 + 1, 2**17, 2**17 - 1)]
     right = generate(ScenarioConfig("ic1", 10**6, seed=2)).right
     cuts = np.quantile(right[np.isfinite(right)], np.arange(1, 20) / 20)
     plan.append((ScenarioConfig("ic1", 10**6, seed=2, cuts=cuts), [None], False))
