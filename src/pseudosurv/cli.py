@@ -136,6 +136,8 @@ def _cmd_pseudo(args):
     horizon = _pseudo_horizon(args)
     if args.kind == "ic" and args.cuts is None:
         raise _UsageError("--kind ic requires --cuts")
+    if args.kind == "rc" and args.cuts is not None:
+        raise _UsageError("--kind rc takes no cuts")
     target = SURVIVAL if args.target == "surv" else RMST
 
     if args.kind == "rc":
@@ -151,7 +153,7 @@ def _cmd_pseudo(args):
     else:
         dataset = load_interval_dataset(args.data, covariates=False)
         grid = _make_grid(args.cuts)
-        pfit = fit_pch(dataset, grid, tol=args.tol, max_iter=args.max_iter)
+        pfit = _fit(dataset, grid, args)
         if args.method == FAST:
             pv = (pseudo_survival(pfit, dataset, horizon) if target == SURVIVAL
                   else pseudo_rmst(pfit, dataset, horizon))
@@ -169,8 +171,7 @@ def _cmd_pseudo(args):
 def _cmd_fit(args):
     dataset = load_interval_dataset(args.data, covariates=False)
     grid = _make_grid(args.cuts)
-    pfit = fit_pch(dataset, grid, tol=args.tol, max_iter=args.max_iter,
-                   strict=args.strict)
+    pfit = _fit(dataset, grid, args, strict=args.strict)
     lines = [
         f"pieces: {grid.K} (cuts: {','.join(f'{c:g}' for c in grid.cuts)})",
         "rates: " + " ".join(f"{a:.10g}" for a in pfit.model.rates),
@@ -260,6 +261,13 @@ def _parse_cuts(raw) -> tuple:
 def _make_grid(raw) -> CutGrid:
     try:
         return CutGrid(_parse_cuts(raw))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _fit(dataset, grid, args, **options):
+    try:
+        return fit_pch(dataset, grid, tol=args.tol, max_iter=args.max_iter, **options)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 

@@ -200,6 +200,7 @@ def fit_pch(
         can check. That last step is taken whole. Neither test grows with
         n, unlike a bound on the total score.
     max_iter : int
+        At least 1, with ``tol`` finite and nonnegative, or ValueError.
     strict : bool
         Raise instead of warning when the identifiability diagnostics fail.
 
@@ -213,6 +214,7 @@ def fit_pch(
         If some rate escapes its bounds, naming the empirically violated
         per-piece condition.
     """
+    _check_solver(tol, max_iter)
     if dataset.n == 0:
         raise EmptyInput("cannot fit on an empty dataset")
     dataset._require(KIND_INTERVAL)
@@ -442,6 +444,12 @@ def _no_convergence(alpha, grad, it, why):
         grad_norm=grad_norm,
         iterations=it,
     )
+
+
+def _check_solver(tol, max_iter):
+    """Refuse a ``tol`` or ``max_iter`` with which Newton cannot converge."""
+    if not (np.isfinite(tol) and tol >= 0 and max_iter >= 1):
+        raise ValueError(f"need a finite tol >= 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
 
 
 def _default_start(dataset: Dataset, grid: CutGrid, max_iter: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NoEvents, SingularInformation, check_tau, check_time
-from .fitting import PchFit, _out_of_bounds, fit_pch, newton_prepared
+from .fitting import PchFit, _check_solver, _out_of_bounds, fit_pch, newton_prepared
 from .km import (
     JACKKNIFE,
     RMST,
@@ -120,6 +120,7 @@ def jackknife_pch(
         ``dataset``, in any record order (`PchFit.check_sample`).
     """
     _check_target(target, horizon, finite=False)
+    _check_solver(tol, max_iter)
     if fit is None:
         fit = fit_pch(dataset, grid, tol=tol, max_iter=max_iter)
     if fit.model.grid != grid:

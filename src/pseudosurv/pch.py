@@ -22,10 +22,11 @@ So a likelihood evaluation reads O(n) numbers at any number of pieces.
 Passes over more than SPLIT_ELEMENTS elements (the kernel, the bracket
 increments, ``score_products``, the per-record sweeps of
 ``prepare_likelihood``) run in one part per CPU of the process's affinity
-mask, which taskset and cpusets narrow. Kernel parts end at class bounds
-and the pairwise log-mass sum waits for them all, so no output depends on
-the number of parts. The calling thread allocates every large buffer, as
-memory a pool thread allocates stays in that thread's arena.
+mask, which taskset and cpusets narrow, leave-one-out stacks included.
+Kernel parts end at class bounds and the pairwise log-mass sum waits for
+them all, so no output depends on the number of parts. The calling thread
+allocates every large buffer, as memory a pool thread allocates stays in
+that thread's arena.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .errors import DegenerateInterval, EmptyInput, check_tau, check_time
 # switches to its power series.
 _SERIES_CUTOFF = 1e-3
 
-# A pass over more elements (brackets or records times rows or columns) runs
-# in parts; jackknife blocks (2^15 elements) and small-n simulations do not.
+# A pass over more elements (brackets or records times rate rows or columns)
+# runs in parts, a stack's too; jackknife blocks (2^15) and small n do not.
 SPLIT_ELEMENTS = 1 << 17
 _POOL = {}  # process id -> its thread pool
 
@@ -274,7 +275,7 @@ def _conditions(prep: PreparedLikelihood) -> ConditionReport:
     piece 0's if it is positive."""
     K = prep.K
     timed = prep.exact_piece[prep.expo_left[prep.exact_rows] > 0]
-    lo, hi = np.concatenate([prep.class_pieces, [timed, timed]], axis=1)
+    lo, hi = np.concatenate([prep.classes[:2].argmax(axis=2), [timed, timed]], axis=1)
     weight = np.concatenate([prep.class_sizes, np.ones(timed.size)])
     ends = np.bincount(lo, weight, K + 1) - np.bincount(hi + 1, weight, K + 1)
     finite_counts = np.cumsum(ends)[:K].astype(int)
@@ -346,17 +347,17 @@ class PreparedLikelihood:
     The brackets are stored class by class: ``interval_rows`` gives their
     records and ``diff`` (2, brackets) their a and b; ``class_bounds``
     (Q + 1) holds each of the Q classes' first position and then the number
-    of brackets, and ``class_sizes`` and ``class_pieces`` (2, Q) give each
-    class's size and (jL, jR). ``classes`` (3, Q, K) holds the
-    classes' bases, the unit vectors of jL and jR and the widths of the full
-    pieces between, so the class's increments are its bases times the rates
-    dotted with (a, b, 1). Exact records are ``exact_rows``, in pieces
-    ``exact_piece``.
+    of brackets, and ``class_sizes`` each class's size. ``classes``
+    (3, Q, K) holds the classes' bases, the unit vectors of jL and jR and
+    the widths of the full pieces between, so the class's increments are
+    its bases times the rates dotted with (a, b, 1). Exact records are
+    ``exact_rows``, in pieces ``exact_piece``.
 
     The rate-free terms are hoisted: ``expo_sum``, the column sum of the
     exposures, and ``exact_counts``, the exact records per piece. In a stack
     made by ``leave_out`` these two have one row per likelihood, and
-    ``left_out`` holds each row's left-out bracket position, or -1.
+    ``left_out`` holds each row's left-out bracket position, or -1; every
+    pass over a stack runs as over one likelihood, in as many parts.
     """
 
     grid: CutGrid
@@ -366,7 +367,6 @@ class PreparedLikelihood:
     interval_rows: np.ndarray
     class_bounds: np.ndarray
     class_sizes: np.ndarray
-    class_pieces: np.ndarray
     classes: np.ndarray
     exact_rows: np.ndarray
     exact_piece: np.ndarray
@@ -381,21 +381,19 @@ class PreparedLikelihood:
     def leave_out(self, rows) -> "PreparedLikelihood":
         """A stack of B likelihoods, the b-th without subject rows[b].
 
-        Only the B x K sums and the B left-out positions are new; the stack
-        shares every per-record and per-bracket array, and the kernel drops
-        each row's left-out bracket from its sums.
+        Only the B x K sums and the B left-out positions are new: each row's
+        sums lose its subject's ``CutGrid.exposure`` and exact record. The
+        stack shares every per-record and per-bracket array, and each kernel
+        part drops the left-out brackets in its range from its sums.
         """
         rows = np.asarray(rows, dtype=int)
-        piece = self.left_piece[rows]
-        expo = np.where(np.arange(self.K) < piece[:, None], self.grid.widths, 0.0)
-        expo[np.arange(rows.size), piece] = self.expo_left[rows] - self.grid.lower[piece]
         exact_counts = np.tile(self.exact_counts, (rows.size, 1))
         exact = np.flatnonzero(np.isin(rows, self.exact_rows))
-        exact_counts[exact, piece[exact]] -= 1.0
+        exact_counts[exact, self.left_piece[rows[exact]]] -= 1.0
         position = np.full(self.expo_left.size, -1)
         position[self.interval_rows] = np.arange(self.interval_rows.size)
-        return replace(self, expo_sum=self.expo_sum - expo, exact_counts=exact_counts,
-                       left_out=position[rows])
+        return replace(self, expo_sum=self.expo_sum - self.grid.exposure(self.expo_left[rows]),
+                       exact_counts=exact_counts, left_out=position[rows])
 
     def take(self, idx) -> "PreparedLikelihood":
         """Rows idx of a stack; an unstacked likelihood is returned as is."""
@@ -475,7 +473,6 @@ def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
         interval_rows=order[:brackets].astype(np.min_scalar_type(n)),
         class_bounds=np.append(starts[classes], brackets),
         class_sizes=sizes[classes],
-        class_pieces=np.array([lo, hi], dtype=piece.dtype),
         classes=basis,
         exact_rows=exact_rows.astype(np.min_scalar_type(n)),
         exact_piece=exact_piece,
@@ -534,9 +531,9 @@ def _kernel(alpha, dlam, prep: PreparedLikelihood):
         t, lengths, starts = terms[:, b], prep.diff[:, b, None], bounds[q]
         upto = terms[:, :b.stop]  # reduceat's last class ends where its input does
         g = np.reciprocal(np.expm1(dlam[b], out=t[2]), out=t[2])
-        if prep.left_out is not None:  # a stack is one part
-            stacked = np.flatnonzero(prep.left_out >= 0)
-            g[prep.left_out[stacked], stacked] = 0.0
+        if prep.left_out is not None:  # the stack rows left out of this range
+            stacked = np.flatnonzero((prep.left_out >= b.start) & (prep.left_out < b.stop))
+            g[prep.left_out[stacked] - b.start, stacked] = 0.0
         np.multiply(g, lengths, out=t[:2])
         np.add.reduceat(upto, starts, axis=1, out=score[:, q])
         c = np.multiply(g, g, out=t[0])
@@ -550,7 +547,7 @@ def _kernel(alpha, dlam, prep: PreparedLikelihood):
         np.add.reduceat(upto, starts, axis=1, out=curvature[:3, q])
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _split(part, Q, dlam.size * (prep.left_out is None), bounds)
+        _split(part, Q, dlam.size, bounds)
         # Each row's log masses, summed by numpy's pairwise sum rather than
         # a BLAS dot: near the maximum the line search compares
         # log-likelihoods that differ by less than their rounding, and a
@@ -587,10 +584,11 @@ def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
     Row l of the result is subject l's score times D, for D a K-vector or a
     K x M matrix, summed term by term from the piece indices with no n x K
     score matrix: minus the exposure times D, which is ``cumsum(widths * D)``
-    below jL plus (L - c_jL) D_jL; for a bracket, a D_jL + b D_jR plus its
-    class's full pieces times D, over expm1 of its increment; for an exact
-    record, D's row of its piece j over alpha_j. Each of the M columns is
-    worked on as one contiguous row, and the result is their transpose.
+    below jL plus (L - c_jL) D_jL; for a bracket, the increment of D across
+    it (``_increments`` of the column as a rate row) over expm1 of the
+    rates' increment; for an exact record, D's row of its piece j over
+    alpha_j. Each of the M columns is worked on as one contiguous row, and
+    the result is their transpose.
     """
     alpha = np.asarray(alpha, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -611,21 +609,16 @@ def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
 
     _split(records, n, out.size)
     del piece, offset, own
-    first, last = prep.class_pieces
-    bracket, other, between = (x.repeat(prep.class_sizes, axis=1)
-                               for x in (cols[:, first], cols[:, last], cols @ prep.classes[2].T))
+    terms = [_increments(c[None], prep)[:, 0] for c in cols]
     def brackets(start, stop):
-        x, y, (a, b) = bracket[:, start:stop], other[:, start:stop], prep.diff[:, start:stop]
-        x *= a
-        x += np.multiply(y, b, out=y)
-        x += between[:, start:stop]
-        x /= np.expm1(dlam[start:stop], out=dlam[start:stop])
+        e = np.expm1(dlam[start:stop], out=dlam[start:stop])
         # One column at a time: a scatter into a row is cheaper than into the
         # strided rows of a matrix.
-        for column, part in zip(out, x):
-            np.add.at(column, prep.interval_rows[start:stop], part)
+        for column, x in zip(out, terms):
+            np.add.at(column, prep.interval_rows[start:stop], np.divide(
+                x[start:stop], e, out=x[start:stop]))
 
-    _split(brackets, dlam.size, bracket.size)
+    _split(brackets, dlam.size, dlam.size * len(terms))
     out[:, prep.exact_rows] += cols[:, prep.exact_piece] / alpha[prep.exact_piece]
     return out.T.reshape(out.shape[1:] + D.shape[1:])
 
@@ -650,7 +643,7 @@ def _increments(alpha, prep: PreparedLikelihood, check=False) -> np.ndarray:
         x += np.multiply(y, b, out=y)
         x += between[start:stop]
 
-    _split(part, dlam.shape[0], dlam.size * (prep.left_out is None))  # a stack: one part
+    _split(part, dlam.shape[0], dlam.size)
     if check and (dlam <= 0.0).any():
         bad = prep.interval_rows[int(np.argmin(dlam)) // dlam.shape[1]]
         raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")

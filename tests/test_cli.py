@@ -199,6 +199,16 @@ def test_usage_errors_exit_2(rc_csv, ic_csv, capsys, tmp_path):
         (["simulate", "--scenario", "rc", "--n", "100", "--reps", "3", "--method", "fast",
           "--seed", "2", "--cuts", "3,4"], "scenario rc takes no cuts"),
         (["bench", "--scenario", "rc", "--n", "100", "--cuts", "3,4"], "scenario rc takes no cuts"),
+        (rc + ["--target", "surv", "--t", "1.0", "--cuts", "3,4"], "--kind rc takes no cuts"),
+        # solver settings with which Newton cannot converge
+        (ic_rmst + ["--cuts", "4,5,6,7", "--tol", "inf"], "need a finite tol >= 0"),
+        (ic_rmst + ["--cuts", "4,5,6,7", "--tol", "-1"], "need a finite tol >= 0"),
+        (ic_rmst + ["--cuts", "4,5,6,7", "--method", "jackknife", "--tol", "nan"],
+         "need a finite tol >= 0"),
+        (["fit", "--data", str(ic_path), "--cuts", "4,5,6,7", "--max-iter", "-5"],
+         "max_iter >= 1"),
+        (["fit", "--data", str(ic_path), "--cuts", "4,5,6,7", "--tol", "inf"],
+         "need a finite tol >= 0"),
     ]
     for args, message in cases:
         assert main(args) == 2, args

@@ -17,6 +17,7 @@ from pseudosurv import (
     SingularInformation,
     fit_pch,
     interval_dataset,
+    jackknife_pch,
     right_censored_dataset,
 )
 from pseudosurv import fitting
@@ -275,6 +276,21 @@ def test_init_validation():
     for rate in (fitting.RATE_LOWER_BOUND, fitting.RATE_UPPER_BOUND):
         init[0] = rate
         fit_pch(ds, grid, init=init)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(math.inf, 200), (math.nan, 200), (-1e-8, 200),
+                                           (1e-8, 0), (1e-8, -5)])
+def test_solver_arguments_that_cannot_converge_are_refused(tol, max_iter):
+    # tol = inf would end Newton after its first step and a budget below 1
+    # in DidNotConverge; a zero tol converges by the rounding floor.
+    config = ScenarioConfig("ic1", 200, seed=1)
+    ds, grid = generate(config), CutGrid(config.cuts)
+    fit = fit_pch(ds, grid, tol=0.0)
+    assert fit.iterations == fit_pch(ds, grid).iterations
+    with pytest.raises(ValueError, match="finite tol >= 0 and max_iter >= 1"):
+        fit_pch(ds, grid, tol=tol, max_iter=max_iter)
+    with pytest.raises(ValueError, match="finite tol >= 0 and max_iter >= 1"):
+        jackknife_pch(ds, grid, "rmst", config.tau, tol=tol, max_iter=max_iter, fit=fit)
 
 
 def test_empty_and_wrong_kind_inputs():

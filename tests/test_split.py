@@ -3,8 +3,9 @@
 ``pch`` runs a pass over more than ``SPLIT_ELEMENTS`` elements in one part
 per CPU. These tests lower the threshold to zero, so that small samples
 split, force 1, 2 and 3 parts, and require every output to equal the
-one-part run's bit for bit. They also check which passes must stay whole,
-the pool across a fork, and numpy's error state inside the parts.
+one-part run's bit for bit, leave-one-out stacks and refits included. They
+also check which passes must stay whole, the pool across a fork, and
+numpy's error state inside the parts.
 """
 
 import math
@@ -27,12 +28,13 @@ from pseudosurv import (
     pseudo_survival,
 )
 from pseudosurv import jackknife, pch
+from pseudosurv.fitting import newton_prepared
 from pseudosurv.pch import CutGrid, loglik_parts, prepare_likelihood, score_products
 from pseudosurv.simulate import ScenarioConfig, generate
 
 CASES = ["ic1", "ic2", "exact records", "one piece", "all right-censored"]
-PREPARED = ("left_piece", "diff", "interval_rows", "class_bounds", "class_sizes",
-            "class_pieces", "classes", "exact_rows", "exact_piece", "expo_sum", "exact_counts")
+PREPARED = ("left_piece", "diff", "interval_rows", "class_bounds", "class_sizes", "classes",
+            "exact_rows", "exact_piece", "expo_sum", "exact_counts")
 
 
 class _Counting:
@@ -140,15 +142,28 @@ def test_one_class_keeps_the_kernel_whole(parts):
     assert counting.submitted == 0
 
 
-def test_a_leave_one_out_stack_stays_in_one_part(parts):
-    ds, grid = _sample("ic1")
+def _leave_one_out(ds, grid):
     prep = prepare_likelihood(ds, grid)
     stack = prep.leave_out(np.arange(0, ds.n, 7))
     rates = np.tile(np.linspace(0.1, 0.3, grid.K), (stack.left_out.size, 1))
-    whole = loglik_parts(rates, stack)
-    counting = parts(3)
-    _assert_identical({"stack": whole}, {"stack": loglik_parts(rates, stack)})
-    assert counting.submitted == 0
+    out = {"stack": loglik_parts(rates, stack)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # identifiability advice
+        fit = fit_pch(ds, grid)
+    for subject in (0, 1, ds.n - 1):
+        refit = newton_prepared(prep.leave_out([subject]), fit.model.rates[None], 1e-8, 200)
+        out[f"refit {subject}"] = (refit.rates, refit.iterations,
+                                   np.array([repr(e) for e in refit.errors]))
+    return out
+
+
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_a_leave_one_out_stack_splits_like_one_likelihood(parts, P):
+    ds, grid = _sample("ic1")
+    whole = _leave_one_out(ds, grid)
+    counting = parts(P)
+    _assert_identical(whole, _leave_one_out(ds, grid))
+    assert (counting.submitted > 0) == (P > 1)
 
 
 @pytest.mark.parametrize("P", [1, 2, 3])

@@ -19,7 +19,8 @@ default cuts:
   n = 2^17 (the first size that fits a pilot) and n = 2^17 - 1 (the last
   that does not), and at n = 2^17 + 1, the first whose per-record passes
   exceed ``pch.SPLIT_ELEMENTS`` (2^17) and run in parts, while n = 2^17
-  runs every pass whole, seed 1, without the jackknife;
+  runs every pass whole, seed 1, without the jackknife but with
+  ``pseudo_alpha``, whose K-column score products split there too;
 - ic1 at n = 10^6, seed 2, cut into 20 pieces at the k/20 quantiles of the
   finite right endpoints (named ``K=20``), without the jackknife: its pilot
   pins some rate only loosely, so ``fit_pch`` must drop it for the midpoint
@@ -28,9 +29,10 @@ default cuts:
 The data are generated once, by the pseudosurv next to this script. Each
 tree then runs every case in a fresh process and dumps, per case, the fit's
 iterations, rates, information and log-likelihood trace, the fast RMST
-pseudo values, and the jackknife RMST values and flags, or the typed error
-a step ended with. The tool lists every case whose dumps differ between the
-first tree and another, field by field, and exits 1 if there is one.
+pseudo values, ``pseudo_alpha`` where the case asks for it, and the
+jackknife RMST values and flags, or the typed error a step ended with. The
+tool lists every case whose dumps differ between the first tree and
+another, field by field, and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-FIELDS = ("error", "iterations", "rates", "info", "trace", "fast", "fast_error",
-          "jackknife", "flagged", "jackknife_error")
+FIELDS = ("error", "iterations", "rates", "info", "trace", "fast", "fast_error", "alpha",
+          "alpha_error", "jackknife", "flagged", "jackknife_error")
 
 
 def main() -> int:
@@ -88,8 +90,9 @@ def _write_cases(work: Path) -> list:
     plan.append((ScenarioConfig("ic2", 300, seed=7), np.random.SeedSequence(7).spawn(200), True))
     plan += [(ScenarioConfig(kind, 10**6, seed=seed), [None], False)
              for kind in ("ic1", "ic2") for seed in (1, 2)]
+    threshold = (2**17 + 1, 2**17, 2**17 - 1)
     plan += [(ScenarioConfig(kind, n, seed=1), [None], False)
-             for kind in ("ic1", "ic2") for n in (2**17 + 1, 2**17, 2**17 - 1)]
+             for kind in ("ic1", "ic2") for n in threshold]
     right = generate(ScenarioConfig("ic1", 10**6, seed=2)).right
     cuts = np.quantile(right[np.isfinite(right)], np.arange(1, 20) / 20)
     plan.append((ScenarioConfig("ic1", 10**6, seed=2, cuts=cuts), [None], False))
@@ -105,7 +108,8 @@ def _write_cases(work: Path) -> list:
             path = work / f"case-{len(cases)}.npz"
             np.savez(path, left=dataset.left, right=dataset.right)
             cases.append({"name": name, "data": str(path), "cuts": list(config.cuts),
-                          "tau": config.tau, "jackknife": jackknife})
+                          "tau": config.tau, "jackknife": jackknife,
+                          "alpha": config.n in threshold})
     (work / "cases.json").write_text(json.dumps(cases))
     return cases
 
@@ -118,7 +122,7 @@ def _run_cases(src, work, out):
     import numpy as np
 
     from pseudosurv import (CutGrid, PseudosurvError, fit_pch, interval_dataset, jackknife_pch,
-                            pseudo_rmst)
+                            pseudo_alpha, pseudo_rmst)
 
     def error(exc):
         return np.array(f"{type(exc).__name__}: {exc}")
@@ -142,6 +146,11 @@ def _run_cases(src, work, out):
                     out_case["fast"] = pseudo_rmst(fit, dataset, tau).values
                 except PseudosurvError as exc:
                     out_case["fast_error"] = error(exc)
+                if case["alpha"]:
+                    try:
+                        out_case["alpha"] = pseudo_alpha(fit, dataset)
+                    except PseudosurvError as exc:
+                        out_case["alpha_error"] = error(exc)
                 if case["jackknife"]:
                     try:
                         pv = jackknife_pch(dataset, grid, "rmst", tau, fit=fit)
