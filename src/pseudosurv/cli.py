@@ -1,11 +1,12 @@
 """Command-line surface: pseudo, fit, regress, simulate, bench.
 
-Outputs are plot-ready CSV tables or small human-readable reports; every
-error path exits nonzero with a single-line ``error:<Kind>: message`` on
-stderr (exit 2 for flags and ``regress`` inputs, 3 for a bad ``--data``
-file and for numerical failures). Python warnings, such as identifiability
-diagnostics, go to stderr as one ``warning:<Category>: message`` line each,
-without changing the exit code.
+Outputs are plot-ready CSV tables or small human-readable reports. The
+commands call the library directly; `main` alone turns an error into one
+``error:<Kind>: message`` line on stderr and an exit code: 2 for flags,
+``regress`` inputs and any ``ValueError``, 3 for a package error (a bad
+``--data`` file, a numerical failure). Python warnings, such as
+identifiability diagnostics, go to stderr as one ``warning:<Category>:
+message`` line each, without changing the exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .data import _csv, _read_body, load_interval_dataset, load_right_censored_dataset
+from .data import _csv, _not_utf8, _read_body, load_interval_dataset, load_right_censored_dataset
 from .errors import PseudosurvError
 from .fitting import fit_pch
 from .gee import LinkSpec, fit_gee, wald_table
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
     default_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         args.run(args)
-    except (_UsageError, OSError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error:usage: {exc}", file=sys.stderr)
         return 2
     except PseudosurvError as exc:
@@ -80,8 +81,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--tau", default=None, help="restriction time for --target rmst ('inf' allowed)")
     p.add_argument("--method", choices=["fast", "jackknife"], default="fast")
     p.add_argument("--cuts", default=None, help="comma-separated interior cut points (ic only)")
-    p.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--tol", type=float, help=_TOL_HELP + " (ic only)")
+    p.add_argument("--max-iter", type=int, help="Newton iteration budget (ic only)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--curve-out", default=None,
                    help="also write the fitted survival curve as CSV")
@@ -90,8 +91,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit a piecewise-constant hazard and report it")
     p.add_argument("--data", required=True)
     p.add_argument("--cuts", required=True)
-    p.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--tol", type=float, help=_TOL_HELP)
+    p.add_argument("--max-iter", type=int)
     p.add_argument("--strict", action="store_true",
                    help="fail instead of warning on identifiability violations")
     p.add_argument("--out", default=None)
@@ -138,6 +139,8 @@ def _cmd_pseudo(args):
         raise _UsageError("--kind ic requires --cuts")
     if args.kind == "rc" and args.cuts is not None:
         raise _UsageError("--kind rc takes no cuts")
+    if args.kind == "rc" and _solver(args):
+        raise _UsageError("--kind rc takes no --tol or --max-iter")
     target = SURVIVAL if args.target == "surv" else RMST
 
     if args.kind == "rc":
@@ -152,14 +155,13 @@ def _cmd_pseudo(args):
             _emit(_csv("t,survival\n", "%.12g,%.12g\n", *km.survival_curve()), args.curve_out)
     else:
         dataset = load_interval_dataset(args.data, covariates=False)
-        grid = _make_grid(args.cuts)
-        pfit = _fit(dataset, grid, args)
+        grid = CutGrid(_parse_cuts(args.cuts))
+        pfit = fit_pch(dataset, grid, **_solver(args))
         if args.method == FAST:
             pv = (pseudo_survival(pfit, dataset, horizon) if target == SURVIVAL
                   else pseudo_rmst(pfit, dataset, horizon))
         else:
-            pv = jackknife_pch(dataset, grid, target, horizon,
-                               tol=args.tol, max_iter=args.max_iter, fit=pfit)
+            pv = jackknife_pch(dataset, grid, target, horizon, **_solver(args), fit=pfit)
         if args.curve_out:
             _emit(_pch_curve_csv(pfit.model, horizon), args.curve_out)
     if pv.flagged is not None:
@@ -170,8 +172,8 @@ def _cmd_pseudo(args):
 
 def _cmd_fit(args):
     dataset = load_interval_dataset(args.data, covariates=False)
-    grid = _make_grid(args.cuts)
-    pfit = _fit(dataset, grid, args, strict=args.strict)
+    grid = CutGrid(_parse_cuts(args.cuts))
+    pfit = fit_pch(dataset, grid, strict=args.strict, **_solver(args))
     lines = [
         f"pieces: {grid.K} (cuts: {','.join(f'{c:g}' for c in grid.cuts)})",
         "rates: " + " ".join(f"{a:.10g}" for a in pfit.model.rates),
@@ -195,20 +197,13 @@ def _cmd_regress(args):
     if args.intercept:
         design = np.column_stack([np.ones(design.shape[0]), design])
         names = ["intercept"] + names
-    try:
-        fit = fit_gee(y[:, 0], design, LinkSpec(args.link))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    _emit(wald_table(fit, names), args.out)
+    _emit(wald_table(fit_gee(y[:, 0], design, LinkSpec(args.link)), names), args.out)
 
 
 def _cmd_simulate(args):
     config = _make_config(args)
     methods = ["fast", "jackknife"] if args.method == "both" else [args.method]
-    try:
-        reports = [monte_carlo(config, m, args.reps) for m in methods]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    reports = [monte_carlo(config, m, args.reps) for m in methods]
     for report in reports:
         print(report.summary())
     if args.out:
@@ -258,31 +253,19 @@ def _parse_cuts(raw) -> tuple:
     return cuts
 
 
-def _make_grid(raw) -> CutGrid:
-    try:
-        return CutGrid(_parse_cuts(raw))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _fit(dataset, grid, args, **options):
-    try:
-        return fit_pch(dataset, grid, tol=args.tol, max_iter=args.max_iter, **options)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+def _solver(args) -> dict:
+    """The Newton flags given, as keyword arguments; the library's defaults fill in the rest."""
+    return {name: getattr(args, name) for name in ("tol", "max_iter") if getattr(args, name) is not None}
 
 
 def _make_config(args) -> ScenarioConfig:
-    try:
-        return ScenarioConfig(
-            scenario=args.scenario,
-            n=args.n,
-            seed=args.seed,
-            tau=_parse_tau(args.tau) if args.tau is not None else None,
-            cuts=_parse_cuts(args.cuts) if args.cuts is not None else None,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return ScenarioConfig(
+        scenario=args.scenario,
+        n=args.n,
+        seed=args.seed,
+        tau=_parse_tau(args.tau) if args.tau is not None else None,
+        cuts=_parse_cuts(args.cuts) if args.cuts is not None else None,
+    )
 
 
 def _pch_curve_csv(model, horizon, points: int = 201):
@@ -295,15 +278,20 @@ def _pch_curve_csv(model, horizon, points: int = 201):
 def _read_csv(path, usecols=None):
     """Header (the first non-empty CSV row) and float body of a ``regress``
     input, read once, so a pipe works; ``usecols=1`` reads the pseudo column
-    of an ``id,pseudo`` file, a byte-order mark dropped. The body's row
-    rule is `_parse_rows`."""
+    of an ``id,pseudo`` file, a byte-order mark dropped. The body's row rule
+    is `_parse_rows`; non-UTF-8 bytes or a record csv refuses raise `_UsageError` naming the file."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = csv.reader(handle)
-        header = next((row for row in rows if row), [])
-        if usecols is not None and len(header) <= usecols:
-            raise _UsageError(f"{path}: expected columns id,pseudo")
-        body = _read_body(handle, functools.partial(_parse_rows, path, usecols, rows.line_num),
-                          usecols=usecols)
+        try:
+            rows = csv.reader(handle)
+            header = next((row for row in rows if row), [])
+            if usecols is not None and len(header) <= usecols:
+                raise _UsageError(f"{path}: expected columns id,pseudo")
+            body = _read_body(handle, functools.partial(_parse_rows, path, usecols, rows.line_num),
+                              usecols=usecols)
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"{path}: {_not_utf8(exc)}") from None
+        except csv.Error as exc:
+            raise _UsageError(f"{path}: {exc}") from None
     if body.shape[0] == 0:
         raise _UsageError(f"{path}: no data rows")
     if usecols is None and len(header) != body.shape[1]:

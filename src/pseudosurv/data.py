@@ -452,25 +452,36 @@ def _load(source, kind, covariates):
     """Read ``source`` once: a path is opened, anything else is iterated as
     lines, a path's byte-order mark dropped. The header comes first, then
     the body, `_parse_rows` its row rule; without ``covariates``, only the
-    first two cells of each row."""
+    first two cells of each row. Bytes that are not UTF-8 raise a rowless `ParseError`."""
     is_path = isinstance(source, (str, Path))
     with open(source, newline="", encoding="utf-8-sig") if is_path else nullcontext(iter(source)) as lines:
-        header = _read_header(lines, kind)
-        names = _HEADERS[kind] + tuple(header[2:] if covariates else ())
-        table = _read_body(
-            lines, lambda records, start, _: _parse_rows(records, names, kind, start, covariates),
-            width=len(names), accept=lambda t: not _bad_rows(kind, t[:, 0], t[:, 1]).any(),
-            converters={1: _right_cell} if kind == KIND_INTERVAL else None,
-            usecols=None if covariates else (0, 1),
-        )
+        try:
+            header = _read_header(lines, kind)
+            names = _HEADERS[kind] + tuple(header[2:] if covariates else ())
+            table = _read_body(
+                lines, lambda records, start, _: _parse_rows(records, names, kind, start, covariates),
+                width=len(names), accept=lambda t: not _bad_rows(kind, t[:, 0], t[:, 1]).any(),
+                converters={1: _right_cell} if kind == KIND_INTERVAL else None,
+                usecols=None if covariates else (0, 1),
+            )
+        except UnicodeDecodeError as exc:
+            raise ParseError(_not_utf8(exc)) from None
     names = names[2:] or None
     matrix = np.ascontiguousarray(table[:, 2:]) if names else None
     return Dataset(kind, (table[:, 0], table[:, 1]), matrix, names)
 
 
+def _not_utf8(exc):
+    """The message of a `UnicodeDecodeError` met while reading CSV text."""
+    return f"cannot decode {exc.object[exc.start:exc.end]!r}: the input is not UTF-8 text"
+
+
 def _read_header(lines, kind):
     """The header row, read off ``lines``, which are left at the first body line."""
-    header = next(csv.reader(lines), None)
+    try:
+        header = next(csv.reader(lines), None)
+    except csv.Error as exc:
+        raise ParseError(f"header row: {exc}", row=0) from None
     if header is None:
         raise ParseError("missing header row", row=0)
     header = [c.strip() for c in header]
@@ -587,11 +598,12 @@ def _parse_rows(records, names, kind, start, covariates):
     without ``covariates``, a record may hold further cells, not read. The
     records whose time and status (or endpoints) parsed are checked against
     the record rule before a later cell's fault is raised, so the first bad
-    row's error is raised."""
+    row's error is raised. A record that the csv module cannot read, such as
+    one with a cell longer than ``csv.field_size_limit()``, is a bad row too."""
     parse_second = _right_cell if kind == KIND_INTERVAL else float
     pairs, raw, cells, fault = [], [], [], None
-    for i, (_, row) in enumerate(records, start=start):
-        try:
+    try:
+        for i, (_, row) in enumerate(records, start=start):
             if len(row) < len(names) or covariates and len(row) > len(names):
                 at_least = "" if covariates else "at least "
                 raise ParseError(f"row {i}: expected {at_least}{len(names)} cells, got {len(row)}", row=i)
@@ -599,9 +611,10 @@ def _parse_rows(records, names, kind, start, covariates):
                           _parse_float(row[1], i, names[1], parse_second)))
             raw.append(row[1])
             cells.append([_parse_float(c, i, name) for c, name in zip(row[2:], names[2:])])
-        except ParseError as exc:
-            fault = exc
-            break
+    except ParseError as exc:
+        fault = exc
+    except csv.Error as exc:  # the records before it all parsed
+        fault = ParseError(f"row {start + len(cells)}: {exc}", row=start + len(cells))
     first, second = np.array(pairs, dtype=float).reshape(-1, 2).T
     _check_rows(kind, first, second, raw, row=start)
     if fault is not None:

@@ -29,13 +29,11 @@ from .km import (
     RMST,
     SURVIVAL,
     PseudoVector,
-    _event_grid,
     _step_integral,
     _step_value,
     km_fit,
 )
-from .parametric import _score_solves
-from .pch import CutGrid, rmst_rows, survival_rows
+from .pch import CutGrid, rmst_rows, score_products, survival_rows
 
 # A block of left-out subjects holds at most this many elements per
 # block-by-column array: subjects times event times for the product-limit
@@ -67,18 +65,18 @@ def jackknife_km(dataset: Dataset, target: str, horizon: float) -> PseudoVector:
     full = (km._survival_at(horizon, stacklevel=3) if target == SURVIVAL
             else km._rmst(horizon, stacklevel=3))
 
-    times = km.times
-    status = km.status
-    n = km.n
-    u, d, r, rank = _event_grid(times, status)
+    times, status, n, u, rank = km.times, km.status, km.n, km.event_times, km.rank
     events = np.flatnonzero(status == 1)
     if events.size == 1:
         raise NoEvents(
             f"removing subject {events[0]} leaves a sample with no events",
             subject=int(events[0]),
         )
-    # A subject's own event time is the last event time at or before it.
+    # A subject's own event time is the last one at or before it, of index rank - 1,
+    # and it is at risk at the first rank event times; so the ranks give the counts d and r.
     where = rank - 1
+    d = np.bincount(where[events], minlength=u.size)
+    r = n - np.cumsum(np.bincount(rank))[:u.size]
     evaluate = _step_value if target == SURVIVAL else _step_integral
     loo = np.empty(n)
     for rows in _blocks(n, u.size):
@@ -132,7 +130,7 @@ def jackknife_pch(
     n = dataset.n
     try:
         # alpha_(-l) = alpha - info^-1 s_l / (n - 1) + O(n^-2), stepped in log-rates
-        shift = _score_solves(fit, dataset, np.eye(grid.K))
+        shift = score_products(alpha_full, prep, fit.solve_information(np.eye(grid.K)))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             start = alpha_full * np.exp(-shift / ((n - 1) * alpha_full))
     except SingularInformation:

@@ -162,6 +162,13 @@ def test_pseudo_ic_unrestricted_mean_allowed(ic_csv, capsys):
     assert np.all(np.isfinite(values))
 
 
+_BAD_SCENARIO_CUTS = [
+    ("5,4", "cut points must be strictly increasing"),
+    ("4,nan", "cut points must be finite and positive"),
+    ("1e400", "cut points must be finite and positive"),
+]
+
+
 def test_usage_errors_exit_2(rc_csv, ic_csv, capsys, tmp_path):
     rc_path, _ = rc_csv
     ic_path, _ = ic_csv
@@ -200,6 +207,16 @@ def test_usage_errors_exit_2(rc_csv, ic_csv, capsys, tmp_path):
           "--seed", "2", "--cuts", "3,4"], "scenario rc takes no cuts"),
         (["bench", "--scenario", "rc", "--n", "100", "--cuts", "3,4"], "scenario rc takes no cuts"),
         (rc + ["--target", "surv", "--t", "1.0", "--cuts", "3,4"], "--kind rc takes no cuts"),
+        # unordered, not-a-number or overflowing cuts for a scenario, from either command
+        *((["simulate", "--scenario", "ic1", "--n", "20", "--reps", "3", "--cuts", cuts], message)
+          for cuts, message in _BAD_SCENARIO_CUTS),
+        *((["bench", "--scenario", "ic1", "--n", "20", "--cuts", cuts], message)
+          for cuts, message in _BAD_SCENARIO_CUTS),
+        # Newton flags for the product-limit estimator, which has no solver
+        (rc + ["--target", "surv", "--t", "1.0", "--tol", "1e-6"],
+         "--kind rc takes no --tol or --max-iter"),
+        (rc + ["--target", "surv", "--t", "1.0", "--max-iter", "5"],
+         "--kind rc takes no --tol or --max-iter"),
         # solver settings with which Newton cannot converge
         (ic_rmst + ["--cuts", "4,5,6,7", "--tol", "inf"], "need a finite tol >= 0"),
         (ic_rmst + ["--cuts", "4,5,6,7", "--tol", "-1"], "need a finite tol >= 0"),
@@ -234,6 +251,45 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error:NonIdentifiable:")
+
+
+# Text the CSV layer cannot read, as (the bytes of a cell, the message):
+# a byte that is not UTF-8, and a quoted cell longer than the csv module's
+# field limit, which np.loadtxt cannot read either.
+_TEXT_FAULTS = {
+    "not-utf8": (b"\xff", "cannot decode b'\\xff': the input is not UTF-8 text"),
+    "long-cell": (b'"' + b"x" * (csv.field_size_limit() + 1) + b'"',
+                  f"field larger than field limit ({csv.field_size_limit()})"),
+}
+
+
+@pytest.mark.parametrize("fault", _TEXT_FAULTS)
+@pytest.mark.parametrize("command", ["pseudo", "fit"])
+def test_unreadable_data_text_exits_3(command, fault, tmp_path, capsys):
+    """A --data file that is not UTF-8 text, or that holds an over-long
+    cell, exits 3 with one ParseError line; the cell's row is named."""
+    cell, message = _TEXT_FAULTS[fault]
+    header = b"time,status" if command == "pseudo" else b"left,right"
+    path = tmp_path / "data.csv"
+    path.write_bytes(header + b"\n1,1\n" + cell + b",1\n2,2\n")
+    args = (["pseudo", "--kind", "rc", "--target", "surv", "--t", "1"] if command == "pseudo"
+            else ["fit", "--cuts", "1"])
+    assert main([*args, "--data", str(path)]) == 3
+    row = "row 2: " if fault == "long-cell" else ""
+    assert capsys.readouterr().err == f"error:ParseError: {row}{message}\n"
+
+
+@pytest.mark.parametrize("fault", _TEXT_FAULTS)
+@pytest.mark.parametrize("where", ["pseudo", "covariates"])
+def test_unreadable_regress_text_exits_2_naming_the_file(where, fault, tmp_path, capsys):
+    cell, message = _TEXT_FAULTS[fault]
+    templates = {"pseudo": b"id,pseudo\n1,0.5\n2,%s\n3,0.2\n", "covariates": b"z\n1\n%s\n1\n"}
+    paths = {name: tmp_path / f"{name}.csv" for name in templates}
+    for name, template in templates.items():
+        paths[name].write_bytes(template % (cell if name == where else b"0"))
+    assert main(["regress", "--pseudo", str(paths["pseudo"]),
+                 "--covariates", str(paths["covariates"])]) == 2
+    assert capsys.readouterr().err == f"error:usage: {paths[where]}: {message}\n"
 
 
 def test_header_without_rows_exits_3(tmp_path, capsys):

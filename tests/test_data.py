@@ -101,6 +101,32 @@ def test_loader_drops_a_byte_order_mark(tmp_path):
     np.testing.assert_array_equal(ds.times, [1.5])
 
 
+@pytest.mark.parametrize("covariates", [True, False])
+@pytest.mark.parametrize("loader, header", [
+    (load_right_censored_dataset, b"time,status"), (load_interval_dataset, b"left,right")])
+def test_loader_types_bytes_that_are_not_utf8(loader, header, covariates, tmp_path):
+    """The text layer decodes ahead of the rows, so no row is named."""
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(header + b"\n1,1\n\xff3,1\n")
+    with pytest.raises(ParseError, match=r"^cannot decode b'\\xff': the input is not UTF-8 text$") as err:
+        loader(path, covariates=covariates)
+    assert err.value.row is None
+
+
+@pytest.mark.parametrize("row", [0, 2], ids=["header", "body"])
+@pytest.mark.parametrize("loader, header", [
+    (load_right_censored_dataset, "time,status"), (load_interval_dataset, "left,right")])
+def test_loader_types_a_cell_over_the_csv_field_limit(loader, header, row):
+    """np.loadtxt reads the long number as inf, so its batch goes to the row
+    rule, where the csv module refuses the cell; the header row is row 0."""
+    lines = [header, "1,1", "2,2"]
+    lines[row] = '"' + "1" * (csv.field_size_limit() + 1) + '",' + lines[row].split(",")[1]
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        loader(io.StringIO("\n".join(lines) + "\n"))
+    assert err.value.row == row
+    assert str(err.value).startswith("header row: " if row == 0 else "row 2: ")
+
+
 @pytest.mark.parametrize("cell", ["10", "1_0"], ids=["vectorized", "row-wise"])
 def test_records_at_zero_warn_once_on_either_load_path(cell):
     """``1_0`` is a number to Python's float, not to np.loadtxt, so its

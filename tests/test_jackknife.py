@@ -23,7 +23,7 @@ from pseudosurv import (
     km_fit,
     right_censored_dataset,
 )
-from pseudosurv import jackknife
+from pseudosurv import fitting, jackknife
 from pseudosurv.fitting import newton_prepared
 from pseudosurv.pch import rmst_closed_form
 from pseudosurv.simulate import ScenarioConfig, generate
@@ -171,6 +171,22 @@ def test_supplied_fit_must_be_of_the_same_sample():
     np.testing.assert_array_equal(
         own.values, jackknife_pch(ds, CutGrid(()), "survival", 1.0).values
     )
+
+
+def test_a_reordered_sample_is_prepared_once(monkeypatch):
+    """A supplied fit of the records in another order prepares their
+    likelihood once, for the starts and the refits alike."""
+    ds = generate(ScenarioConfig("ic1", n=40, seed=4))
+    fit = fit_pch(ds, IC_CUTS)
+    order = np.arange(ds.n)[::-1]
+    reordered = interval_dataset(ds.left[order], ds.right[order])
+    calls = []
+    prepare = fitting.prepare_likelihood
+    monkeypatch.setattr(fitting, "prepare_likelihood", lambda *a: calls.append(a) or prepare(*a))
+    pv = jackknife_pch(reordered, IC_CUTS, "rmst", 6.0, fit=fit)
+    assert len(calls) == 1
+    np.testing.assert_allclose(pv.values[order],
+                               jackknife_pch(ds, IC_CUTS, "rmst", 6.0, fit=fit).values, rtol=1e-9)
 
 
 def test_failed_subfit_is_flagged_not_fatal():
