@@ -33,10 +33,6 @@ from .simulate import _SCENARIOS, ScenarioConfig, benchmark, monte_carlo
 _TOL_HELP = "Newton stops after a full step that moves no log-rate by more than this"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error:usage: {message}", file=sys.stderr)
@@ -49,7 +45,7 @@ def main(argv=None) -> int:
     default_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         args.run(args)
-    except (_UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error:usage: {exc}", file=sys.stderr)
         return 2
     except PseudosurvError as exc:
@@ -136,11 +132,11 @@ def _build_parser() -> _Parser:
 def _cmd_pseudo(args):
     horizon = _pseudo_horizon(args)
     if args.kind == "ic" and args.cuts is None:
-        raise _UsageError("--kind ic requires --cuts")
+        raise ValueError("--kind ic requires --cuts")
     if args.kind == "rc" and args.cuts is not None:
-        raise _UsageError("--kind rc takes no cuts")
+        raise ValueError("--kind rc takes no cuts")
     if args.kind == "rc" and _solver(args):
-        raise _UsageError("--kind rc takes no --tol or --max-iter")
+        raise ValueError("--kind rc takes no --tol or --max-iter")
     target = SURVIVAL if args.target == "surv" else RMST
 
     if args.kind == "rc":
@@ -221,15 +217,15 @@ def _cmd_bench(args):
 def _pseudo_horizon(args) -> float:
     if args.target == "surv":
         if args.t is None:
-            raise _UsageError("--target surv requires --t")
+            raise ValueError("--target surv requires --t")
         if args.t < 0 or not math.isfinite(args.t):
-            raise _UsageError("--t must be finite and nonnegative")
+            raise ValueError("--t must be finite and nonnegative")
         return args.t
     if args.tau is None:
-        raise _UsageError("--target rmst requires --tau")
+        raise ValueError("--target rmst requires --tau")
     tau = _parse_tau(args.tau)
     if args.kind == "rc" and math.isinf(tau):
-        raise _UsageError("--tau must be finite for --kind rc")
+        raise ValueError("--tau must be finite for --kind rc")
     return tau
 
 
@@ -237,9 +233,9 @@ def _parse_tau(raw) -> float:
     try:
         tau = float(raw)
     except ValueError:
-        raise _UsageError(f"cannot parse tau {raw!r}") from None
+        raise ValueError(f"cannot parse tau {raw!r}") from None
     if math.isnan(tau) or tau <= 0:
-        raise _UsageError("tau must be positive (or 'inf')")
+        raise ValueError("tau must be positive (or 'inf')")
     return tau
 
 
@@ -247,9 +243,9 @@ def _parse_cuts(raw) -> tuple:
     try:
         cuts = tuple(float(c) for c in str(raw).split(",") if c.strip() != "")
     except ValueError:
-        raise _UsageError(f"cannot parse cuts {raw!r}") from None
+        raise ValueError(f"cannot parse cuts {raw!r}") from None
     if not cuts:
-        raise _UsageError("cuts must list at least one point")
+        raise ValueError("cuts must list at least one point")
     return cuts
 
 
@@ -279,46 +275,46 @@ def _read_csv(path, usecols=None):
     """Header (the first non-empty CSV row) and float body of a ``regress``
     input, read once, so a pipe works; ``usecols=1`` reads the pseudo column
     of an ``id,pseudo`` file, a byte-order mark dropped. The body's row rule
-    is `_parse_rows`; non-UTF-8 bytes or a record csv refuses raise `_UsageError` naming the file."""
+    is `_parse_rows`; non-UTF-8 bytes or a record csv refuses raise ValueError naming the file."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
             rows = csv.reader(handle)
             header = next((row for row in rows if row), [])
             if usecols is not None and len(header) <= usecols:
-                raise _UsageError(f"{path}: expected columns id,pseudo")
+                raise ValueError(f"{path}: expected columns id,pseudo")
             body = _read_body(handle, functools.partial(_parse_rows, path, usecols, rows.line_num),
                               usecols=usecols)
         except UnicodeDecodeError as exc:
-            raise _UsageError(f"{path}: {_not_utf8(exc)}") from None
+            raise ValueError(f"{path}: {_not_utf8(exc)}") from None
         except csv.Error as exc:
-            raise _UsageError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
     if body.shape[0] == 0:
-        raise _UsageError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     if usecols is None and len(header) != body.shape[1]:
-        raise _UsageError(f"{path}: the header names {len(header)} columns,"
-                          f" the rows hold {body.shape[1]}")
+        raise ValueError(f"{path}: the header names {len(header)} columns,"
+                         f" the rows hold {body.shape[1]}")
     return header, body
 
 
 def _parse_rows(path, usecols, skipped, records, _, width):
     """``regress``'s row rule: the non-blank records as a float table, or a
-    `_UsageError` naming the file line of the first one whose column
+    ValueError naming the file line of the first one whose column
     ``usecols + 1`` (all ``width`` cells if None) is not a Python float.
     ``skipped`` lines precede the body."""
     table = []
     for line, row in (record for record in records if record[1]):
         at = f"{path}: line {skipped + line + 1}"
         if usecols is not None and len(row) <= usecols:
-            raise _UsageError(f"{at}: expected at least {usecols + 1} cells, got {len(row)}")
+            raise ValueError(f"{at}: expected at least {usecols + 1} cells, got {len(row)}")
         width = width or len(row)
         if usecols is None and len(row) != width:
-            raise _UsageError(f"{at}: expected {width} cells, got {len(row)}")
+            raise ValueError(f"{at}: expected {width} cells, got {len(row)}")
         values = []
         for j in range(len(row)) if usecols is None else [usecols]:
             try:
                 values.append(float(row[j]))
             except ValueError:
-                raise _UsageError(f"{at}, column {j + 1}: cannot parse {row[j]!r} as a number") from None
+                raise ValueError(f"{at}, column {j + 1}: cannot parse {row[j]!r} as a number") from None
         table.append(values)
     return np.array(table, dtype=float).reshape(len(table), -1 if table else 0)
 

@@ -301,13 +301,13 @@ def newton_prepared(
     rule ``fit_pch`` documents for ``tol`` and with its own step, floor,
     step-halvings and rate bounds. A trial is taken iff its log-likelihood
     is finite and does not fall; one kernel call evaluates the trials of
-    all the rows still searching. A row that stops or fails leaves the
-    active set; a failure is recorded in the result, not raised. A row's
-    last step is taken without a kernel call, so a caller that needs the
-    log-likelihood or the information at the fitted rates evaluates the
-    kernel there once; the leave-one-out oracle, which needs only the
-    rates, calls this directly from its first-order starts, skipping
-    dataset re-validation.
+    all the rows still searching, against their rows of the stack. A row
+    that stops or fails leaves the active set; a failure is recorded in the
+    result, not raised. A row's last step is taken without a kernel call,
+    so a caller that needs the log-likelihood or the information at the
+    fitted rates evaluates the kernel there once; the leave-one-out oracle,
+    which needs only the rates, calls this directly from its first-order
+    starts, skipping dataset re-validation.
     """
     init_alpha = np.asarray(init_alpha, dtype=float)
     B, K = init_alpha.shape
@@ -347,7 +347,7 @@ def newton_prepared(
                 break
             with np.errstate(over="ignore", invalid="ignore"):
                 trial = np.exp(beta[rows] + factor[rows, None] * step[rows])
-                cand = (trial,) + _kernel(trial, _increments(trial, prep), prep.take(act[rows]))
+                cand = (trial,) + _kernel(trial, _increments(trial, prep), prep, act[rows])
             won = np.isfinite(cand[1]) & (cand[1] >= loglik[rows])
             for current, value in zip((alpha, loglik, grad, hess), cand):
                 current[rows[won]] = value[won]

@@ -357,7 +357,7 @@ class PreparedLikelihood:
     exposures, and ``exact_counts``, the exact records per piece. In a stack
     made by ``leave_out`` these two have one row per likelihood, and
     ``left_out`` holds each row's left-out bracket position, or -1; every
-    pass over a stack runs as over one likelihood, in as many parts.
+    pass over a stack runs as over one likelihood (see ``_kernel``).
     """
 
     grid: CutGrid
@@ -383,8 +383,8 @@ class PreparedLikelihood:
 
         Only the B x K sums and the B left-out positions are new: each row's
         sums lose its subject's ``CutGrid.exposure`` and exact record. The
-        stack shares every per-record and per-bracket array, and each kernel
-        part drops the left-out brackets in its range from its sums.
+        stack shares every per-record and per-bracket array; ``_kernel``
+        gives a left-out bracket an infinite increment, which adds nothing.
         """
         rows = np.asarray(rows, dtype=int)
         exact_counts = np.tile(self.exact_counts, (rows.size, 1))
@@ -394,13 +394,6 @@ class PreparedLikelihood:
         position[self.interval_rows] = np.arange(self.interval_rows.size)
         return replace(self, expo_sum=self.expo_sum - self.grid.exposure(self.expo_left[rows]),
                        exact_counts=exact_counts, left_out=position[rows])
-
-    def take(self, idx) -> "PreparedLikelihood":
-        """Rows idx of a stack; an unstacked likelihood is returned as is."""
-        if self.left_out is None:
-            return self
-        return replace(self, expo_sum=self.expo_sum[idx], exact_counts=self.exact_counts[idx],
-                       left_out=self.left_out[idx])
 
 
 def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
@@ -510,12 +503,18 @@ def loglik_parts(alpha, prep: PreparedLikelihood):
     return loglik, grad, hess
 
 
-def _kernel(alpha, dlam, prep: PreparedLikelihood):
+def _kernel(alpha, dlam, prep: PreparedLikelihood, rows=slice(None)):
     """``loglik_parts`` of R rate rows, alpha (R, K), at known bracket
-    increments dlam (brackets, R). A rate of 0 or inf, or a bracket without
+    increments dlam (brackets, R), against one likelihood or the ``rows`` of a
+    stack, whose left-out entries of dlam it overwrites with +inf (score
+    factor 1 / expm1(inf) = +0.0). A rate of 0 or inf, or a bracket without
     mass, gives a log-likelihood that is nan or -inf."""
     R, K = alpha.shape
     Q, bounds = prep.class_sizes.size, prep.class_bounds
+    expo_sum, counts, left_out = prep.expo_sum, prep.exact_counts, prep.left_out
+    if left_out is not None:  # a stack: the rows' sums, and no terms for a left-out bracket
+        expo_sum, counts, left_out = expo_sum[rows], counts[rows], left_out[rows]
+        dlam[left_out[left_out >= 0], np.flatnonzero(left_out >= 0)] = np.inf
     # Per bracket, g = 1 / expm1(dlam) is the score factor, c = g (1 + g)
     # the curvature and -log1p(g) the log of the bracket mass. They are
     # summed class by class, three bracket rows at a time in one buffer: g
@@ -531,9 +530,6 @@ def _kernel(alpha, dlam, prep: PreparedLikelihood):
         t, lengths, starts = terms[:, b], prep.diff[:, b, None], bounds[q]
         upto = terms[:, :b.stop]  # reduceat's last class ends where its input does
         g = np.reciprocal(np.expm1(dlam[b], out=t[2]), out=t[2])
-        if prep.left_out is not None:  # the stack rows left out of this range
-            stacked = np.flatnonzero((prep.left_out >= b.start) & (prep.left_out < b.stop))
-            g[prep.left_out[stacked] - b.start, stacked] = 0.0
         np.multiply(g, lengths, out=t[:2])
         np.add.reduceat(upto, starts, axis=1, out=score[:, q])
         c = np.multiply(g, g, out=t[0])
@@ -554,10 +550,9 @@ def _kernel(alpha, dlam, prep: PreparedLikelihood):
         # dot over n terms rounds several units in the last place worse.
         log_mass = masses.sum(axis=-1)
         del terms, masses
-        counts = prep.exact_counts
-        loglik = _rowdot(counts, np.log(alpha)) - _rowdot(prep.expo_sum, alpha) - log_mass
+        loglik = _rowdot(counts, np.log(alpha)) - _rowdot(expo_sum, alpha) - log_mass
         basis = prep.classes.reshape(3 * Q, K)
-        grad = (basis.T @ score.reshape(3 * Q, R)).T - prep.expo_sum + counts / alpha
+        grad = (basis.T @ score.reshape(3 * Q, R)).T - expo_sum + counts / alpha
         # Each class's 3 x 3 moments times its basis, one product per class
         # for all the rows, then the bases times those, summed over the
         # classes in one product.

@@ -44,6 +44,7 @@ from .errors import (
     NonIdentifiable,
     SingularDesign,
     SingularInformation,
+    check_tau,
 )
 from .fitting import fit_pch
 from .gee import IDENTITY, LinkSpec, fit_gee
@@ -76,7 +77,8 @@ class ScenarioConfig:
 
     ``tau`` and ``cuts`` default per scenario (see the module docstring);
     pass explicit values to override them. The rc scenario fits no
-    piecewise hazard, so it refuses ``cuts``.
+    piecewise hazard, so it refuses ``cuts``. Cuts that ``CutGrid`` refuses,
+    and a tau that ``check_tau`` does (inf for rc), raise before any draw.
     """
 
     scenario: str
@@ -97,7 +99,8 @@ class ScenarioConfig:
             raise ValueError(f"scenario {self.scenario} takes no cuts")
         cuts = spec.cuts if self.cuts is None else self.cuts
         if cuts is not None:
-            object.__setattr__(self, "cuts", tuple(float(c) for c in cuts))
+            object.__setattr__(self, "cuts", CutGrid(cuts).cuts)
+        check_tau(self.tau, finite=spec.visits is None)
 
     @property
     def beta0(self) -> np.ndarray:

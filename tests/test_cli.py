@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudosurv import cli, data, fit_pch, interval_dataset, km_fit, km_pseudo_survival, save_dataset
+from pseudosurv import (
+    cli, data, fit_pch, interval_dataset, km_fit, km_pseudo_survival, save_dataset, simulate,
+)
 from pseudosurv.cli import main
 from pseudosurv.gee import fit_gee, wald_table
 from pseudosurv.jackknife import jackknife_km, jackknife_pch
@@ -251,6 +253,14 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error:NonIdentifiable:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_an_infinite_rc_scenario_tau_exits_3_before_any_data(command, capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "generate", None)  # any replication would fail on it
+    args = [command, "--scenario", "rc", "--n", "20", "--tau", "inf"]
+    assert main(args + (["--reps", "2"] if command == "simulate" else [])) == 3
+    assert capsys.readouterr().err == "error:InvalidTau: tau must be finite and positive, got inf\n"
 
 
 # Text the CSV layer cannot read, as (the bytes of a cell, the message):

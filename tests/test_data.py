@@ -153,6 +153,14 @@ def test_dataset_rejects_covariate_row_mismatch():
         right_censored_dataset([1.0, 2.0], [1, 0], covariates=np.ones((3, 2)))
 
 
+def test_dataset_rejects_covariates_that_are_not_a_matrix_or_misnamed():
+    with pytest.raises(ValueError, match="2-D"):
+        right_censored_dataset([1.0, 2.0], [1, 0], covariates=np.ones(2))
+    with pytest.raises(ValueError, match="covariate_names length"):
+        right_censored_dataset([1.0, 2.0], [1, 0], covariates=np.ones((2, 2)),
+                               covariate_names=("a",))
+
+
 def test_dataset_rejects_missing_covariates():
     with pytest.raises(ValueError):
         right_censored_dataset([1.0], [1], covariates=np.array([[1.0, math.nan]]))
@@ -316,6 +324,11 @@ def test_interval_width_summary_two_conventions():
     widths = interval_width_summary(ds)
     assert widths["mean_width_strict"] == pytest.approx(2.5)
     assert widths["mean_width_finite"] == pytest.approx((2 + 3 + 2) / 3)
+
+
+def test_interval_width_summary_empty_raises():
+    with pytest.raises(EmptyInput):
+        interval_width_summary(interval_dataset([], []))
 
 
 def test_interval_width_summary_nan_when_no_qualifying_records():

@@ -226,9 +226,9 @@ def test_an_overflowing_trial_is_rejected_by_the_kernel(monkeypatch):
         steps.append(_ascent_steps(hess_b, grad_b))
         return steps[-1] * (2.0**12 if len(steps) == 1 else 1.0)
 
-    def watched_kernel(alpha, dlam, prep):
+    def watched_kernel(alpha, dlam, prep, rows):
         overflowed.append(np.isinf(alpha).any())
-        return _kernel(alpha, dlam, prep)
+        return _kernel(alpha, dlam, prep, rows)
 
     monkeypatch.setattr(fitting, "_ascent_steps", long_first_step)
     monkeypatch.setattr(fitting, "_kernel", watched_kernel)
@@ -247,8 +247,8 @@ def test_no_improving_trial_ends_the_fit_at_its_start(monkeypatch):
     step to the limit and fails there, at the starting rates."""
     ds = generate(ScenarioConfig("ic1", n=200, seed=2))
 
-    def rejecting_kernel(alpha, dlam, prep):
-        loglik, grad, hess = _kernel(alpha, dlam, prep)
+    def rejecting_kernel(alpha, dlam, prep, rows):
+        loglik, grad, hess = _kernel(alpha, dlam, prep, rows)
         return np.full_like(loglik, -np.inf), grad, hess
 
     monkeypatch.setattr(fitting, "_kernel", rejecting_kernel)

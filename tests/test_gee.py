@@ -113,6 +113,12 @@ def test_rank_deficient_design_is_rejected():
         fit_gee(np.arange(6.0), Z)
 
 
+def test_sandwich_of_a_rank_deficient_design_is_rejected():
+    Z = np.column_stack([np.ones(6), np.zeros(6)])  # a column of zeros
+    with pytest.raises(SingularDesign):
+        sandwich_variance(np.arange(6.0), Z, np.array([2.5, 0.0]))
+
+
 def test_shape_mismatch_is_rejected():
     with pytest.raises(ValueError):
         fit_gee(np.arange(4.0), np.ones((5, 1)))
@@ -206,6 +212,11 @@ def test_link_spec_validation():
     np.testing.assert_allclose(link.derivative(eta), fd, atol=1e-7)
     np.testing.assert_allclose(link.link(link.inverse(eta)), eta, atol=1e-12)
     assert LinkSpec(IDENTITY).derivative(eta) == pytest.approx(np.ones(3))
+
+
+def test_identity_link_is_the_mean_itself():
+    theta = np.array([-0.3, 0.0, 0.4])
+    np.testing.assert_array_equal(LinkSpec(IDENTITY).link(theta), theta)
 
 
 @pytest.mark.parametrize("cell", [math.nan, math.inf])

@@ -17,6 +17,7 @@ from scipy import integrate
 from pseudosurv import (
     CutGrid,
     DegenerateInterval,
+    EmptyInput,
     InvalidTau,
     InvalidTime,
     PchModel,
@@ -389,6 +390,12 @@ def test_conditions_flag_piece_without_exceeding_left_endpoint():
     ds = interval_dataset([0.0, 0.0], [0.5, 2.0])
     report = check_conditions(ds, CutGrid((1.0,)))
     assert (1, 2) in report.violations
+
+
+@pytest.mark.parametrize("call", [check_conditions, prepare_likelihood])
+def test_an_empty_dataset_has_no_conditions_or_likelihood(call):
+    with pytest.raises(EmptyInput):
+        call(interval_dataset([], []), CutGrid((1.0,)))
 
 
 def test_conditions_pass_on_generated_visit_data():

@@ -455,7 +455,8 @@ def _regress_outcome(path, usecols, read_lines):
     with mock.patch.object(data, "_READ_LINES", read_lines):
         try:
             header, body = cli._read_csv(path, usecols)
-        except cli._UsageError as exc:
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
             return str(exc)
     return header, body.shape, body.tobytes()
 

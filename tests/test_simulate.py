@@ -5,13 +5,15 @@ truths) run at large n so the assertions sit several standard errors
 away from their targets.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pseudosurv import censoring_summary, interval_width_summary
+from pseudosurv import InvalidTau, censoring_summary, interval_width_summary, simulate
 from pseudosurv.data import LEFT_CENSORED, RIGHT_CENSORED, STRICT_INTERVAL
+from pseudosurv.jackknife import jackknife_pch
 from pseudosurv.simulate import (
     MonteCarloReport,
     ScenarioConfig,
@@ -43,6 +45,28 @@ def test_config_validation():
         ScenarioConfig("rc", n=100, cuts=(3.0, 4.0))
 
 
+@pytest.mark.parametrize("cuts, message", [
+    ((5, 4), "strictly increasing"),
+    ((math.nan,), "finite and positive"),
+    ((-1,), "finite and positive"),
+    ((4.0, math.inf), "finite and positive"),
+])
+def test_config_refuses_cuts_that_no_grid_takes(cuts, message):
+    with pytest.raises(ValueError, match=f"^cut points must be {message}, got"):
+        ScenarioConfig("ic1", n=20, cuts=cuts)
+
+
+@pytest.mark.parametrize("scenario, tau, message", [
+    ("rc", math.inf, "finite and positive"),
+    ("rc", 0.0, "finite and positive"),
+    ("ic1", math.nan, r"positive \(inf allowed\)"),
+    ("ic2", -1.0, r"positive \(inf allowed\)"),
+])
+def test_config_refuses_a_tau_its_pseudo_values_refuse(scenario, tau, message):
+    with pytest.raises(InvalidTau, match=f"^tau must be {message}, got"):
+        ScenarioConfig(scenario, n=20, tau=tau)
+
+
 def test_regression_truth_closed_form():
     rc = ScenarioConfig("rc", n=100)
     np.testing.assert_allclose(
@@ -52,6 +76,13 @@ def test_regression_truth_closed_form():
     ic2 = ScenarioConfig("ic2", n=100)
     np.testing.assert_array_equal(ic2.beta0, [6.0, 4.0])
     assert ic2.coef_names == ("intercept", "z")
+
+
+def test_rc_truth_when_tau_is_beyond_or_below_every_cell():
+    """Every cell's uniform latent time lies in [2.5, 9]: a tau at or beyond
+    all of it gives the cell means, one at or below all of it gives tau."""
+    np.testing.assert_array_equal(ScenarioConfig("rc", 50, tau=10).beta0, [5.5, 0.25, 0.25, 0.5])
+    np.testing.assert_array_equal(ScenarioConfig("rc", 50, tau=2).beta0, [2.0, 0.0, 0.0, 0.0])
 
 
 def test_regression_truth_agrees_with_latent_draws():
@@ -185,6 +216,22 @@ def test_monte_carlo_excludes_failed_replications(method):
     assert report.estimates.shape == (0, 4)
     for column in (report.bias, report.se, report.mse):
         assert np.isnan(column).all()
+
+
+def test_monte_carlo_excludes_a_jackknife_with_flagged_refits(monkeypatch):
+    """A jackknife vector with a failed refit is a failed replication, as the
+    regression would otherwise see its NaN."""
+    def one_flagged(*args, **kwargs):
+        pv = jackknife_pch(*args, **kwargs)
+        flagged = np.zeros(pv.n, dtype=bool)
+        flagged[0] = True
+        return dataclasses.replace(pv, flagged=flagged)
+
+    config = ScenarioConfig("ic1", n=150, seed=1)
+    assert monte_carlo(config, "jackknife", reps=2).excluded == 0
+    monkeypatch.setattr(simulate, "jackknife_pch", one_flagged)
+    report = monte_carlo(config, "jackknife", reps=2)
+    assert (report.used, report.excluded) == (0, 2)
 
 
 def test_monte_carlo_validation():

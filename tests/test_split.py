@@ -167,6 +167,26 @@ def test_a_leave_one_out_stack_splits_like_one_likelihood(parts, P):
 
 
 @pytest.mark.parametrize("P", [1, 2, 3])
+def test_a_left_out_bracket_adds_nothing_whatever_its_increment(parts, P):
+    """A stack row's left-out bracket has no terms in the kernel's sums, so
+    the increment the kernel is handed for it changes no bit of its output."""
+    ds, grid = _sample("exact records")
+    stack = prepare_likelihood(ds, grid).leave_out(np.arange(0, ds.n, 7))
+    B = stack.left_out.size
+    rates = np.linspace(0.1, 0.3, grid.K) * np.linspace(1.0, 2.0, B)[:, None]
+    counting = parts(P)
+    dlam = pch._increments(rates, stack)
+    as_computed = {"kernel": pch._kernel(rates, dlam.copy(), stack)}
+    rows = np.flatnonzero(stack.left_out >= 0)
+    assert 0 < rows.size < B  # rows without a bracket to leave out, too
+    for value in (0.0, -1.0, math.nan):
+        overwritten = dlam.copy()
+        overwritten[stack.left_out[rows], rows] = value
+        _assert_identical(as_computed, {"kernel": pch._kernel(rates, overwritten, stack)})
+    assert (counting.submitted > 0) == (P > 1)
+
+
+@pytest.mark.parametrize("P", [1, 2, 3])
 def test_a_degenerate_bracket_is_named_for_any_number_of_parts(parts, P):
     # record 37's bracket is so narrow that its increment underflows to zero
     left = np.linspace(0.5, 5.0, 60)

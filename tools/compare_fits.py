@@ -20,7 +20,13 @@ default cuts:
   that does not), and at n = 2^17 + 1, the first whose per-record passes
   exceed ``pch.SPLIT_ELEMENTS`` (2^17) and run in parts, while n = 2^17
   runs every pass whole, seed 1, without the jackknife but with
-  ``pseudo_alpha``, whose K-column score products split there too;
+  ``pseudo_alpha``, whose K-column score products split there too; at
+  n = 2^17 + 1 also leave-one-out refits, run as ``jackknife_pch`` runs
+  them, by ``newton_prepared(fit.likelihood.leave_out(rows), rates, 1e-8,
+  200)`` from the fitted rates: one refit each of subjects 0, 1, n // 2 and
+  n - 1, which run whole, and one stack of the 6 subjects
+  ``linspace(0, n - 1, 6)``, whose kernel and increment passes run in parts
+  on more than one CPU;
 - ic1 at n = 10^6, seed 2, cut into 20 pieces at the k/20 quantiles of the
   finite right endpoints (named ``K=20``), without the jackknife: its pilot
   pins some rate only loosely, so ``fit_pch`` must drop it for the midpoint
@@ -29,8 +35,9 @@ default cuts:
 The data are generated once, by the pseudosurv next to this script. Each
 tree then runs every case in a fresh process and dumps, per case, the fit's
 iterations, rates, information and log-likelihood trace, the fast RMST
-pseudo values, ``pseudo_alpha`` where the case asks for it, and the
-jackknife RMST values and flags, or the typed error a step ended with. The
+pseudo values, ``pseudo_alpha`` where the case asks for it, the refits'
+rates, iterations and error texts, and the jackknife RMST values and
+flags, or the typed error a step ended with. The
 tool lists every case whose dumps differ between the first tree and
 another, field by field, and exits 1 if there is one.
 """
@@ -46,7 +53,8 @@ import tempfile
 from pathlib import Path
 
 FIELDS = ("error", "iterations", "rates", "info", "trace", "fast", "fast_error", "alpha",
-          "alpha_error", "jackknife", "flagged", "jackknife_error")
+          "alpha_error", "refit_rates", "refit_iterations", "refit_errors", "jackknife",
+          "flagged", "jackknife_error")
 
 
 def main() -> int:
@@ -107,9 +115,12 @@ def _write_cases(work: Path) -> list:
             dataset = generate(config, seed=stream)
             path = work / f"case-{len(cases)}.npz"
             np.savez(path, left=dataset.left, right=dataset.right)
+            n = config.n
+            refits = ([[0], [1], [n // 2], [n - 1], np.linspace(0, n - 1, 6).astype(int).tolist()]
+                      if n == threshold[0] else [])
             cases.append({"name": name, "data": str(path), "cuts": list(config.cuts),
                           "tau": config.tau, "jackknife": jackknife,
-                          "alpha": config.n in threshold})
+                          "alpha": n in threshold, "refits": refits})
     (work / "cases.json").write_text(json.dumps(cases))
     return cases
 
@@ -123,6 +134,7 @@ def _run_cases(src, work, out):
 
     from pseudosurv import (CutGrid, PseudosurvError, fit_pch, interval_dataset, jackknife_pch,
                             pseudo_alpha, pseudo_rmst)
+    from pseudosurv.fitting import newton_prepared
 
     def error(exc):
         return np.array(f"{type(exc).__name__}: {exc}")
@@ -151,6 +163,15 @@ def _run_cases(src, work, out):
                         out_case["alpha"] = pseudo_alpha(fit, dataset)
                     except PseudosurvError as exc:
                         out_case["alpha_error"] = error(exc)
+                if case["refits"]:
+                    outs = [newton_prepared(fit.likelihood.leave_out(rows),
+                                            np.tile(fit.model.rates, (len(rows), 1)), 1e-8, 200)
+                            for rows in case["refits"]]
+                    out_case.update(
+                        refit_rates=np.concatenate([o.rates for o in outs]),
+                        refit_iterations=np.concatenate([o.iterations for o in outs]),
+                        refit_errors=np.array(["" if e is None else str(error(e))
+                                               for o in outs for e in o.errors]))
                 if case["jackknife"]:
                     try:
                         pv = jackknife_pch(dataset, grid, "rmst", tau, fit=fit)
