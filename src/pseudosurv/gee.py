@@ -7,6 +7,10 @@ normal-equations solve, and the sandwich covariance coincides with the HC0
 heteroskedasticity-robust estimator; those exact equivalences anchor the
 test suite. The complementary-log-log link g(theta) = log(-log theta), solved
 by Fisher scoring, maps survival-scale means to a linear predictor.
+
+Every pass over the subjects reads the design in blocks of ``BLOCK_ROWS``
+rows, so that beyond its inputs a fit holds O(BLOCK_ROWS * p) working
+memory at any n; a design of at most ``BLOCK_ROWS`` rows is one block.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .km import PseudoVector
 
 IDENTITY = "identity"
 CLOGLOG = "cloglog"
+# Rows of the design one pass reads at a time.
+BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,19 @@ def fit_gee(
         [0, 1]; only the fitted mean is constrained by the link.
     covariates : array-like, n x p
         Design matrix, full column rank; include the intercept column
-        yourself if wanted.
+        yourself if wanted. It is read in blocks of ``BLOCK_ROWS`` rows:
+        one pass checks that every value is finite and finds its singular
+        values from each block stacked under the R factor of the blocks
+        before it, and the design counts as rank deficient when fewer than
+        p of them exceed ``max(n, p) * eps`` times the largest,
+        ``np.linalg.matrix_rank``'s default tolerance. The sandwich and
+        each Fisher-scoring step sum their p x p terms over the same
+        blocks, so that beyond the inputs a fit holds O(``BLOCK_ROWS`` * p)
+        working memory; only the cloglog link's two least-squares starts
+        copy the design. For at most ``BLOCK_ROWS`` rows every result is
+        that of one pass over all rows; beyond it the sums round
+        differently, but the identity link's coefficients are one
+        normal-equations solve at any n.
     link : LinkSpec
     tol : float
         Cloglog only: Fisher scoring stops after a step whose sup-norm in
@@ -95,7 +113,8 @@ def fit_gee(
     Raises
     ------
     ValueError
-        If the shapes disagree, or a response or covariate is not finite.
+        If the responses are not a vector, the covariates not a matrix with
+        one row per response, or a response or covariate is not finite.
     SingularDesign
         If the design is rank deficient.
     DidNotConverge
@@ -103,15 +122,8 @@ def fit_gee(
         reaches 0 or 1 to working precision, where the weights vanish and
         no finite solution was reached.
     """
-    y = pseudo.values if isinstance(pseudo, PseudoVector) else np.asarray(pseudo, float)
-    Z = np.asarray(covariates, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != y.shape[0]:
-        raise ValueError("covariates must be an n x p matrix matching the responses")
-    if not (np.isfinite(y).all() and np.isfinite(Z).all()):
-        raise ValueError("responses and covariates must be finite")
-    n, p = Z.shape
-    if np.linalg.matrix_rank(Z) < p:
-        raise SingularDesign("design matrix is rank deficient")
+    y, Z = _responses_and_design(pseudo, covariates)
+    _check_finite_full_rank(y, Z)
 
     if link.kind == IDENTITY:
         beta, iterations = _solve(Z.T @ Z, Z.T @ y), 1
@@ -129,6 +141,52 @@ def fit_gee(
     return GeeFit(beta=beta, cov=cov, se=se, z=z, p=pvals, iterations=iterations)
 
 
+def _responses_and_design(pseudo, covariates):
+    y = pseudo.values if isinstance(pseudo, PseudoVector) else np.asarray(pseudo, float)
+    Z = np.asarray(covariates, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"responses must be a vector, got shape {y.shape}")
+    if Z.ndim != 2 or Z.shape[0] != y.shape[0]:
+        raise ValueError("covariates must be an n x p matrix matching the responses")
+    return y, Z
+
+
+def _blocks(n):
+    """Consecutive row slices of at most ``BLOCK_ROWS`` rows covering n
+    rows; one empty slice for n = 0."""
+    return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, max(n, 1), BLOCK_ROWS)]
+
+
+def _blockwise_sums(terms, y, Z, *args):
+    """Sum each value of ``terms(y[rows], Z[rows], *args)`` over the row
+    blocks. A single block's sums are its own values, bit for bit."""
+    first, *rest = _blocks(y.size)
+    sums = terms(y[first], Z[first], *args)
+    for rows in rest:
+        sums = [a + b for a, b in zip(sums, terms(y[rows], Z[rows], *args))]
+    return sums
+
+
+def _check_finite_full_rank(y, Z):
+    """Refuse non-finite values, then a rank-deficient design, in one pass.
+
+    Each block is stacked under the R factor of the QR decomposition of the
+    blocks before it, which has their singular values; the last stack has
+    Z's. A design of one block is its own stack, as ``matrix_rank`` sees it.
+    """
+    n, p = Z.shape
+    stack = np.empty((0, p))
+    for rows in _blocks(n):
+        if not (np.isfinite(y[rows]).all() and np.isfinite(Z[rows]).all()):
+            raise ValueError("responses and covariates must be finite")
+        if stack.shape[0] > p:
+            stack = np.linalg.qr(stack, mode="r")
+        stack = np.vstack([stack, Z[rows]])
+    s = np.linalg.svd(stack, compute_uv=False)
+    if np.count_nonzero(s > s.max(initial=0.0) * max(n, p) * np.finfo(float).eps) < p:
+        raise SingularDesign("design matrix is rank deficient")
+
+
 def _fisher_scoring(y, Z, link, tol, max_iter):
     # Start from the link-transformed least-squares fit, clipped into (0, 1):
     # pseudo values themselves often lie outside it.
@@ -136,11 +194,8 @@ def _fisher_scoring(y, Z, link, tol, max_iter):
     beta, *_ = np.linalg.lstsq(Z, link.link(clipped), rcond=None)
     norm = math.inf
     for iterations in range(1, max_iter + 1):
-        eta = Z @ beta
-        with np.errstate(over="ignore"):
-            mean = link.inverse(eta)
-            w = link.derivative(eta)
-        if not np.all((mean > 0.0) & (mean < 1.0)):
+        estfun, information, outside = _blockwise_sums(_scoring_terms, y, Z, beta, link)
+        if outside:
             # At a mean of 0 or 1 the weights underflow and the estimating
             # function vanishes without being solved; that is no convergence.
             raise DidNotConverge(
@@ -150,9 +205,8 @@ def _fisher_scoring(y, Z, link, tol, max_iter):
                 grad_norm=norm,
                 iterations=iterations - 1,
             )
-        estfun = Z.T @ (w * (y - mean))
         norm = float(np.max(np.abs(estfun)))
-        step = _solve((Z * w[:, None] ** 2).T @ Z, estfun)
+        step = _solve(information, estfun)
         beta = beta + step
         if float(np.max(np.abs(step))) <= tol:
             return beta, iterations
@@ -162,6 +216,17 @@ def _fisher_scoring(y, Z, link, tol, max_iter):
         grad_norm=norm,
         iterations=max_iter,
     )
+
+
+def _scoring_terms(y, Z, beta, link):
+    """One row block's estimating function and Fisher information at beta,
+    and 1 if a fitted mean in it lies outside (0, 1), else 0."""
+    eta = Z @ beta
+    with np.errstate(over="ignore"):
+        mean = link.inverse(eta)
+        w = link.derivative(eta)
+    outside = int(not np.all((mean > 0.0) & (mean < 1.0)))
+    return Z.T @ (w * (y - mean)), (Z * w[:, None] ** 2).T @ Z, outside
 
 
 def _solve(bread, rhs):
@@ -176,29 +241,43 @@ def sandwich_variance(y, covariates, beta, link: LinkSpec = LinkSpec(IDENTITY)) 
 
     M^{-1} (sum of squared-residual-weighted outer products) M^{-1}, where
     M stacks the mean derivatives. Under the identity link this is exactly
-    the HC0 robust covariance of ordinary least squares.
+    the HC0 robust covariance of ordinary least squares. Both p x p sums
+    run over blocks of ``BLOCK_ROWS`` rows, in O(``BLOCK_ROWS`` * p)
+    working memory; a design of at most ``BLOCK_ROWS`` rows is one block.
+
+    Raises ``ValueError`` if ``y`` is not a vector or ``covariates`` not a
+    matrix with one row per response, and ``SingularDesign`` if M is
+    singular.
     """
-    y = y.values if isinstance(y, PseudoVector) else np.asarray(y, float)
-    Z = np.asarray(covariates, dtype=float)
+    y, Z = _responses_and_design(y, covariates)
     beta = np.asarray(beta, dtype=float)
-    eta = Z @ beta
-    w = link.derivative(eta)
-    residual = y - link.inverse(eta)
-    zw = Z * w[:, None]
-    bread = zw.T @ zw
+    bread, meat = _blockwise_sums(_sandwich_terms, y, Z, beta, link)
     try:
         bread_inv = np.linalg.inv(bread)
     except np.linalg.LinAlgError as exc:
         raise SingularDesign("model matrix is singular") from exc
-    meat = (zw * residual[:, None] ** 2).T @ zw
     cov = bread_inv @ meat @ bread_inv
     return (cov + cov.T) / 2.0
 
 
+def _sandwich_terms(y, Z, beta, link):
+    """One row block's bread and meat."""
+    eta = Z @ beta
+    zw = Z * link.derivative(eta)[:, None]
+    squared_residual = (y - link.inverse(eta)) ** 2
+    return zw.T @ zw, (zw * squared_residual[:, None]).T @ zw
+
+
 def wald_table(fit: GeeFit, names=None) -> str:
-    """CSV-formatted coefficient table: name, estimate, se, z, p."""
+    """CSV-formatted coefficient table: name, estimate, se, z, p.
+
+    ``names`` defaults to b0, b1, ...; given, it must hold one name per
+    coefficient, or ``ValueError`` is raised.
+    """
     if names is None:
         names = [f"b{j}" for j in range(fit.beta.size)]
+    elif len(names) != fit.beta.size:
+        raise ValueError(f"{len(names)} names for {fit.beta.size} coefficients")
     lines = ["coefficient,estimate,se,z,p"]
     for name, b, s, zz, pp in zip(names, fit.beta, fit.se, fit.z, fit.p):
         lines.append(f"{name},{b:.10g},{s:.10g},{zz:.10g},{pp:.10g}")

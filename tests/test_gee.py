@@ -6,9 +6,13 @@ near machine precision rather than statistical approximations.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudosurv import (
     DidNotConverge,
@@ -21,6 +25,7 @@ from pseudosurv import (
     sandwich_variance,
     wald_table,
 )
+from pseudosurv import gee
 from pseudosurv.gee import CLOGLOG, IDENTITY, LinkSpec
 from pseudosurv.km import FAST, SURVIVAL, PseudoVector
 
@@ -126,6 +131,15 @@ def test_shape_mismatch_is_rejected():
         fit_gee(np.arange(4.0), np.ones(4))
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (4, 2)])
+def test_responses_that_are_not_a_vector_are_rejected(shape):
+    Z = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])[:, : shape[1]]
+    with pytest.raises(ValueError, match="responses must be a vector"):
+        fit_gee(np.ones(shape), Z)
+    with pytest.raises(ValueError, match="responses must be a vector"):
+        sandwich_variance(np.ones(shape), Z, np.zeros(Z.shape[1]))
+
+
 def test_sandwich_is_symmetric_positive_semidefinite():
     rng = np.random.default_rng(24)
     for _ in range(10):
@@ -161,6 +175,14 @@ def test_wald_table_layout():
     assert len(lines) == 3
     default = wald_table(fit)
     assert default.strip().split("\n")[1].startswith("b0,")
+
+
+@pytest.mark.parametrize("names", [["intercept"], ["intercept", "arm", "extra"]])
+def test_wald_table_refuses_names_that_do_not_match_the_coefficients(names):
+    rng = np.random.default_rng(26)
+    fit = fit_gee(rng.normal(size=30), _design(rng, 30, 2))
+    with pytest.raises(ValueError, match=f"{len(names)} names for 2 coefficients"):
+        wald_table(fit, names=names)
 
 
 def test_scoring_budget_exhaustion():
@@ -227,3 +249,98 @@ def test_non_finite_responses_or_covariates_raise(cell):
         fit_gee(np.where([False, True, False], cell, y), Z)
     with pytest.raises(ValueError, match="must be finite"):
         fit_gee(y, np.where([[False, False], [False, True], [False, False]], cell, Z))
+
+
+def _cloglog_data(rng, n):
+    Z = np.column_stack([np.ones(n), np.arange(n) % 2, rng.uniform(size=n)])
+    y = np.exp(-np.exp(Z @ [-0.5, 0.4, 0.3])) + rng.normal(scale=0.2, size=n)
+    return y, Z
+
+
+def _fits(y, Z):
+    fits = [fit_gee(y, Z), fit_gee(y, Z, LinkSpec(CLOGLOG))]
+    sandwich = sandwich_variance(y, Z, fits[1].beta, LinkSpec(CLOGLOG))
+    return [getattr(f, a) for f in fits for a in ("beta", "cov", "se", "z", "p")] + [sandwich]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 8, 13, 14, 15, 29, 60])
+def test_row_blocks_match_one_pass(n):
+    """With 7-row blocks the sums over the subjects run in ceil(n / 7)
+    parts; they round differently, but only in the last bits, and a design
+    of at most 7 rows is one block with the bits of one pass."""
+    rng = np.random.default_rng(n)
+    y, Z = _cloglog_data(rng, n)
+    whole = _fits(y, Z)
+    with mock.patch.object(gee, "BLOCK_ROWS", 7):
+        blocked = _fits(y, Z)
+    for a, b in zip(whole, blocked):
+        if n <= 7:
+            np.testing.assert_array_equal(b, a)
+        else:
+            np.testing.assert_allclose(b, a, rtol=1e-12)
+
+
+def _is_singular(y, Z):
+    try:
+        gee._check_finite_full_rank(y, Z)
+    except SingularDesign:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["full rank", "duplicate", "zero", "sum", "dummies"]),
+       st.integers(1, 6), st.data())
+def test_blocked_rank_agrees_with_matrix_rank(kind, p, data):
+    """The rank test's last stack, 5 rows under the R factor of the rows
+    before them, has the singular values of the design it came from, to
+    rounding far below the tolerance."""
+    if kind == "dummies":
+        p = max(p, 3)
+    elif kind != "full rank":
+        p = max(p, 2 if kind != "sum" else 3)
+    n = data.draw(st.integers(p, 15), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    Z = rng.normal(size=(n, p))
+    if kind == "duplicate":
+        Z[:, -1] = Z[:, 0]
+    elif kind == "zero":
+        Z[:, -1] = 0.0
+    elif kind == "sum":
+        Z[:, -1] = Z[:, 0] + Z[:, 1]
+    elif kind == "dummies":
+        # an intercept beside one indicator per level of a factor
+        levels = p - 1
+        Z = np.column_stack([np.ones(n), np.eye(levels)[rng.integers(0, levels, n)]])
+    with mock.patch.object(gee, "BLOCK_ROWS", 5):
+        assert _is_singular(np.zeros(n), Z) == (np.linalg.matrix_rank(Z) < p)
+
+
+@pytest.mark.parametrize("block_rows", [1 << 16, 64])
+@pytest.mark.parametrize("ratio", [1e-12, 1e-14])
+def test_rank_tolerance_grows_with_the_number_of_rows(block_rows, ratio):
+    """A smallest singular value of 1e-14 of the largest is below the
+    tolerance of a 1000 x 2 design, 1000 eps, though above 2 eps."""
+    rng = np.random.default_rng(30)
+    u, _ = np.linalg.qr(rng.normal(size=(1000, 2)))
+    Z = u * [1.0, ratio] @ np.array([[0.6, 0.8], [-0.8, 0.6]])
+    expected = np.linalg.matrix_rank(Z) < 2
+    assert expected == (ratio == 1e-14)
+    with mock.patch.object(gee, "BLOCK_ROWS", block_rows):
+        assert _is_singular(np.zeros(1000), Z) == expected
+
+
+def test_fit_gee_working_memory_is_below_one_copy_of_the_design():
+    """The rank pass, the normal equations and the sandwich hold a few row
+    blocks at a time, never an n x p temporary."""
+    rng = np.random.default_rng(29)
+    n = 1 << 18
+    Z = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+    y = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        fit_gee(y, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Z.nbytes

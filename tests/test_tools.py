@@ -36,6 +36,10 @@ def test_bench_cli_times_the_stages_of_one_command(tmp_path):
         assert seconds["other"] >= 0
         assert 0 <= run["python_share"] < 0.1
         assert all(value > 0 for stage, value in seconds.items() if stage != "other")
+        # the process peak so far after each stage but `other`
+        peaks = run["peak_rss_mb"]
+        assert list(peaks) == [stage for stage in seconds if stage != "other"]
+        assert min(peaks.values()) > 0
         if run["kind"] == "rc":
             assert run["output_sha256"] and run["regress_sha256"]
         else:

@@ -22,13 +22,21 @@ set-up. A call that does not run exactly once per command ends the tool
 nonzero, naming its stage. For rc, ``regress`` is ``cli.main`` running
 ``regress --intercept`` on that output and the covariates.
 
-A run keeps each stage's median over the repeats, and ``python_share``,
+A run keeps each stage's median over the repeats; its ``peak_rss_mb``,
+the worker's peak resident set in MB read after the stage's last call (for
+``cli`` after the last whole command, for rc's ``regress`` after the last
+regression), which is the peak of the process so far, earlier stages and
+the import included, not of the stage alone; and ``python_share``,
 the share of the pseudo values whose ``%.12g`` cell the tree leaves to
 Python's ``%`` rather than numpy (1 for a tree that formats every cell in
-Python). The trees' outputs must agree: for rc the digests of the
-``id,pseudo`` and ``regress`` outputs are equal; for ic the pseudo values
-differ between the trees by at most ``DIGIT_UNITS`` units in the last
-printed digit (the 12th significant one) of the largest value. The JSON
+Python). The peak is ``VmHWM`` from ``/proc/self/status`` (so Linux only),
+not ``ru_maxrss``: Linux carries the launching process's peak over into
+``ru_maxrss`` through exec, so a worker would read at least the peak of
+this tool's own process, which generates the data. The trees' outputs
+must agree: for rc the digests of the ``id,pseudo`` and ``regress``
+outputs are equal; for ic the pseudo values differ between the trees by
+at most ``DIGIT_UNITS`` units in the last printed digit (the 12th
+significant one) of the largest value. The JSON
 records the largest difference, ``max_abs_diff``, and the same in those
 units, ``max_digit_units``.
 """
@@ -191,12 +199,14 @@ def _run_stages(src, kind, n, csv_path, covariates_path, out_path, repeat):
                 return call(*args, **kwargs)
             result, seconds = _timed(functools.partial(call, *args, **kwargs))
             samples[stage].append(seconds)
+            peaks[stage] = _peak_rss_mb()
             if stage == "pseudo_map":
                 pseudo_values[:] = [result.values]
             return result
         return timed
 
     samples = {stage: [] for stage in STAGES[family]}
+    peaks = {}
     pseudo_values = []
     own = [stage for stage, call in CALLS[family].items() if call.startswith("cli.")]
     with ExitStack() as patches:
@@ -205,21 +215,30 @@ def _run_stages(src, kind, n, csv_path, covariates_path, out_path, repeat):
             patches.enter_context(mock.patch(target, timing(stage, pkgutil.resolve_name(target))))
         for _ in range(repeat):
             samples["cli"].append(run(pseudo))
+            peaks["cli"] = _peak_rss_mb()
             for stage in CALLS[family]:
                 if len(samples[stage]) != len(samples["cli"]):
                     raise SystemExit(f"stage {stage} did not run exactly once in a pseudo command")
             samples["other"].append(samples["cli"][-1] - sum(samples[s][-1] for s in own))
     if family == "rc":
         samples["regress"] = [run(regress) for _ in range(repeat)]
+        peaks["regress"] = _peak_rss_mb()
     # A tree without data._fixed formats every pseudo value with Python's %.
     fixed = getattr(data, "_fixed", None)
     record = {"seconds": {k: statistics.median(v) for k, v in samples.items()},
+              "peak_rss_mb": {k: round(peaks[k], 1) for k in STAGES[family] if k in peaks},
               "output_sha256": hashlib.sha256(Path(out_path).read_bytes()).hexdigest(),
               "python_share": 1.0 if fixed is None else float(1.0 - fixed(pseudo_values[0])[0].mean())}
     if family == "rc":
         record["regress_sha256"] = hashlib.sha256(Path(regress_path).read_bytes()).hexdigest()
         os.unlink(regress_path)
     return record
+
+
+def _peak_rss_mb():
+    """The process's peak resident set so far, in MB: ``VmHWM``, given in kB."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 
 
 def _report(args, labels, runs):
@@ -241,6 +260,8 @@ def _report(args, labels, runs):
                 "through cli.main, each stage timed where the command calls it (`output`: "
                 "formatting and writing, which interleave; `other`: `cli` less the command's own "
                 "stages), and for rc of `regress --intercept` on its output, per scenario and tree; "
+                "`peak_rss_mb`: the worker's VmHWM after each stage's last call, the process "
+                "peak so far rather than the stage's own; "
                 "`python_share`: the share of pseudo values whose %.12g cell the tree formats with "
                 "Python's % rather than numpy",
         "stages": {kind: list(STAGES["rc" if kind == "rc" else "ic"]) for kind in args.kind},

@@ -35,9 +35,13 @@ default cuts:
 The data are generated once, by the pseudosurv next to this script. Each
 tree then runs every case in a fresh process and dumps, per case, the fit's
 iterations, rates, information and log-likelihood trace, the fast RMST
-pseudo values, ``pseudo_alpha`` where the case asks for it, the refits'
-rates, iterations and error texts, and the jackknife RMST values and
-flags, or the typed error a step ended with. The
+pseudo values, their regression on the scenario's covariates (``gee``:
+``fit_gee``'s coefficients followed by its covariance, row by row),
+``pseudo_alpha`` where the case asks for it, the refits' rates,
+iterations and error texts, and the jackknife RMST values and flags, or
+the typed error a step ended with. The regression reads its design in
+blocks of ``gee.BLOCK_ROWS`` (2^16) rows, so the cases at n = 2^17 - 1,
+2^17, 2^17 + 1 and 10^6 span more than one block and the others one. The
 tool lists every case whose dumps differ between the first tree and
 another, field by field, and exits 1 if there is one.
 """
@@ -52,9 +56,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-FIELDS = ("error", "iterations", "rates", "info", "trace", "fast", "fast_error", "alpha",
-          "alpha_error", "refit_rates", "refit_iterations", "refit_errors", "jackknife",
-          "flagged", "jackknife_error")
+FIELDS = ("error", "iterations", "rates", "info", "trace", "fast", "fast_error", "gee",
+          "gee_error", "alpha", "alpha_error", "refit_rates", "refit_iterations", "refit_errors",
+          "jackknife", "flagged", "jackknife_error")
 
 
 def main() -> int:
@@ -114,7 +118,7 @@ def _write_cases(work: Path) -> list:
                 name += f" rep={r}"
             dataset = generate(config, seed=stream)
             path = work / f"case-{len(cases)}.npz"
-            np.savez(path, left=dataset.left, right=dataset.right)
+            np.savez(path, left=dataset.left, right=dataset.right, covariates=dataset.covariates)
             n = config.n
             refits = ([[0], [1], [n // 2], [n - 1], np.linspace(0, n - 1, 6).astype(int).tolist()]
                       if n == threshold[0] else [])
@@ -132,8 +136,8 @@ def _run_cases(src, work, out):
 
     import numpy as np
 
-    from pseudosurv import (CutGrid, PseudosurvError, fit_pch, interval_dataset, jackknife_pch,
-                            pseudo_alpha, pseudo_rmst)
+    from pseudosurv import (CutGrid, PseudosurvError, fit_gee, fit_pch, interval_dataset,
+                            jackknife_pch, pseudo_alpha, pseudo_rmst)
     from pseudosurv.fitting import newton_prepared
 
     def error(exc):
@@ -143,6 +147,7 @@ def _run_cases(src, work, out):
     for i, case in enumerate(json.loads((Path(work) / "cases.json").read_text())):
         with np.load(case["data"]) as data:
             dataset = interval_dataset(data["left"], data["right"])
+            covariates = data["covariates"]
         grid, tau = CutGrid(case["cuts"]), case["tau"]
         out_case = {}
         with warnings.catch_warnings():
@@ -158,6 +163,14 @@ def _run_cases(src, work, out):
                     out_case["fast"] = pseudo_rmst(fit, dataset, tau).values
                 except PseudosurvError as exc:
                     out_case["fast_error"] = error(exc)
+                else:
+                    try:
+                        regression = fit_gee(out_case["fast"], covariates)
+                    except PseudosurvError as exc:
+                        out_case["gee_error"] = error(exc)
+                    else:
+                        out_case["gee"] = np.concatenate([regression.beta,
+                                                          regression.cov.ravel()])
                 if case["alpha"]:
                     try:
                         out_case["alpha"] = pseudo_alpha(fit, dataset)
