@@ -216,11 +216,15 @@ def _cmd_bench(args):
 
 def _pseudo_horizon(args) -> float:
     if args.target == "surv":
+        if args.tau is not None:
+            raise ValueError("--target surv takes no --tau")
         if args.t is None:
             raise ValueError("--target surv requires --t")
         if args.t < 0 or not math.isfinite(args.t):
             raise ValueError("--t must be finite and nonnegative")
         return args.t
+    if args.t is not None:
+        raise ValueError("--target rmst takes no --t")
     if args.tau is None:
         raise ValueError("--target rmst requires --tau")
     tau = _parse_tau(args.tau)

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._parts import blocks
 from .errors import EmptyInput, MalformedInterval, ParseError
 
 LEFT_CENSORED = "left-censored"
@@ -269,8 +270,8 @@ def _csv(header, row_format, *columns):
     literals, conversions = _CONVERSION.split(row_format), _CONVERSION.findall(row_format)
     in_numpy = "%" not in "".join(literals)
     width = len(columns)
-    for start in range(0, len(columns[0]), _WRITE_ROWS):
-        parts = [column[start:start + _WRITE_ROWS] for column in columns]
+    for rows in blocks(len(columns[0]), _WRITE_ROWS):
+        parts = [column[rows] for column in columns]
         if in_numpy:
             yield _numpy_rows(literals, conversions, parts).decode("ascii")
             continue

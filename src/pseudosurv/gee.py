@@ -8,9 +8,9 @@ heteroskedasticity-robust estimator; those exact equivalences anchor the
 test suite. The complementary-log-log link g(theta) = log(-log theta), solved
 by Fisher scoring, maps survival-scale means to a linear predictor.
 
-Every pass over the subjects reads the design in blocks of ``BLOCK_ROWS``
-rows, so that beyond its inputs a fit holds O(BLOCK_ROWS * p) working
-memory at any n; a design of at most ``BLOCK_ROWS`` rows is one block.
+Every pass over the subjects reads the design in ``_parts.blocks`` of
+``BLOCK_ROWS`` rows, so that beyond its inputs a fit holds O(BLOCK_ROWS * p)
+working memory at any n; a design of at most ``BLOCK_ROWS`` rows is one block.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ._parts import blocks
 from .errors import DidNotConverge, SingularDesign
 from .km import PseudoVector
 
@@ -151,16 +152,10 @@ def _responses_and_design(pseudo, covariates):
     return y, Z
 
 
-def _blocks(n):
-    """Consecutive row slices of at most ``BLOCK_ROWS`` rows covering n
-    rows; one empty slice for n = 0."""
-    return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, max(n, 1), BLOCK_ROWS)]
-
-
 def _blockwise_sums(terms, y, Z, *args):
     """Sum each value of ``terms(y[rows], Z[rows], *args)`` over the row
     blocks. A single block's sums are its own values, bit for bit."""
-    first, *rest = _blocks(y.size)
+    first, *rest = blocks(max(y.size, 1), BLOCK_ROWS)
     sums = terms(y[first], Z[first], *args)
     for rows in rest:
         sums = [a + b for a, b in zip(sums, terms(y[rows], Z[rows], *args))]
@@ -176,7 +171,7 @@ def _check_finite_full_rank(y, Z):
     """
     n, p = Z.shape
     stack = np.empty((0, p))
-    for rows in _blocks(n):
+    for rows in blocks(max(n, 1), BLOCK_ROWS):
         if not (np.isfinite(y[rows]).all() and np.isfinite(Z[rows]).all()):
             raise ValueError("responses and covariates must be finite")
         if stack.shape[0] > p:

@@ -7,20 +7,21 @@ honestly for every subject: by rebuilding the product-limit curve for the
 Kaplan-Meier targets, and for the piecewise-hazard targets by a full
 refit of the fit's own likelihood kernel with subject l's weight set to
 zero, started at the first-order estimate of its rates that the fast
-formulas imply. The subjects are taken in blocks, and a block's
-curves, or its refits, are computed together in numpy calls: one
-cumulative product for the block's curves, one Newton loop whose rows
-iterate in lockstep for its refits. Every refit still runs to its own
-convergence. The fast formulas elsewhere in the package differentiate
-the kernel in the weight instead of refitting (the infinitesimal
-jackknife); they are validated against, and benchmarked against, these
-oracles.
+formulas imply. The subjects are taken in ``_parts.blocks`` of at most
+``BLOCK_ELEMENTS`` elements, and a block's curves, or its refits, are
+computed together in numpy calls: one cumulative product for the curves,
+one Newton loop whose rows iterate in lockstep for the refits. Every
+refit still runs to its own convergence. The fast formulas elsewhere in
+the package differentiate the kernel in the weight instead of refitting
+(the infinitesimal jackknife); they are validated against, and
+benchmarked against, these oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._parts import blocks
 from .data import Dataset
 from .errors import NoEvents, SingularInformation, check_tau, check_time
 from .fitting import PchFit, _check_solver, _out_of_bounds, fit_pch, newton_prepared
@@ -79,11 +80,11 @@ def jackknife_km(dataset: Dataset, target: str, horizon: float) -> PseudoVector:
     r = n - np.cumsum(np.bincount(rank))[:u.size]
     evaluate = _step_value if target == SURVIVAL else _step_integral
     loo = np.empty(n)
-    for rows in _blocks(n, u.size):
+    for rows in blocks(n, max(1, BLOCK_ELEMENTS // u.size)):
         at_risk = r - (u <= times[rows, None])
-        deaths = np.tile(d, (rows.size, 1))
+        deaths = np.tile(d, (at_risk.shape[0], 1))
         died = np.flatnonzero(status[rows] == 1)
-        deaths[died, where[rows[died]]] -= 1
+        deaths[died, where[rows][died]] -= 1
         # Event times whose last at-risk subject was left out keep a factor of 1.
         survival = np.cumprod(1.0 - deaths / np.maximum(at_risk, 1), axis=1)
         loo[rows] = evaluate(u, survival, horizon)
@@ -132,14 +133,13 @@ def jackknife_pch(
         # alpha_(-l) = alpha - info^-1 s_l / (n - 1) + O(n^-2), stepped in log-rates
         shift = score_products(alpha_full, prep, fit.solve_information(np.eye(grid.K)))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            start = alpha_full * np.exp(-shift / ((n - 1) * alpha_full))
+            rates = alpha_full * np.exp(-shift / ((n - 1) * alpha_full))
     except SingularInformation:
-        start = np.tile(alpha_full, (n, 1))
-    start[_out_of_bounds(start)] = alpha_full
-    rates = np.empty((n, grid.K))
+        rates = np.tile(alpha_full, (n, 1))
+    rates[_out_of_bounds(rates)] = alpha_full
     flagged = np.zeros(n, dtype=bool)
-    for rows in _blocks(n, prep.interval_rows.size):
-        out = newton_prepared(prep.leave_out(rows), start[rows], tol, max_iter)
+    for rows in blocks(n, max(1, BLOCK_ELEMENTS // max(prep.interval_rows.size, 1))):
+        out = newton_prepared(prep.leave_out(rows), rates[rows], tol, max_iter)
         rates[rows] = out.rates
         flagged[rows] = [error is not None for error in out.errors]
     loo = _pch_statistic(grid, rates, target, horizon)
@@ -155,14 +155,6 @@ def _pch_statistic(grid: CutGrid, rates: np.ndarray, target: str, horizon: float
     if target == SURVIVAL:
         return survival_rows(grid, rates, horizon)
     return rmst_rows(grid, rates, horizon)
-
-
-def _blocks(n: int, columns: int):
-    """Consecutive blocks of subject indices, each holding at most
-    ``BLOCK_ELEMENTS`` subject-by-column elements, at least one subject."""
-    size = max(1, BLOCK_ELEMENTS // max(columns, 1))
-    for start in range(0, n, size):
-        yield np.arange(start, min(start + size, n))
 
 
 def _check_target(target, horizon, finite=True):

@@ -18,39 +18,24 @@ piece plus the part within it, and a bracket's cumulative hazard is its two
 own-piece lengths times those pieces' rates plus the full pieces between,
 which it shares with every bracket of its (first piece, last piece) class.
 So a likelihood evaluation reads O(n) numbers at any number of pieces.
-
-Passes over more than SPLIT_ELEMENTS elements (the kernel, the bracket
-increments, ``score_products``, the per-record sweeps of
-``prepare_likelihood``) run in one part per CPU of the process's affinity
-mask, which taskset and cpusets narrow, leave-one-out stacks included.
-Kernel parts end at class bounds and the pairwise log-mass sum waits for
-them all, so no output depends on the number of parts. The calling thread
-allocates every large buffer, as memory a pool thread allocates stays in
-that thread's arena.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from ._parts import split
 from .data import Dataset
 from .errors import DegenerateInterval, EmptyInput, check_tau, check_time
 
 # Below this, the cancellation-prone factor in the restricted-mean gradient
 # switches to its power series.
 _SERIES_CUTOFF = 1e-3
-
-# A pass over more elements (brackets or records times rate rows or columns)
-# runs in parts, a stack's too; jackknife blocks (2^15) and small n do not.
-SPLIT_ELEMENTS = 1 << 17
-_POOL = {}  # process id -> its thread pool
 
 
 @dataclass(frozen=True)
@@ -379,14 +364,14 @@ class PreparedLikelihood:
         return self.grid.K
 
     def leave_out(self, rows) -> "PreparedLikelihood":
-        """A stack of B likelihoods, the b-th without subject rows[b].
+        """A stack of B likelihoods, the b-th without subject rows[b] (indices or a slice).
 
         Only the B x K sums and the B left-out positions are new: each row's
         sums lose its subject's ``CutGrid.exposure`` and exact record. The
         stack shares every per-record and per-bracket array; ``_kernel``
         gives a left-out bracket an infinite increment, which adds nothing.
         """
-        rows = np.asarray(rows, dtype=int)
+        rows = np.arange(self.expo_left.size)[rows]
         exact_counts = np.tile(self.exact_counts, (rows.size, 1))
         exact = np.flatnonzero(np.isin(rows, self.exact_rows))
         exact_counts[exact, self.left_piece[rows[exact]]] -= 1.0
@@ -422,7 +407,7 @@ def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
         d *= np.logical_or(np.isinf(R, out=f), np.equal(L, R, out=e), out=f)
         k += d
 
-    _split(lookup, n, n)
+    split(lookup, n, n)
     order = np.argsort(key, kind="stable")
     sizes = np.bincount(key, minlength=K * (K + 1))
     groups = np.flatnonzero(sizes)
@@ -442,7 +427,7 @@ def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:
         d -= bottom[b]
         d *= apart[b]
 
-    _split(gather, n, n)
+    split(gather, n, n)
     # numpy's pairwise sum of the own parts of each group, then at most K + 1
     # group sums per piece, and the full widths of the records beyond it; a
     # running sum over n records would round about n units in the last place.
@@ -543,7 +528,7 @@ def _kernel(alpha, dlam, prep: PreparedLikelihood, rows=slice(None)):
         np.add.reduceat(upto, starts, axis=1, out=curvature[:3, q])
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _split(part, Q, dlam.size, bounds)
+        split(part, Q, dlam.size, bounds)
         # Each row's log masses, summed by numpy's pairwise sum rather than
         # a BLAS dot: near the maximum the line search compares
         # log-likelihoods that differ by less than their rounding, and a
@@ -602,7 +587,7 @@ def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
             x += np.multiply(c.take(p, out=w, mode="clip"), o, out=w)
             np.negative(x, out=x)
 
-    _split(records, n, out.size)
+    split(records, n, out.size)
     del piece, offset, own
     terms = [_increments(c[None], prep)[:, 0] for c in cols]
     def brackets(start, stop):
@@ -613,7 +598,7 @@ def score_products(alpha, prep: PreparedLikelihood, D) -> np.ndarray:
             np.add.at(column, prep.interval_rows[start:stop], np.divide(
                 x[start:stop], e, out=x[start:stop]))
 
-    _split(brackets, dlam.size, dlam.size * len(terms))
+    split(brackets, dlam.size, dlam.size * len(terms))
     out[:, prep.exact_rows] += cols[:, prep.exact_piece] / alpha[prep.exact_piece]
     return out.T.reshape(out.shape[1:] + D.shape[1:])
 
@@ -638,35 +623,8 @@ def _increments(alpha, prep: PreparedLikelihood, check=False) -> np.ndarray:
         x += np.multiply(y, b, out=y)
         x += between[start:stop]
 
-    _split(part, dlam.shape[0], dlam.size)
+    split(part, dlam.shape[0], dlam.size)
     if check and (dlam <= 0.0).any():
         bad = prep.interval_rows[int(np.argmin(dlam)) // dlam.shape[1]]
         raise DegenerateInterval(f"record {bad}: bracket has zero probability mass")
     return dlam
-
-
-def _cpus() -> int:
-    """The CPUs in this process's affinity mask, where the platform has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _split(part, size, elements, bounds=None):
-    """Run part(lo, hi) over ranges covering [0, size) rows, or size classes of
-    size + 1 row ``bounds``: the caller runs the first, this process's pool (a
-    forked child makes its own) the rest, in the caller's numpy error state."""
-    parts = _cpus() if elements > SPLIT_ELEMENTS else 1
-    if parts == 1:
-        return part(0, size)
-    rows = np.arange(parts + 1) * (size if bounds is None else bounds[-1]) // parts
-    edges = np.unique(rows if bounds is None else np.abs(bounds[:, None] - rows).argmin(axis=0))
-    pool = _POOL.get(os.getpid()) or _POOL.setdefault(os.getpid(), ThreadPoolExecutor(_cpus()))
-    def run(lo, hi, err=np.geterr()):
-        with np.errstate(**err):
-            part(lo, hi)
-
-    futures = [pool.submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
-    try:
-        part(edges[0], edges[1])
-    finally:
-        for future in futures:
-            future.result()

@@ -427,13 +427,15 @@ def benchmark(config: ScenarioConfig, *, repeat: int = 3) -> BenchmarkReport:
     excluded from both arms. The fast arm reports the best of ``repeat``
     runs; the jackknife arm runs once, since it dominates the budget.
     """
+    if repeat < 1:
+        raise ValueError("need at least one repeat")
     dataset = generate(config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fit = _fit_step(config, dataset)
         fast_seconds = min(
             _timed(_pseudo_gee_step, config, dataset, fit, FAST)[1]
-            for _ in range(max(1, repeat))
+            for _ in range(repeat)
         )
         _, jackknife_seconds = _timed(_pseudo_gee_step, config, dataset, fit, JACKKNIFE)
     return BenchmarkReport(

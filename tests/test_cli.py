@@ -182,6 +182,10 @@ def test_usage_errors_exit_2(rc_csv, ic_csv, capsys, tmp_path):
         # evaluation time negative or not a number
         (rc + ["--target", "surv", "--t", "-1"], "--t must be finite and nonnegative"),
         (rc + ["--target", "surv", "--t", "nan"], "--t must be finite and nonnegative"),
+        # the other target's horizon flag, even an invalid one
+        (rc + ["--target", "rmst", "--tau", "5", "--t", "-1"], "--target rmst takes no --t"),
+        (rc + ["--target", "surv", "--t", "1.0", "--tau", "5"], "--target surv takes no --tau"),
+        (ic_rmst + ["--cuts", "4,5,6,7", "--t", "2"], "--target rmst takes no --t"),
         # interval kind without cuts
         (["pseudo", "--data", str(ic_path), "--kind", "ic", "--target", "surv", "--t", "5.0"],
          "--kind ic requires --cuts"),
@@ -204,6 +208,9 @@ def test_usage_errors_exit_2(rc_csv, ic_csv, capsys, tmp_path):
         (["simulate", "--scenario", "rc", "--n", "1", "--reps", "3"], "scenario needs n >= 2"),
         (["simulate", "--scenario", "rc", "--n", "20", "--reps", "1"],
          "need at least two replications"),
+        # fewer than one timed repeat
+        (["bench", "--scenario", "rc", "--n", "60", "--repeat", "0"], "need at least one repeat"),
+        (["bench", "--scenario", "rc", "--n", "60", "--repeat", "-3"], "need at least one repeat"),
         # cuts for a scenario without a piecewise-hazard fit
         (["simulate", "--scenario", "rc", "--n", "100", "--reps", "3", "--method", "fast",
           "--seed", "2", "--cuts", "3,4"], "scenario rc takes no cuts"),

@@ -24,6 +24,7 @@ from pseudosurv import (
     right_censored_dataset,
 )
 from pseudosurv import fitting, jackknife
+from pseudosurv._parts import blocks
 from pseudosurv.fitting import newton_prepared
 from pseudosurv.pch import rmst_closed_form
 from pseudosurv.simulate import ScenarioConfig, generate
@@ -289,11 +290,12 @@ def _refits_from_the_full_rates(ds, grid, tau, fit):
     """The RMST oracle with every refit started at the full-sample rates:
     its values, its flags and the refits' total Newton iterations."""
     prep, alpha = fit.likelihood, fit.model.rates
-    rates = np.empty((ds.n, grid.K))
+    rates = np.tile(alpha, (ds.n, 1))
     flagged = np.zeros(ds.n, dtype=bool)
     iterations = 0
-    for rows in jackknife._blocks(ds.n, prep.interval_rows.size):
-        out = newton_prepared(prep.leave_out(rows), np.tile(alpha, (rows.size, 1)), 1e-8, 200)
+    step = max(1, jackknife.BLOCK_ELEMENTS // max(prep.interval_rows.size, 1))
+    for rows in blocks(ds.n, step):
+        out = newton_prepared(prep.leave_out(rows), rates[rows], 1e-8, 200)
         rates[rows] = out.rates
         flagged[rows] = [error is not None for error in out.errors]
         iterations += int(out.iterations.sum())

@@ -1,11 +1,12 @@
 """The large likelihood passes split across CPUs without changing a bit.
 
-``pch`` runs a pass over more than ``SPLIT_ELEMENTS`` elements in one part
-per CPU. These tests lower the threshold to zero, so that small samples
-split, force 1, 2 and 3 parts, and require every output to equal the
-one-part run's bit for bit, leave-one-out stacks and refits included. They
-also check which passes must stay whole, the pool across a fork, and
-numpy's error state inside the parts.
+``_parts.split`` runs a pass over more than ``SPLIT_ELEMENTS`` elements in
+one part per CPU. These tests lower the threshold to zero, so that small
+samples split, force 1, 2 and 3 parts, and require every output of ``pch``
+to equal the one-part run's bit for bit, leave-one-out stacks and refits
+included. They also check that ``split`` and ``blocks`` cover their ranges
+once, which passes must stay whole, the pool across a fork, and numpy's
+error state inside the parts.
 """
 
 import math
@@ -27,7 +28,7 @@ from pseudosurv import (
     pseudo_rmst,
     pseudo_survival,
 )
-from pseudosurv import jackknife, pch
+from pseudosurv import _parts, jackknife, pch
 from pseudosurv.fitting import newton_prepared
 from pseudosurv.pch import CutGrid, loglik_parts, prepare_likelihood, score_products
 from pseudosurv.simulate import ScenarioConfig, generate
@@ -53,11 +54,11 @@ def parts(monkeypatch):
     """force(P) makes every pass split into P parts, on a counting pool of
     more threads than this machine may have cores, switching often."""
     counting = _Counting()
-    monkeypatch.setattr(pch, "_POOL", {os.getpid(): counting})
+    monkeypatch.setattr(_parts, "_POOL", {os.getpid(): counting})
 
     def force(P):
-        monkeypatch.setattr(pch, "SPLIT_ELEMENTS", 0)
-        monkeypatch.setattr(pch, "_cpus", lambda: P)
+        monkeypatch.setattr(_parts, "SPLIT_ELEMENTS", 0)
+        monkeypatch.setattr(_parts, "_cpus", lambda: P)
         return counting
 
     interval = sys.getswitchinterval()
@@ -118,7 +119,46 @@ def _assert_identical(expected, got):
 
 
 def test_split_threshold_keeps_jackknife_blocks_whole():
-    assert pch.SPLIT_ELEMENTS > jackknife.BLOCK_ELEMENTS
+    assert _parts.SPLIT_ELEMENTS > jackknife.BLOCK_ELEMENTS
+
+
+def _covered(part_ranges, size):
+    """How often each of [0, size) lies in one of the ranges."""
+    counts = np.zeros(size, dtype=int)
+    for lo, hi in part_ranges:
+        counts[lo:hi] += 1
+    return counts
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", range(10))
+def test_split_runs_each_row_once(parts, size, P):
+    counting = parts(P)
+    ran = []
+    _parts.split(lambda lo, hi: ran.append((lo, hi)), size, size + 1)
+    assert np.array_equal(_covered(ran, size), np.ones(size, dtype=int))
+    assert counting.submitted == len(ran) - 1 <= P - 1
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 4])
+@pytest.mark.parametrize("sizes", [(), (5,), (1, 3), (1, 1, 1), (4, 1, 2, 7), (1,) * 9])
+def test_split_runs_each_class_once(parts, sizes, P):
+    """Classes of the given sizes, as many as the CPUs and more, one, and Q = 0."""
+    counting = parts(P)
+    bounds = np.append(0, np.cumsum(sizes, dtype=int))
+    ran = []
+    _parts.split(lambda lo, hi: ran.append((lo, hi)), len(sizes), 1, bounds)
+    assert np.array_equal(_covered(ran, len(sizes)), np.ones(len(sizes), dtype=int))
+    assert counting.submitted == len(ran) - 1 <= P - 1
+
+
+@pytest.mark.parametrize("step", [1, 2, 7])
+def test_blocks_cover_each_row_once(step):
+    for n in {0, 1, step - 1, step, step + 1, 3 * step}:
+        got = _parts.blocks(n, step)
+        assert all(0 < rows.stop - rows.start <= step for rows in got)
+        assert np.array_equal(_covered([(b.start, b.stop) for b in got], n), np.ones(n, int))
+        assert [b.start for b in got] == sorted(b.start for b in got)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -221,11 +261,11 @@ def test_the_callers_error_state_reaches_the_parts(parts):
 def test_a_forked_child_runs_split_passes(monkeypatch):
     ds, grid = _sample("ic1")
     prep = prepare_likelihood(ds, grid)
-    monkeypatch.setattr(pch, "SPLIT_ELEMENTS", 0)
-    monkeypatch.setattr(pch, "_cpus", lambda: 2)
+    monkeypatch.setattr(_parts, "SPLIT_ELEMENTS", 0)
+    monkeypatch.setattr(_parts, "_cpus", lambda: 2)
     alpha = np.full(grid.K, 0.3)
     expected = loglik_parts(alpha, prep)[0]  # the parent's pool now has a thread
-    assert os.getpid() in pch._POOL
+    assert os.getpid() in _parts._POOL
 
     def child():
         assert loglik_parts(alpha, prep)[0] == expected

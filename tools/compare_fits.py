@@ -18,7 +18,7 @@ default cuts:
 - at the threshold of ``fit_pch``'s pilot start, ic1 and ic2 at
   n = 2^17 (the first size that fits a pilot) and n = 2^17 - 1 (the last
   that does not), and at n = 2^17 + 1, the first whose per-record passes
-  exceed ``pch.SPLIT_ELEMENTS`` (2^17) and run in parts, while n = 2^17
+  exceed ``_parts.SPLIT_ELEMENTS`` (2^17) and run in parts, while n = 2^17
   runs every pass whole, seed 1, without the jackknife but with
   ``pseudo_alpha``, whose K-column score products split there too; at
   n = 2^17 + 1 also leave-one-out refits, run as ``jackknife_pch`` runs
