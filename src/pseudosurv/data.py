@@ -51,8 +51,10 @@ _HEADERS = {KIND_RIGHT: ("time", "status"), KIND_INTERVAL: ("left", "right")}
 _WRITE_ROWS = 1 << 14
 # Conversions that _csv formats in numpy.
 _CONVERSION = re.compile(r"%d|%\.12g")
-# "0000" to "9999" as 4-byte words, indexed by their value.
-_QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), np.uint32)
+# "0000" to "9999" as 4-byte words, indexed by their value: each value's
+# four decimal digits, most significant first, as ASCII bytes.
+_QUADS = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+          + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 _UINT_POWERS = 10 ** np.arange(20, dtype=np.uint64)
 _FLOAT_POWERS = 10.0 ** np.arange(16)  # each exact in float64
 # A scaled value, below 10^12 < 2^40, is within half a unit in its last

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
 
 from .data import KIND_INTERVAL, Dataset, interval_dataset
 from .errors import (
@@ -129,23 +128,28 @@ class PchFit:
         return prepare_likelihood(dataset, self.model.grid)
 
     @cached_property
-    def info_factor(self):
-        """Cholesky factorization of the information, computed once.
+    def info_factor(self) -> np.ndarray:
+        """Lower-triangular Cholesky factor L of the information (info =
+        L @ L.T), computed once by ``np.linalg.cholesky``.
 
         Every per-subject linear solve reuses this factor; that single
         factorization is what makes the fast pseudo-observations cheap.
+        Raises ``SingularInformation`` if the information is singular to
+        working precision or not positive definite.
         """
         info = observed_information(self)
         try:
-            return linalg.cho_factor(info)
-        except linalg.LinAlgError as exc:
+            return np.linalg.cholesky(info)
+        except np.linalg.LinAlgError as exc:
             raise SingularInformation(
                 "observed information is not positive definite"
             ) from exc
 
     def solve_information(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve info @ x = rhs (rhs may be a matrix of stacked columns)."""
-        return linalg.cho_solve(self.info_factor, rhs)
+        """Solve info @ x = rhs (rhs may be a matrix of stacked columns)
+        against the factor: L @ w = rhs, then L.T @ x = w."""
+        factor = self.info_factor
+        return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
 def observed_information(fit: PchFit) -> np.ndarray:

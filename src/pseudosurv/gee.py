@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from ._parts import blocks
 from .errors import DidNotConverge, SingularDesign
@@ -62,14 +62,25 @@ class LinkSpec:
 
 @dataclass(frozen=True, eq=False)
 class GeeFit:
-    """Solved estimating equation with sandwich-based Wald quantities."""
+    """Solved estimating equation with sandwich-based Wald quantities.
+
+    ``p``, the two-sided normal p-values of ``z``, is computed the first
+    time it is read; that is the only step of a regression that imports
+    scipy.
+    """
 
     beta: np.ndarray
     cov: np.ndarray
     se: np.ndarray
     z: np.ndarray
-    p: np.ndarray
     iterations: int
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """Two-sided p-values of the Wald statistics, erfc(|z| / sqrt(2))."""
+        from scipy import special
+
+        return special.erfc(np.abs(self.z) / math.sqrt(2.0))
 
 
 def fit_gee(
@@ -138,8 +149,7 @@ def fit_gee(
     # all-zero pseudo values give.
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
-    pvals = special.erfc(np.abs(z) / math.sqrt(2.0))
-    return GeeFit(beta=beta, cov=cov, se=se, z=z, p=pvals, iterations=iterations)
+    return GeeFit(beta=beta, cov=cov, se=se, z=z, iterations=iterations)
 
 
 def _responses_and_design(pseudo, covariates):

@@ -371,14 +371,24 @@ class PreparedLikelihood:
         stack shares every per-record and per-bracket array; ``_kernel``
         gives a left-out bracket an infinite increment, which adds nothing.
         """
-        rows = np.arange(self.expo_left.size)[rows]
-        exact_counts = np.tile(self.exact_counts, (rows.size, 1))
-        exact = np.flatnonzero(np.isin(rows, self.exact_rows))
-        exact_counts[exact, self.left_piece[rows[exact]]] -= 1.0
-        position = np.full(self.expo_left.size, -1)
-        position[self.interval_rows] = np.arange(self.interval_rows.size)
+        position, exact = self._record_index
+        left_out = position[rows]
+        gone = np.flatnonzero(exact[rows])
+        exact_counts = np.tile(self.exact_counts, (left_out.size, 1))
+        exact_counts[gone, self.left_piece[rows][gone]] -= 1.0
         return replace(self, expo_sum=self.expo_sum - self.grid.exposure(self.expo_left[rows]),
-                       exact_counts=exact_counts, left_out=position[rows])
+                       exact_counts=exact_counts, left_out=left_out)
+
+    @cached_property
+    def _record_index(self) -> tuple:
+        """Per record, its bracket position or -1, and whether it is exact;
+        built once, on the first ``leave_out``."""
+        n = self.expo_left.size
+        position = np.full(n, -1)
+        position[self.interval_rows] = np.arange(self.interval_rows.size)
+        exact = np.zeros(n, bool)
+        exact[self.exact_rows] = True
+        return position, exact
 
 
 def prepare_likelihood(dataset: Dataset, grid: CutGrid) -> PreparedLikelihood:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .data import KIND_RIGHT, Dataset, right_censored_dataset, interval_dataset
 from .errors import (
@@ -202,6 +201,8 @@ def _linear_truth(tau: float) -> np.ndarray:
     on (1, z) over z uniform on [0, 2], by 40-node Gauss-Legendre sums; (6, 4) at tau = inf."""
     if math.isinf(tau):
         return np.array([6.0, 4.0])
+    from scipy import special
+
     x, weights = np.polynomial.legendre.leggauss(40)
     design = np.column_stack([np.ones(x.size), 1.0 + x])  # nodes mapped onto [0, 2]
     gap = tau - design @ (6.0, 4.0)

@@ -1,9 +1,10 @@
 """End-to-end command-line checks, run in-process except for the
-subprocess tests of a pipe, of a redirected stdout and of the installed
-entry point."""
+subprocess tests of a pipe, of a redirected stdout, of the modules a
+process loads and of the installed entry point."""
 
 import csv
 import filecmp
+import json
 import math
 import os
 import shutil
@@ -367,6 +368,43 @@ def test_pseudo_stdout_is_the_out_file(scenario, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert main([*args, "--out", str(tmp_path / "out.csv")]) == 0
     assert (tmp_path / "stdout.csv").read_bytes() == (tmp_path / "out.csv").read_bytes()
+
+
+_SCIPY_STEPS = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import pseudosurv.cli
+loaded = {"import pseudosurv.cli": scipy_modules()}
+from pseudosurv import FAST, ScenarioConfig, fit_gee, monte_carlo, wald_table
+code = pseudosurv.cli.main(["pseudo", "--data", sys.argv[1], "--kind", "ic", "--cuts", sys.argv[2],
+                            "--target", "rmst", "--tau", "6", "--out", sys.argv[3]])
+loaded["pseudo --kind ic"] = scipy_modules() if code == 0 else f"exit {code}"
+fit = fit_gee([1.0, 2.0, 4.0, 3.0], [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+loaded["fit_gee"] = scipy_modules()
+monte_carlo(ScenarioConfig("ic2", n=200, seed=1), FAST, 2)
+loaded["monte_carlo ic2"] = scipy_modules()
+wald_table(fit)
+loaded["wald_table"] = "scipy.special" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_wald_p_values_import_scipy(ic_csv, tmp_path):
+    """A new process imports the CLI, runs an ic pseudo, a regression and an
+    ic2 Monte-Carlo at tau = inf without loading scipy; the Wald table's
+    p-values load it."""
+    path, _ = ic_csv
+    cuts = ",".join(f"{c:g}" for c in ScenarioConfig("ic1", n=60).cuts)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_STEPS, str(path), cuts,
+                           str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import pseudosurv.cli": [], "pseudo --kind ic": [],
+                                       "fit_gee": [], "monte_carlo ic2": [], "wald_table": True}
 
 
 def test_warnings_reach_stderr_as_one_line_each(tmp_path, capsys):

@@ -734,6 +734,12 @@ def test_save_keeps_negative_zero_apart_from_zero(tmp_path):
     np.testing.assert_array_equal(np.signbit(back.covariates), np.signbit(cov))
 
 
+def test_digit_table_equals_the_string_built_one():
+    expected = "".join(f"{i:04d}" for i in range(10_000)).encode()
+    assert data._QUADS.dtype == np.uint32
+    assert data._QUADS.tobytes() == expected
+
+
 def test_pseudo_csv_is_byte_identical_to_row_by_row_formatting(tmp_path):
     ds = generate(ScenarioConfig("rc", n=3000, seed=4))
     data_path, out = tmp_path / "rc.csv", tmp_path / "pv.csv"

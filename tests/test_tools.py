@@ -25,8 +25,8 @@ def test_bench_cli_times_the_stages_of_one_command(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "bench.json").read_text())
     assert report["stages"] == {
-        "rc": ["load", "km_fit", "pseudo_map", "output", "other", "cli", "regress"],
-        "ic1": ["load", "prepare", "fit", "pseudo_map", "output", "other", "cli"],
+        "rc": ["import", "load", "km_fit", "pseudo_map", "output", "other", "cli", "regress"],
+        "ic1": ["import", "load", "prepare", "fit", "pseudo_map", "output", "other", "cli"],
     }
     assert [run["kind"] for run in report["runs"]] == ["rc", "ic1"]
     for run in report["runs"]:
@@ -39,7 +39,7 @@ def test_bench_cli_times_the_stages_of_one_command(tmp_path):
         # the process peak so far after each stage but `other`
         peaks = run["peak_rss_mb"]
         assert list(peaks) == [stage for stage in seconds if stage != "other"]
-        assert min(peaks.values()) > 0
+        assert 0 < peaks["import"] <= peaks["cli"]
         if run["kind"] == "rc":
             assert run["output_sha256"] and run["regress_sha256"]
         else:
@@ -109,6 +109,12 @@ def test_compare_fits_lists_only_the_cases_that_differ(tmp_path, capsys):
     assert out[0].startswith(f"{cases[0]['name']}: a -> b: rates: 1 of 3 differ, by up to")
     assert out[1] == (f"{cases[1]['name']}: a -> c: error NonIdentifiable: rate of piece 1"
                       " collapsed -> DidNotConverge: no convergence in 200 iterations")
+    gap = nudged["0/rates"][1] - rates[1]
+    assert out[2:] == [
+        f"a -> b: rates: 1 cases, 1 values, largest gap {gap:.3e} absolute,"
+        f" {gap / nudged['0/rates'][1]:.3e} relative",
+        "a -> c: error: 1 cases, 1 values",
+    ]
 
 
 def test_compare_fits_describes_a_field_change_in_short():

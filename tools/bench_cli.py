@@ -20,13 +20,18 @@ text, which interleave (a lazy ``data._csv`` feeds ``cli._emit``).
 ``other`` is the rest of ``cli``, the whole command: argument parsing and
 set-up. A call that does not run exactly once per command ends the tool
 nonzero, naming its stage. For rc, ``regress`` is ``cli.main`` running
-``regress --intercept`` on that output and the covariates.
+``regress --intercept`` on that output and the covariates. ``import`` is
+the worker's seconds from its launch (the launcher's ``time.monotonic``,
+which Linux shares between processes) until ``pseudosurv.cli`` is
+imported: interpreter start-up, this tool's own imports and pseudosurv's,
+the part of every command's wall time that comes before its work.
 
 A run keeps each stage's median over the repeats; its ``peak_rss_mb``,
 the worker's peak resident set in MB read after the stage's last call (for
-``cli`` after the last whole command, for rc's ``regress`` after the last
-regression), which is the peak of the process so far, earlier stages and
-the import included, not of the stage alone; and ``python_share``,
+``import`` once pseudosurv is imported, for ``cli`` after the last whole
+command, for rc's ``regress`` after the last regression), which is the
+peak of the process so far, earlier stages and the import included, not
+of the stage alone; and ``python_share``,
 the share of the pseudo values whose ``%.12g`` cell the tree leaves to
 Python's ``%`` rather than numpy (1 for a tree that formats every cell in
 Python). The peak is ``VmHWM`` from ``/proc/self/status`` (so Linux only),
@@ -56,6 +61,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
@@ -69,7 +75,8 @@ CALLS = {
     "ic": {"load": "cli.load_interval_dataset", "prepare": "fitting.prepare_likelihood",
            "fit": "cli.fit_pch", "pseudo_map": "cli.pseudo_rmst", "output": "cli._emit"},
 }
-STAGES = {"rc": (*CALLS["rc"], "other", "cli", "regress"), "ic": (*CALLS["ic"], "other", "cli")}
+STAGES = {"rc": ("import", *CALLS["rc"], "other", "cli", "regress"),
+          "ic": ("import", *CALLS["ic"], "other", "cli")}
 # The command writes pseudo values with %.12g. Trees whose fits agree to
 # rounding print the same digits up to a few units in the last one of the
 # largest value; a value near zero, a difference of larger terms, shares
@@ -87,8 +94,8 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", default="BENCH_cli.json")
-    parser.add_argument("--worker", nargs=6,
-                        metavar=("SRC", "KIND", "N", "CSV", "COVARIATES", "OUT"),
+    parser.add_argument("--worker", nargs=7,
+                        metavar=("SRC", "KIND", "N", "CSV", "COVARIATES", "OUT", "LAUNCHED"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
@@ -123,7 +130,7 @@ def main() -> int:
                 out = subprocess.run(
                     [sys.executable, __file__, "--repeat", str(args.repeat), "--worker",
                      os.path.abspath(src), kind, str(n), str(data), str(covariates),
-                     str(outputs[label])],
+                     str(outputs[label]), repr(time.monotonic())],
                     check=True, stdout=subprocess.PIPE, text=True,
                 ).stdout
                 record = json.loads(out.strip().splitlines()[-1])
@@ -172,10 +179,12 @@ def _save_covariates(dataset, path):
                comments="")
 
 
-def _run_stages(src, kind, n, csv_path, covariates_path, out_path, repeat):
+def _run_stages(src, kind, n, csv_path, covariates_path, out_path, launched, repeat):
     sys.path.insert(0, src)
     from pseudosurv import ScenarioConfig, cli, data
     from pseudosurv.simulate import _timed
+
+    imported = time.monotonic() - float(launched)
 
     family = "rc" if kind == "rc" else "ic"
     config = ScenarioConfig(kind, int(n))
@@ -206,7 +215,8 @@ def _run_stages(src, kind, n, csv_path, covariates_path, out_path, repeat):
         return timed
 
     samples = {stage: [] for stage in STAGES[family]}
-    peaks = {}
+    samples["import"].append(imported)
+    peaks = {"import": _peak_rss_mb()}
     pseudo_values = []
     own = [stage for stage, call in CALLS[family].items() if call.startswith("cli.")]
     with ExitStack() as patches:
@@ -257,7 +267,8 @@ def _report(args, labels, runs):
                 }
     return {
         "what": "seconds per stage of one `pseudosurv pseudo --target rmst --method fast` run "
-                "through cli.main, each stage timed where the command calls it (`output`: "
+                "through cli.main, each stage timed where the command calls it (`import`: from the "
+                "worker's launch until pseudosurv.cli is imported; `output`: "
                 "formatting and writing, which interleave; `other`: `cli` less the command's own "
                 "stages), and for rc of `regress --intercept` on its output, per scenario and tree; "
                 "`peak_rss_mb`: the worker's VmHWM after each stage's last call, the process "

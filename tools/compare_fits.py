@@ -43,7 +43,10 @@ the typed error a step ended with. The regression reads its design in
 blocks of ``gee.BLOCK_ROWS`` (2^16) rows, so the cases at n = 2^17 - 1,
 2^17, 2^17 + 1 and 10^6 span more than one block and the others one. The
 tool lists every case whose dumps differ between the first tree and
-another, field by field, and exits 1 if there is one.
+another, field by field, then one summary line per differing field: how
+many cases and values differ and, for float fields, the largest absolute
+and relative gap between two finite values (relative to the larger of
+the two magnitudes). It exits 1 if a case differs.
 """
 
 from __future__ import annotations
@@ -199,12 +202,15 @@ def _run_cases(src, work, out):
 
 
 def _compare(cases, dumps) -> list:
-    """Print each case whose fields differ from the first tree's, bit for bit."""
+    """Print each case whose fields differ from the first tree's, bit for bit,
+    then one summary line per differing field."""
     import numpy as np
 
     labels = list(dumps)
     loaded = {label: np.load(path) for label, path in dumps.items()}
     keys = {label: set(d.files) for label, d in loaded.items()}
+    # per (label, field): cases, values, and the largest absolute and relative gap
+    totals = {}
     try:
         differing = []
         for i, case in enumerate(cases):
@@ -219,14 +225,45 @@ def _compare(cases, dumps) -> list:
                     differing.append(case["name"])
                     print(f"{case['name']}: {labels[0]} -> {label}: "
                           + "; ".join(_describe(f, first.get(f), other.get(f)) for f in changed))
-        return differing
+                for f in changed:
+                    count, *gaps = _gaps(first.get(f), other.get(f))
+                    total = totals.setdefault((label, f), [0, 0, np.nan, np.nan])
+                    total[:] = [total[0] + 1, total[1] + count, *np.fmax(total[2:], gaps)]
     finally:
         for d in loaded.values():
             d.close()
+    for (label, field), (count, values, absolute, relative) in totals.items():
+        gap = "" if np.isnan(absolute) else (f", largest gap {absolute:.3e} absolute,"
+                                             f" {relative:.3e} relative")
+        print(f"{labels[0]} -> {label}: {field}: {count} cases, {values} values{gap}")
+    return differing
 
 
 def _same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _gaps(a, b):
+    """How many values of one field differ between two dumps, and for float
+    arrays of one shape the largest absolute and relative gap between two
+    finite values that differ (NaN when there is none); the relative gap is
+    taken to the larger magnitude of the two. A field missing from a dump,
+    or of another shape, counts every value of the larger."""
+    import numpy as np
+
+    if a is None or b is None or a.shape != b.shape:
+        return max(np.size(a), np.size(b)), np.nan, np.nan  # np.size(None) is 1
+    if a.dtype.kind != "f" or b.dtype.kind != "f":
+        return np.count_nonzero(a != b), np.nan, np.nan
+    unequal = a.view(np.uint64) != b.view(np.uint64)
+    both = unequal & np.isfinite(a) & np.isfinite(b)
+    if not both.any():
+        return np.count_nonzero(unequal), np.nan, np.nan
+    gap = np.abs(a[both] - b[both])
+    scale = np.maximum(np.abs(a[both]), np.abs(b[both]))
+    with np.errstate(invalid="ignore"):
+        relative = np.where(gap > 0, gap / scale, 0.0)
+    return np.count_nonzero(unequal), float(gap.max()), float(relative.max())
 
 
 def _describe(field, a, b) -> str:
@@ -245,10 +282,9 @@ def _describe(field, a, b) -> str:
         return f"{x.size} values"
 
     if a is not None and b is not None and a.dtype.kind == "f" and a.shape == b.shape:
-        unequal = a.view(np.uint64) != b.view(np.uint64)
-        both = unequal & np.isfinite(a) & np.isfinite(b)
-        gap = f", by up to {np.max(np.abs(a[both] - b[both])):.3e}" if both.any() else ""
-        return f"{field}: {np.count_nonzero(unequal)} of {a.size} differ{gap}"
+        count, gap, _ = _gaps(a, b)
+        by = "" if np.isnan(gap) else f", by up to {gap:.3e}"
+        return f"{field}: {count} of {a.size} differ{by}"
     return f"{field} {show(a)} -> {show(b)}"
 
 
