@@ -132,10 +132,12 @@ class PchFit:
         """Lower-triangular Cholesky factor L of the information (info =
         L @ L.T), computed once by ``np.linalg.cholesky``.
 
-        Every per-subject linear solve reuses this factor; that single
-        factorization is what makes the fast pseudo-observations cheap.
-        Raises ``SingularInformation`` if the information is singular to
-        working precision or not positive definite.
+        ``solve_information`` solves for all subjects at once, their
+        right-hand sides stacked as the columns of one K-row matrix, so the
+        K×K work is paid once per call, not once per subject; that is what
+        makes the fast pseudo-observations cheap. Raises
+        ``SingularInformation`` if the information is singular to working
+        precision or not positive definite.
         """
         info = observed_information(self)
         try:
@@ -147,7 +149,9 @@ class PchFit:
 
     def solve_information(self, rhs: np.ndarray) -> np.ndarray:
         """Solve info @ x = rhs (rhs may be a matrix of stacked columns)
-        against the factor: L @ w = rhs, then L.T @ x = w."""
+        against the factor: L @ w = rhs, then L.T @ x = w. numpy has no
+        triangular solver, so each of the two ``np.linalg.solve`` calls runs
+        a K×K LU of its triangle, small for the K of a cut grid."""
         factor = self.info_factor
         return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 

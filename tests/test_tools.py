@@ -39,7 +39,8 @@ def test_bench_cli_times_the_stages_of_one_command(tmp_path):
         # the process peak so far after each stage but `other`
         peaks = run["peak_rss_mb"]
         assert list(peaks) == [stage for stage in seconds if stage != "other"]
-        assert 0 < peaks["import"] <= peaks["cli"]
+        assert min(peaks.values()) > 0
+        assert peaks["import"] <= peaks["cli"]
         if run["kind"] == "rc":
             assert run["output_sha256"] and run["regress_sha256"]
         else:
